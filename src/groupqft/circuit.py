@@ -6,8 +6,9 @@ order, so the matrix of the whole circuit multiplies them in reverse:
 gates (g1, g2, ..., gm) realize G_m ... G_2 G_1.
 
 Two independent evaluation routes are kept deliberately separate:
-`to_matrix` assembles dense gate matrices, while `apply_to_state` runs
-the bit-mask kernels from `_kernels`.  Tests play one against the other.
+`to_matrix` assembles dense gate matrices, while `apply_to_state` updates
+a `(2,)*width` tensor view of the state in place, one axis per qubit.
+Tests play one against the other.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .linalg import Matrix, is_unitary, kron
 
 GATE_EPS = 1e-12
@@ -186,26 +186,49 @@ def to_matrix(c: Circuit) -> Matrix:
     return out
 
 
+# length-1 slices selecting bit 0 / bit 1 of one tensor axis
+_BIT = (slice(0, 1), slice(1, 2))
+
+
 def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
-    """Run the circuit on a state vector of length 2**width."""
-    state = np.asarray(state, dtype=np.complex128)
-    if state.shape != (1 << c.width,):
+    """Run the circuit on a state vector of length 2**width.
+
+    Returns a new array and never writes to `state`.  The copy is viewed
+    as a (2,)*width tensor whose axis width-1-q holds qubit q; a 2x2 gate
+    combines the two target-axis halves of the control-selected block in
+    place, and a qubit permutation is an axis transpose.
+    """
+    psi = np.array(state, dtype=np.complex128, order="C")
+    if psi.shape != (1 << c.width,):
         raise ValueError(
-            f"state has shape {state.shape}, expected ({1 << c.width},)")
+            f"state has shape {psi.shape}, expected ({1 << c.width},)")
+    top = c.width - 1
+    psi = psi.reshape((2,) * c.width)
     for g in c.gates:
         if isinstance(g, QubitPerm):
-            state = _kernels.apply_perm(state, _perm_index_map(g.sigma))
+            axes = [0] * c.width
+            for q, s in enumerate(g.sigma):
+                axes[top - s] = top - q
+            psi = np.ascontiguousarray(psi.transpose(axes))
             continue
         if isinstance(g, Local):
-            u, pos, neg, target = g.u, 0, 0, g.target
+            u, controls = g.u, ()
         elif isinstance(g, CNot):
-            u, target = X_MATRIX, g.target
-            pos, neg = 1 << g.control, 0
+            u, controls = X_MATRIX, ((g.control, True),)
         else:
-            u, target = g.u, g.target
-            pos, neg = _control_masks(g.controls)
-        state = _kernels.apply_2x2(state, u, 1 << target, pos, neg)
-    return state
+            u, controls = g.u, g.controls
+        # Slices, not integer indices: when the controls and the target fix
+        # every axis, integer indexing returns a 0-d copy and the write is lost.
+        idx = [slice(None)] * c.width
+        for q, p in controls:
+            idx[top - q] = _BIT[p]
+        idx[top - g.target] = _BIT[0]
+        a0 = psi[tuple(idx)]
+        idx[top - g.target] = _BIT[1]
+        a1 = psi[tuple(idx)]
+        a0[...], a1[...] = (u[0, 0] * a0 + u[0, 1] * a1,
+                            u[1, 0] * a0 + u[1, 1] * a1)
+    return psi.reshape(-1)
 
 
 def _transpositions(sigma: tuple[int, ...]) -> list[tuple[int, int]]:

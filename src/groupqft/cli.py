@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -83,8 +84,42 @@ def format_circuit(c: Circuit) -> str:
     return "\n".join(lines)
 
 
-def _fields(tokens: list[str]) -> dict[str, str]:
-    return dict(t.split("=", 1) for t in tokens)
+class _Fields(dict):
+    """key=value tokens of one line; a missing key is a ValueError."""
+
+    def __missing__(self, key: str) -> str:
+        raise ValueError(f"missing {key}=")
+
+
+def _fields(tokens: list[str]) -> _Fields:
+    out = _Fields()
+    for t in tokens:
+        key, eq, value = t.partition("=")
+        if not eq:
+            raise ValueError(f"expected key=value, got {t!r}")
+        out[key] = value
+    return out
+
+
+@contextmanager
+def _on_line(no: int, line: str):
+    """Prefix a ValueError raised while parsing one line with that line."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"line {no}: {exc} in {line.strip()!r}") from None
+
+
+def _numbered_lines(text: str, header: str) -> list[tuple[int, str]]:
+    """Non-blank lines with 1-based numbers; the first must be the header."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    if not lines:
+        raise ValueError(f"empty input, expected a {header} header")
+    no, first = lines[0]
+    if first.split()[0] != header:
+        raise ValueError(f"line {no}: expected {header} header, got {first!r}")
+    return lines
 
 
 def _parse_controls(token: str) -> tuple[tuple[int, bool], ...]:
@@ -97,32 +132,37 @@ def _parse_controls(token: str) -> tuple[tuple[int, bool], ...]:
     return tuple(out)
 
 
+def _parse_gate(line: str) -> Gate:
+    kind, *rest = line.split()
+    if kind == "perm":
+        if len(rest) != 1:
+            raise ValueError("perm needs one comma-separated permutation")
+        return QubitPerm(tuple(int(v) for v in rest[0].split(",")))
+    f = _fields(rest)
+    if kind == "local":
+        return Local(_parse_u(f["u"]), int(f["q"]))
+    if kind == "cnot":
+        return CNot(int(f["c"]), int(f["t"]))
+    if kind == "mcu":
+        return MultiControlled(
+            _parse_u(f["u"]), _parse_controls(f["controls"]), int(f["t"]))
+    raise ValueError(f"unknown gate kind {kind!r}")
+
+
 def parse_circuit(text: str) -> Circuit:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "circuit":
-        raise ValueError(f"expected circuit header, got {lines[0]!r}")
-    meta = _fields(head[1:])
-    width, count = int(meta["width"]), int(meta["gates"])
-    if len(lines) - 1 != count:
-        raise ValueError(f"header claims {count} gates, found {len(lines) - 1}")
+    (no, head), *body = _numbered_lines(text, "circuit")
+    with _on_line(no, head):
+        meta = _fields(head.split()[1:])
+        width, count = int(meta["width"]), int(meta["gates"])
+        if len(body) != count:
+            raise ValueError(f"header claims {count} gates, found {len(body)}")
     gates: list[Gate] = []
-    for ln in lines[1:]:
-        kind, *rest = ln.split()
-        if kind == "perm":
-            gates.append(QubitPerm(tuple(int(v) for v in rest[0].split(","))))
-            continue
-        f = _fields(rest)
-        if kind == "local":
-            gates.append(Local(_parse_u(f["u"]), int(f["q"])))
-        elif kind == "cnot":
-            gates.append(CNot(int(f["c"]), int(f["t"])))
-        elif kind == "mcu":
-            gates.append(MultiControlled(
-                _parse_u(f["u"]), _parse_controls(f["controls"]), int(f["t"])))
-        else:
-            raise ValueError(f"unknown gate kind {kind!r}")
-    return Circuit(width, tuple(gates))
+    for line_no, ln in body:
+        with _on_line(line_no, ln):
+            gates.append(_parse_gate(ln))
+    # a bad width, or a gate qubit outside it, is charged to the header
+    with _on_line(no, head):
+        return Circuit(width, tuple(gates))
 
 
 def format_matrix(m: Matrix) -> str:
@@ -133,24 +173,29 @@ def format_matrix(m: Matrix) -> str:
     return "\n".join(lines)
 
 
+def _parse_complex(token: str) -> complex:
+    re, comma, im = token.partition(",")
+    if not comma:
+        raise ValueError(f"expected re,im, got {token!r}")
+    return complex(float(re), float(im))
+
+
 def parse_matrix(text: str) -> Matrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "matrix":
-        raise ValueError(f"expected matrix header, got {lines[0]!r}")
-    meta = _fields(head[1:])
-    rows, cols = int(meta["rows"]), int(meta["cols"])
-    if len(lines) - 1 != rows:
-        raise ValueError(f"header claims {rows} rows, found {len(lines) - 1}")
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    for i, ln in enumerate(lines[1:]):
-        entries = ln.split()
-        if len(entries) != cols:
-            raise ValueError(f"row {i} has {len(entries)} entries, expected {cols}")
-        for j, e in enumerate(entries):
-            re, im = e.split(",")
-            out[i, j] = complex(float(re), float(im))
-    return out
+    (no, head), *body = _numbered_lines(text, "matrix")
+    with _on_line(no, head):
+        meta = _fields(head.split()[1:])
+        rows, cols = int(meta["rows"]), int(meta["cols"])
+        if cols < 0 or len(body) != rows:
+            raise ValueError(f"header claims {rows}x{cols}, "
+                             f"found {len(body)} rows")
+    entries = []
+    for no, ln in body:
+        with _on_line(no, ln):
+            row = [_parse_complex(e) for e in ln.split()]
+            if len(row) != cols:
+                raise ValueError(f"{len(row)} entries, expected {cols}")
+        entries.append(row)
+    return np.array(entries, dtype=np.complex128).reshape(rows, cols)
 
 
 def build_parser() -> argparse.ArgumentParser:

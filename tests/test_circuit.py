@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import random_circuit, random_unitary
-from groupqft import _kernels
 from groupqft.circuit import (
     Circuit,
     CNot,
@@ -106,12 +105,26 @@ def test_random_circuits_unitary_and_composition(seed):
     assert np.max(np.abs(to_matrix(c1 + c2) - m2 @ m1)) < 1e-12
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_apply_to_state_matches_matrix(seed):
-    rng = np.random.default_rng(100 + seed)
-    width = int(rng.integers(1, 7))
-    c = random_circuit(rng, width, 15)
-    state = rng.standard_normal(1 << width) + 1j * rng.standard_normal(1 << width)
+def fully_controlled_circuit(rng: np.random.Generator, width: int) -> Circuit:
+    """One gate per target, controlled by every other qubit, mixed polarity."""
+    return Circuit(width, tuple(
+        MultiControlled(random_unitary(rng, 2), tuple(
+            (q, bool(rng.integers(0, 2))) for q in range(width) if q != t), t)
+        for t in range(width)))
+
+
+# ints: random circuits; "fullW": fully_controlled_circuit at width W, where
+# each 2x2 update selects a single pair of amplitudes
+@pytest.mark.parametrize("case", [*range(8), "full2", "full3", "full4"])
+def test_apply_to_state_matches_matrix(case):
+    if isinstance(case, int):
+        rng = np.random.default_rng(100 + case)
+        c = random_circuit(rng, int(rng.integers(1, 7)), 15)
+    else:
+        rng = np.random.default_rng(300)
+        c = fully_controlled_circuit(rng, int(case.removeprefix("full")))
+    dim = 1 << c.width
+    state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     state /= np.linalg.norm(state)
     assert np.max(np.abs(apply_to_state(c, state) - to_matrix(c) @ state)) < 1e-10
 
@@ -121,22 +134,78 @@ def test_apply_to_state_rejects_wrong_length():
         apply_to_state(Circuit(2), np.zeros(3))
 
 
-def test_kernel_backends_agree():
+@pytest.mark.parametrize("real", [False, True])
+def test_apply_to_state_leaves_input_unchanged(real):
+    rng = np.random.default_rng(77)
+    state = rng.standard_normal(16)
+    if not real:
+        state = state + 1j * rng.standard_normal(16)
+    before = state.copy()
+    for c in (Circuit(4), random_circuit(rng, 4, 20)):
+        out = apply_to_state(c, state)
+        assert not np.shares_memory(out, state)
+        assert np.array_equal(state, before)
+
+
+# Reference simulator: pure-Python bit-mask loops over basis-state indices,
+# independent of apply_to_state's tensor views and of to_matrix.
+
+def _apply_2x2_loop(state, u, tbit, pos_mask, neg_mask):
+    out = state.copy()
+    for i in range(state.shape[0]):
+        if i & tbit:
+            continue
+        if (i & pos_mask) == pos_mask and (i & neg_mask) == 0:
+            j = i | tbit
+            a0 = state[i]
+            a1 = state[j]
+            out[i] = u[0, 0] * a0 + u[0, 1] * a1
+            out[j] = u[1, 0] * a0 + u[1, 1] * a1
+    return out
+
+
+def _apply_perm_loop(state, sigma):
+    out = np.empty_like(state)
+    for i in range(state.shape[0]):
+        out[sum(((i >> q) & 1) << s for q, s in enumerate(sigma))] = state[i]
+    return out
+
+
+def reference_apply(g, state):
+    """Apply one gate with the bit-mask loops; also return the mask of
+    amplitudes the gate may change."""
+    idx = np.arange(state.shape[0])
+    if isinstance(g, QubitPerm):
+        return _apply_perm_loop(state, g.sigma), np.ones(idx.shape, bool)
+    if isinstance(g, Local):
+        u, controls = g.u, ()
+    elif isinstance(g, CNot):
+        u, controls = X_MATRIX, ((g.control, True),)
+    else:
+        u, controls = g.u, g.controls
+    pos = sum(1 << q for q, p in controls if p)
+    neg = sum(1 << q for q, p in controls if not p)
+    fires = ((idx & pos) == pos) & ((idx & neg) == 0)
+    return _apply_2x2_loop(state, u, 1 << g.target, pos, neg), fires
+
+
+def test_apply_to_state_matches_bitmask_reference():
     rng = np.random.default_rng(42)
+    width = 6
     state = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     u = random_unitary(rng, 2)
-    got_np = _kernels.apply_2x2_numpy(state, u, 1 << 2, 0b001, 0b1000)
-    if _kernels.HAS_NUMBA:
-        got_nb = _kernels.apply_2x2_numba(state, u, 1 << 2, 0b001, 0b1000)
-        assert np.max(np.abs(got_np - got_nb)) < 1e-14
-    index_map = rng.permutation(64).astype(np.int64)
-    got_np = _kernels.apply_perm_numpy(state, index_map)
-    if _kernels.HAS_NUMBA:
-        got_nb = _kernels.apply_perm_numba(state, index_map)
-        assert np.array_equal(got_np, got_nb)
-    # untouched amplitudes pass through unchanged
-    masked = _kernels.apply_2x2(state, u, 1 << 0, 0b10, 0)
-    assert np.array_equal(masked[::4], state[::4])
+    gates = [Local(u, 0), Local(u, 3), Local(u, 5), CNot(4, 1), CNot(0, 5),
+             MultiControlled(u, ((0, True), (3, False)), 2),
+             MultiControlled(u, ((5, False), (1, True), (2, False)), 0),
+             MultiControlled(u, tuple((q, q % 2 == 0) for q in range(5)), 5),
+             QubitPerm((1, 0, 2, 3, 4, 5)),
+             QubitPerm(tuple(int(s) for s in rng.permutation(width)))]
+    for g in gates:
+        got = apply_to_state(Circuit(width, (g,)), state)
+        want, fires = reference_apply(g, state)
+        assert np.max(np.abs(got - want)) < 1e-12, g
+        # amplitudes whose controls do not match pass through bit for bit
+        assert np.array_equal(got[~fires], state[~fires]), g
 
 
 def test_controlled_single_x_is_cnot():

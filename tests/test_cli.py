@@ -133,3 +133,39 @@ def test_parse_rejects_malformed():
         parse_matrix("matrix rows=2 cols=2\n1,0 0,0")
     with pytest.raises(ValueError):
         parse_matrix("matrix rows=1 cols=2\n1,0")
+
+
+U_ID = "u=1,0,0,0,0,0,1,0"
+
+
+MALFORMED = [
+    (parse_circuit, "", "empty input"),
+    (parse_circuit, " \n\n", "empty input"),
+    (parse_circuit, "circuit width=2", "line 1: missing gates="),
+    (parse_circuit, "circuit gates=0", "line 1: missing width="),
+    (parse_circuit, "circuit width 2 gates=0", "line 1: expected key=value"),
+    (parse_circuit, "circuit width=2 gates=1\nperm", "line 2: perm"),
+    (parse_circuit, "circuit width=2 gates=1\n\nlocal q=0", "line 3: missing u="),
+    (parse_circuit, f"circuit width=2 gates=1\nlocal {U_ID}", "line 2: missing q="),
+    (parse_circuit, "circuit width=2 gates=1\ncnot t=0", "line 2: missing c="),
+    (parse_circuit, "circuit width=2 gates=1\ncnot c=1", "line 2: missing t="),
+    (parse_circuit, f"circuit width=2 gates=1\nmcu t=0 {U_ID}",
+     "line 2: missing controls="),
+    (parse_circuit, f"circuit width=2 gates=1\nmcu controls=1 t=0 {U_ID}",
+     "line 2: "),
+    (parse_circuit, f"circuit width=2 gates=1\nlocal q=5 {U_ID}",
+     "line 1: qubit 5 outside width 2"),
+    (parse_matrix, "", "empty input"),
+    (parse_matrix, "matrix rows=1\n1,0", "line 1: missing cols="),
+    (parse_matrix, "matrix cols=1\n1,0", "line 1: missing rows="),
+    (parse_matrix, "matrix rows=1 cols=1\n1", "line 2: expected re,im"),
+    (parse_matrix, "matrix rows=0 cols=-1", "line 1: "),
+]
+
+
+@pytest.mark.parametrize("parse, text, where", MALFORMED, ids=[
+    f"{parse.__name__}-{i}" for i, (parse, _, _) in enumerate(MALFORMED)])
+def test_parse_malformed_names_the_line(parse, text, where):
+    with pytest.raises(ValueError) as exc:
+        parse(text)
+    assert str(exc.value).startswith(where)
