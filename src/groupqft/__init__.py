@@ -10,8 +10,6 @@ against the regular representation.
 from .circuit import (
     Circuit,
     CNot,
-    CostModel,
-    DEFAULT_COST,
     Gate,
     Local,
     MultiControlled,
@@ -28,6 +26,7 @@ from .circuit_library import (
     increment_circuit,
     qft_circuit,
     qft_cyclic_circuit,
+    qft_factors,
     reorder_circuit,
     twiddle_circuit,
 )
@@ -47,7 +46,6 @@ from .synthesis import (
     DecompositionResult,
     assemble,
     equalizer,
-    equalizing_conjugator,
     reorder_permutation,
     reorder_sequence,
     twiddle,
@@ -64,17 +62,16 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Circuit", "CNot", "CostModel", "DEFAULT_COST", "Gate", "Local",
-    "MultiControlled", "QubitPerm", "apply_to_state", "controlled", "cost",
-    "embed", "gate_cost", "to_matrix",
+    "Circuit", "CNot", "Gate", "Local", "MultiControlled", "QubitPerm",
+    "apply_to_state", "controlled", "cost", "embed", "gate_cost", "to_matrix",
     "equalizer_circuit", "increment_circuit", "qft_circuit",
-    "qft_cyclic_circuit", "reorder_circuit", "twiddle_circuit",
+    "qft_cyclic_circuit", "qft_factors", "reorder_circuit", "twiddle_circuit",
     "Family", "GroupElement", "GroupSpec", "Representation", "cyclic_irreps",
     "extendable_indices", "induce", "inner_conjugate",
     "regular_representation",
     "dft", "direct_sum", "is_unitary", "kron", "perm_matrix",
-    "DecompositionResult", "assemble", "equalizer", "equalizing_conjugator",
-    "reorder_permutation", "reorder_sequence", "twiddle",
+    "DecompositionResult", "assemble", "equalizer", "reorder_permutation",
+    "reorder_sequence", "twiddle",
     "VerificationReport", "census", "check_decomposition", "circuit_matches",
     "full_report", "scaling_fit",
     "__version__",

@@ -9,6 +9,8 @@ Two independent evaluation routes are kept deliberately separate:
 `to_matrix` assembles dense gate matrices, while `apply_to_state` updates
 a `(2,)*width` tensor view of the state in place, one axis per qubit.
 Tests play one against the other.
+
+`cost` sums the fixed per-gate weights of `gate_cost`.
 """
 
 from __future__ import annotations
@@ -284,40 +286,26 @@ def embed(c: Circuit, width: int) -> Circuit:
     return Circuit(width, gates)
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Weights per gate kind.
+def gate_cost(g: Gate, width: int) -> float:
+    """Built-in weight of one gate on a `width`-qubit circuit.
 
-    A multi-controlled gate with k controls on an m-qubit circuit costs
-    w(1) = 1, w(k) = k for 2 <= k < m - 1, and w(m-1) = m**2; the jump
-    reflects that a full-register control needs either an ancilla or a
-    quadratic cascade.  A qubit permutation costs 3 per transposition.
+    Local gates and CNOTs cost 1.  A multi-controlled gate with k controls
+    costs 1 for k = 1, k for 2 <= k < width - 1, and width**2 for
+    k = width - 1; the jump reflects that a full-register control needs
+    either an ancilla or a quadratic cascade.  A qubit permutation costs 3
+    per transposition.
     """
-
-    local: float = 1.0
-    cnot: float = 1.0
-    transposition: float = 3.0
-
-    def multi_controlled(self, k: int, width: int) -> float:
+    if isinstance(g, (Local, CNot)):
+        return 1.0
+    if isinstance(g, MultiControlled):
+        k = len(g.controls)
         if k == 1:
             return 1.0
         if k == width - 1:
             return float(width * width)
         return float(k)
+    return 3.0 * len(_transpositions(g.sigma))
 
 
-DEFAULT_COST = CostModel()
-
-
-def gate_cost(g: Gate, width: int, model: CostModel = DEFAULT_COST) -> float:
-    if isinstance(g, Local):
-        return model.local
-    if isinstance(g, CNot):
-        return model.cnot
-    if isinstance(g, MultiControlled):
-        return model.multi_controlled(len(g.controls), width)
-    return model.transposition * len(_transpositions(g.sigma))
-
-
-def cost(c: Circuit, model: CostModel = DEFAULT_COST) -> float:
-    return sum(gate_cost(g, c.width, model) for g in c.gates)
+def cost(c: Circuit) -> float:
+    return sum(gate_cost(g, c.width) for g in c.gates)

@@ -6,7 +6,9 @@ of a) and b on qubit n.  Cyclic transforms act on n wires.
 
 Every builder returns gates whose product equals the corresponding
 matrix factor from `synthesis` exactly (up to rounding); the tests
-enforce this against `synthesis.assemble`.
+enforce this against `synthesis.assemble`.  `qft_factors` is the one
+place that lists the factors of the transform in temporal order;
+`qft_circuit` and the CLI cost table are both read from it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "reorder_circuit",
     "twiddle_circuit",
     "equalizer_circuit",
+    "qft_factors",
     "qft_circuit",
 ]
 
@@ -138,22 +141,32 @@ def equalizer_circuit(G: GroupSpec) -> Circuit:
     ))
 
 
-def qft_circuit(G: GroupSpec) -> Circuit:
-    """Full transform circuit; gate product equals assemble(G).b.
+def qft_factors(G: GroupSpec) -> tuple[tuple[str, Circuit], ...]:
+    """Named full-width factor circuits of the transform, in temporal order.
 
     Matrix order B = (I (x) A P) D (H_y) C reads temporally as C first,
     then the Hadamard on the y wire, the twiddle, the reordering, and the
-    cyclic transform on the x register.
+    cyclic transform on the x register.  The cyclic family is the single
+    factor DFT_{2^n}.
     """
     if G.is_abelian:
         if G.n < 1:
             raise ValueError("the synthesis entry point needs n >= 1")
-        return qft_cyclic_circuit(G.n)
+        return (("cyclic", qft_cyclic_circuit(G.n)),)
     w = G.n + 1
     return (
-        equalizer_circuit(G)
-        + Circuit(w, (Local(H_MATRIX, G.n),))
-        + twiddle_circuit(G)
-        + embed(reorder_circuit(G), w)
-        + embed(qft_cyclic_circuit(G.n), w)
+        ("equalizer", equalizer_circuit(G)),
+        ("hadamard", Circuit(w, (Local(H_MATRIX, G.n),))),
+        ("twiddle", twiddle_circuit(G)),
+        ("reorder", embed(reorder_circuit(G), w)),
+        ("cyclic", embed(qft_cyclic_circuit(G.n), w)),
     )
+
+
+def qft_circuit(G: GroupSpec) -> Circuit:
+    """Full transform circuit, the concatenation of `qft_factors`; its
+    gate product equals assemble(G).b."""
+    (_, c), *rest = qft_factors(G)
+    for _, f in rest:
+        c = c + f
+    return c

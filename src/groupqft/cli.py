@@ -26,15 +26,8 @@ from .circuit import (
     MultiControlled,
     QubitPerm,
     cost,
-    embed,
 )
-from .circuit_library import (
-    equalizer_circuit,
-    qft_circuit,
-    qft_cyclic_circuit,
-    reorder_circuit,
-    twiddle_circuit,
-)
+from .circuit_library import qft_circuit, qft_factors
 from .groups import Family, GroupSpec
 from .linalg import Matrix
 from .synthesis import assemble
@@ -62,9 +55,10 @@ def _parse_u(token: str) -> np.ndarray:
     vals = [float(v) for v in token.split(",")]
     if len(vals) != 8:
         raise ValueError(f"expected 8 reals for a 2x2 unitary, got {len(vals)}")
-    re = np.array(vals[0::2]).reshape(2, 2)
-    im = np.array(vals[1::2]).reshape(2, 2)
-    return re + 1j * im
+    # re,im pairs are the memory layout of complex128; arithmetic such as
+    # re + 1j * im would turn a -0.0 imaginary part into +0.0.  The copy
+    # owns its data, so a parsed gate does not also keep the float array.
+    return np.array(vals).view(np.complex128).reshape(2, 2).copy()
 
 
 def format_gate(g: Gate) -> str:
@@ -185,7 +179,8 @@ def parse_matrix(text: str) -> Matrix:
     with _on_line(no, head):
         meta = _fields(head.split()[1:])
         rows, cols = int(meta["rows"]), int(meta["cols"])
-        if cols < 0 or len(body) != rows:
+        # a row with no columns prints as a blank line, which is skipped
+        if rows < 0 or cols < 0 or len(body) != (rows if cols else 0):
             raise ValueError(f"header claims {rows}x{cols}, "
                              f"found {len(body)} rows")
     entries = []
@@ -287,15 +282,11 @@ def _parse_range(spec: str) -> tuple[int, int]:
 
 
 def _count_row(G: GroupSpec) -> dict[str, float]:
-    if G.is_abelian:
-        c = qft_cyclic_circuit(G.n)
-        return {"width": c.width, "total": cost(c)}
-    w = G.n + 1
-    pdc = cost(embed(reorder_circuit(G), w)) \
-        + cost(twiddle_circuit(G)) + cost(equalizer_circuit(G))
-    cyclic_part = cost(embed(qft_cyclic_circuit(G.n), w))
-    return {"width": w, "total": pdc + cyclic_part + 1.0,
-            "cyclic": cyclic_part, "pdc": pdc, "hadamard": 1.0}
+    """Width, total cost, and the cost of each factor of `qft_factors`."""
+    factors = qft_factors(G)
+    costs = {name: cost(c) for name, c in factors}
+    return {"width": factors[0][1].width, "total": sum(costs.values()),
+            **costs}
 
 
 def _run_count(args) -> int:

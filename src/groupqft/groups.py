@@ -16,7 +16,7 @@ r satisfy r^2 = 1 mod 2^n, which the multiplication below relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -284,15 +284,9 @@ def induce(rho: Representation, G: GroupSpec,
         raise ValueError(
             f"transversal length {p} does not match index "
             f"{G.order // rho.group.order}")
-    cosets = set()
-    for t in T:
-        # canonical coset tag: the set N t as a frozenset of normal forms
-        coset = frozenset(
-            G.multiply(h, t)
-            for h in G.all_elements()
-            if _in_subgroup(rho, G, h))
-        cosets.add(coset)
-    if len(cosets) != p:
+    # N t_i = N t_j exactly when t_i t_j^-1 lies in N
+    if any(_in_subgroup(rho, G, G.multiply(ti, G.inverse(tj)))
+           for i, ti in enumerate(T) for tj in T[:i]):
         raise ValueError("T is not a transversal: cosets collide")
 
     d = rho.degree

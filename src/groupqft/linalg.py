@@ -18,22 +18,12 @@ Matrix = NDArray[np.complex128]
 
 __all__ = [
     "Matrix",
-    "matmul",
     "kron",
     "direct_sum",
     "dft",
     "perm_matrix",
     "is_unitary",
 ]
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with a shape check that fails loudly."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible shapes {a.shape} x {b.shape}")
-    return a @ b
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -3,13 +3,14 @@
 For the non-abelian families the transform on C[G] is built from the
 one-step recursion over the index-2 normal subgroup <x>:
 
-    B = (I_2 (x) A P M) . D . (DFT_2 (x) I_{2^n}) . C
+    B = (I_2 (x) A P) . D . (DFT_2 (x) I_{2^n}) . C
 
 where A = DFT_{2^n} diagonalizes the regular representation of <x>, P
 reorders its characters so that y-conjugate pairs sit next to each other
-(extendable ones first), M equalizes conjugate summands (here always the
-identity, every summand has degree 1), D is the twiddle I (+) rho_bar(y),
-and C flips signs so equivalent summands of the result come out equal.
+(extendable ones first), D is the twiddle I (+) rho_bar(y), and C flips
+signs so equivalent summands of the result come out equal.  The general
+recursion also conjugates by an M that equalizes conjugate summands; every
+character of Z_{2^n} has degree 1, so M is the identity and is left out.
 
 The abelian base case returns B = DFT_{2^n} directly.
 """
@@ -27,7 +28,6 @@ __all__ = [
     "DecompositionResult",
     "reorder_sequence",
     "reorder_permutation",
-    "equalizing_conjugator",
     "twiddle",
     "equalizer",
     "assemble",
@@ -38,9 +38,9 @@ __all__ = [
 class DecompositionResult:
     """Transform matrix b together with the factors that produced it.
 
-    Recomputing (I_2 (x) a p m) d (dft(2) (x) I) c reproduces b exactly up
+    Recomputing (I_2 (x) a p) d (dft(2) (x) I) c reproduces b exactly up
     to rounding; for the cyclic family the factors degenerate to
-    b = a = DFT_{2^n} with p = m = d = c = I.
+    b = a = DFT_{2^n} with p = d = c = I.
 
     irrep_census lists (degree, count) pairs; extendables holds the
     character indices of <x> fixed by y-conjugation (empty for cyclic).
@@ -50,7 +50,6 @@ class DecompositionResult:
     b: Matrix
     a: Matrix
     p: Matrix
-    m: Matrix
     d: Matrix
     c: Matrix
     irrep_census: tuple[tuple[int, int], ...]
@@ -98,18 +97,6 @@ def reorder_permutation(G: GroupSpec) -> Matrix:
     """Permutation matrix P with (A P)^-1 phi_N(x) (A P) reordered per
     reorder_sequence."""
     return perm_matrix(reorder_sequence(G))
-
-
-def equalizing_conjugator(G: GroupSpec) -> Matrix:
-    """M of the recursion.  Equal conjugate summands of degree 1 are
-    already identical matrices, so M is the identity; the degree
-    assumption is asserted rather than trusted."""
-    if G.is_abelian:
-        raise ValueError("no conjugate summands for the cyclic family")
-    irreps = cyclic_irreps(G.n)
-    if any(rho.degree != 1 for rho in irreps):
-        raise AssertionError("expected only degree-1 summands")
-    return np.eye(G.cyclic_order, dtype=np.complex128)
 
 
 def _layout(G: GroupSpec) -> list[tuple[int, int]]:
@@ -181,23 +168,22 @@ def assemble(G: GroupSpec) -> DecompositionResult:
         b = dft(m)
         eye = np.eye(m, dtype=np.complex128)
         return DecompositionResult(
-            b=b, a=b, p=eye, m=eye, d=eye, c=eye,
+            b=b, a=b, p=eye, d=eye, c=eye,
             irrep_census=((1, m),),
             extendables=frozenset(),
             sequence=tuple(range(m)),
         )
     a = dft(m)
     p = reorder_permutation(G)
-    mm = equalizing_conjugator(G)
     d = twiddle(G)
     c = equalizer(G)
-    b = kron(np.eye(2), a @ p @ mm) @ d @ kron(dft(2), np.eye(m)) @ c
+    b = kron(np.eye(2), a @ p) @ d @ kron(dft(2), np.eye(m)) @ c
     if not is_unitary(b, 1e-10):
         raise AssertionError("assembled transform failed the unitarity check")
     ext = extendable_indices(G)
     n_pairs = (m - len(ext)) // 2
     return DecompositionResult(
-        b=b, a=a, p=p, m=mm, d=d, c=c,
+        b=b, a=a, p=p, d=d, c=c,
         irrep_census=((1, 2 * len(ext)), (2, n_pairs)),
         extendables=ext,
         sequence=reorder_sequence(G),

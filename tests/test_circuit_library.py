@@ -6,7 +6,6 @@ import pytest
 from groupqft.circuit import (
     MultiControlled,
     cost,
-    gate_matrix,
     to_matrix,
 )
 from groupqft.circuit_library import (
@@ -14,12 +13,13 @@ from groupqft.circuit_library import (
     equalizer_circuit,
     qft_circuit,
     qft_cyclic_circuit,
+    qft_factors,
     reorder_circuit,
     twiddle_circuit,
 )
 from groupqft.groups import Family, GroupSpec
-from groupqft.linalg import dft
-from groupqft.synthesis import assemble, equalizer, reorder_permutation, twiddle
+from groupqft.linalg import dft, kron
+from groupqft.synthesis import assemble
 
 NON_ABELIAN = [Family.DIHEDRAL, Family.QUATERNION, Family.QP, Family.QD]
 
@@ -69,11 +69,22 @@ def test_increment_orbit():
 @pytest.mark.parametrize("family", NON_ABELIAN)
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_factor_circuits_match_matrices(family, n):
+    # each named factor circuit against its synthesis factor, in the
+    # temporal order C, H_y, D, I (x) P, I (x) A
     g = GroupSpec(family, n)
-    assert np.max(np.abs(to_matrix(reorder_circuit(g))
-                         - reorder_permutation(g))) < 1e-12
-    assert np.max(np.abs(to_matrix(twiddle_circuit(g)) - twiddle(g))) < 1e-12
-    assert np.max(np.abs(to_matrix(equalizer_circuit(g)) - equalizer(g))) < 1e-12
+    res = assemble(g)
+    eye2, eye_m = np.eye(2), np.eye(g.cyclic_order)
+    expected = {
+        "equalizer": res.c,
+        "hadamard": kron(dft(2), eye_m),
+        "twiddle": res.d,
+        "reorder": kron(eye2, res.p),
+        "cyclic": kron(eye2, res.a),
+    }
+    factors = qft_factors(g)
+    assert [name for name, _ in factors] == list(expected)
+    for name, c in factors:
+        assert np.max(np.abs(to_matrix(c) - expected[name])) < 1e-12, name
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])

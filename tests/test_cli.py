@@ -82,14 +82,15 @@ def test_count_qp_reorder_twiddle_equalizer_constant(capsys):
                  "--format", "structured"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 6
-    pdc = {ln.split("pdc=")[1].split()[0] for ln in lines}
-    assert len(pdc) == 1
+    for factor in ("equalizer", "twiddle", "reorder"):
+        values = {ln.split(f" {factor}=")[1].split()[0] for ln in lines}
+        assert len(values) == 1, factor
 
 
 def test_count_text_table(capsys):
     assert main(["count", "--family", "cyclic", "--range", "1..4"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["n", "width", "total"]
+    assert lines[0].split() == ["n", "width", "total", "cyclic"]
     assert len(lines) == 5
 
 

@@ -208,6 +208,8 @@ def test_induce_rejects_non_transversal():
         induce(cyclic_irreps(3)[1], D, (D.identity(), D.x()))
     with pytest.raises(ValueError):
         induce(cyclic_irreps(3)[1], D, (D.identity(),))
+    with pytest.raises(ValueError):
+        induce(cyclic_irreps(3)[1], D, (D.y(), D.multiply(D.x(), D.y())))
 
 
 def test_inducing_trivial_rep_along_all_elements_gives_regular_rep():

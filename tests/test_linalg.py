@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from groupqft.linalg import dft, direct_sum, is_unitary, kron, matmul, perm_matrix
+from groupqft.linalg import dft, direct_sum, is_unitary, kron, perm_matrix
 
 
 def random_unitary(rng, d):
@@ -13,16 +13,6 @@ def random_unitary(rng, d):
 
 
 H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-
-
-def test_matmul_identity_and_involution():
-    assert np.allclose(matmul(np.eye(2), H), H)
-    assert np.allclose(matmul(H, H), np.eye(2))
-
-
-def test_matmul_shape_check():
-    with pytest.raises(ValueError):
-        matmul(np.eye(2), np.eye(3))
 
 
 def test_dft_small_values():
@@ -45,14 +35,14 @@ def test_dft_unitary(n):
 
 def test_dft_times_conjugate_transpose():
     f = dft(4)
-    assert np.allclose(matmul(f, f.conj().T), np.eye(4), atol=1e-12)
+    assert np.allclose(f @ f.conj().T, np.eye(4), atol=1e-12)
 
 
 def test_kron_matches_numpy_and_mixed_product():
     a = dft(2)
     assert np.allclose(kron(np.eye(1), a), a)
     assert np.array_equal(kron(dft(2), np.eye(2)), np.kron(dft(2), np.eye(2)))
-    left = matmul(kron(np.eye(2), H), kron(H, np.eye(2)))
+    left = kron(np.eye(2), H) @ kron(H, np.eye(2))
     assert np.allclose(left, kron(H, H), atol=1e-14)
 
 

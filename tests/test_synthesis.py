@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from groupqft.groups import Family, GroupSpec, extendable_indices, regular_representation
-from groupqft.linalg import dft, direct_sum, is_unitary, kron, perm_matrix
+from groupqft.linalg import dft, direct_sum, is_unitary, kron
 from groupqft.synthesis import (
     assemble,
     equalizer,
-    equalizing_conjugator,
     reorder_permutation,
     reorder_sequence,
     twiddle,
@@ -62,13 +61,6 @@ def test_reorder_permutation_sorts_characters(family):
     assert np.max(np.abs(reordered - np.diag(omega ** np.array(seq)))) < 1e-12
 
 
-def test_equalizing_conjugator_is_identity():
-    for family in NONABELIAN:
-        assert np.array_equal(equalizing_conjugator(GroupSpec(family, 3)), np.eye(8))
-    with pytest.raises(ValueError):
-        equalizing_conjugator(GroupSpec(Family.CYCLIC, 3))
-
-
 def test_twiddle_blocks_n3():
     d = twiddle(GroupSpec(Family.DIHEDRAL, 3))
     assert np.allclose(d, direct_sum([np.eye(8), direct_sum([np.eye(2), X, X, X])]))
@@ -92,7 +84,7 @@ def test_assemble_cyclic_base_case():
     res = assemble(GroupSpec(Family.CYCLIC, 3))
     assert np.array_equal(res.b, dft(8))
     assert np.array_equal(res.a, dft(8))
-    for f in (res.p, res.m, res.d, res.c):
+    for f in (res.p, res.d, res.c):
         assert np.array_equal(f, np.eye(8))
     assert res.irrep_census == ((1, 8),)
     assert res.sequence == tuple(range(8))
@@ -106,9 +98,9 @@ def test_assemble_factors(family, n):
     G = GroupSpec(family, n)
     res = assemble(G)
     m = G.cyclic_order
-    for f in (res.b, res.a, res.p, res.m, res.d, res.c):
+    for f in (res.b, res.a, res.p, res.d, res.c):
         assert is_unitary(f, 1e-10)
-    recomposed = kron(np.eye(2), res.a @ res.p @ res.m) @ res.d \
+    recomposed = kron(np.eye(2), res.a @ res.p) @ res.d \
         @ kron(dft(2), np.eye(m)) @ res.c
     assert np.max(np.abs(recomposed - res.b)) < 1e-14
     assert res.extendables == extendable_indices(G)
@@ -120,7 +112,7 @@ def test_quaternion_differs_from_dihedral_only_in_twiddle():
     d3 = assemble(GroupSpec(Family.DIHEDRAL, 3))
     q3 = assemble(GroupSpec(Family.QUATERNION, 3))
     assert np.allclose(d3.a, q3.a) and np.allclose(d3.p, q3.p)
-    assert np.allclose(d3.m, q3.m) and np.allclose(d3.c, q3.c)
+    assert np.allclose(d3.c, q3.c)
     assert not np.allclose(d3.d, q3.d)
     assert not np.allclose(d3.b, q3.b)
 
