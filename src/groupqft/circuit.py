@@ -6,9 +6,11 @@ order, so the matrix of the whole circuit multiplies them in reverse:
 gates (g1, g2, ..., gm) realize G_m ... G_2 G_1.
 
 Two independent evaluation routes are kept deliberately separate:
-`to_matrix` assembles dense gate matrices, while `apply_to_state` updates
-a `(2,)*width` tensor view of the state in place, one axis per qubit.
-Tests play one against the other.
+`to_matrix` multiplies each gate's action into the running product row
+pair by row pair, on flat basis indices selected by bit masks, while
+`apply_to_state` updates a `(2,)*width` tensor view of the state in
+place, one axis per qubit.  Neither calls the other; tests play one
+against the other.
 
 `cost` sums the fixed per-gate weights of `gate_cost`.
 """
@@ -19,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Matrix, is_unitary, kron
+# kron is unused here but stays a module attribute: qftbench's tracer
+# wraps circuit.kron by name.
+from .linalg import Matrix, is_unitary, kron  # noqa: F401
 
 GATE_EPS = 1e-12
 
@@ -151,40 +155,61 @@ def _control_masks(controls: tuple[tuple[int, bool], ...]) -> tuple[int, int]:
     return pos, neg
 
 
+def _row_pairs(g: Gate, width: int) -> tuple[np.ndarray, np.ndarray, Matrix]:
+    """Basis-index pairs a 2x2 gate mixes, and its 2x2 unitary.
+
+    i holds the indices whose target bit is 0 and whose controls match
+    their polarities, j = i | target bit; the gate maps rows (i, j) by u
+    and leaves every other row alone.
+    """
+    if isinstance(g, Local):
+        u, controls = g.u, ()
+    elif isinstance(g, CNot):
+        u, controls = X_MATRIX, ((g.control, True),)
+    else:
+        u, controls = g.u, g.controls
+    pos, neg = _control_masks(controls)
+    tbit = 1 << g.target
+    idx = np.arange(1 << width, dtype=np.int64)
+    i = idx[(idx & (tbit | pos | neg)) == pos]
+    return i, i | tbit, u
+
+
 def gate_matrix(g: Gate, width: int) -> Matrix:
     """Dense matrix of a single gate on `width` qubits."""
     dim = 1 << width
-    if isinstance(g, Local):
-        lo = np.eye(1 << g.target, dtype=np.complex128)
-        hi = np.eye(1 << (width - 1 - g.target), dtype=np.complex128)
-        return kron(hi, kron(g.u, lo))
     if isinstance(g, QubitPerm):
         index_map = _perm_index_map(g.sigma)
         out = np.zeros((dim, dim), dtype=np.complex128)
         out[index_map, np.arange(dim)] = 1.0
         return out
-    if isinstance(g, CNot):
-        u, controls, target = X_MATRIX, ((g.control, True),), g.target
-    else:
-        u, controls, target = g.u, g.controls, g.target
-    pos, neg = _control_masks(controls)
-    tbit = 1 << target
+    i, j, u = _row_pairs(g, width)
     out = np.eye(dim, dtype=np.complex128)
-    for i in range(dim):
-        if i & tbit or (i & pos) != pos or (i & neg) != 0:
-            continue
-        j = i | tbit
-        out[i, i] = u[0, 0]
-        out[i, j] = u[0, 1]
-        out[j, i] = u[1, 0]
-        out[j, j] = u[1, 1]
+    out[i, i] = u[0, 0]
+    out[i, j] = u[0, 1]
+    out[j, i] = u[1, 0]
+    out[j, j] = u[1, 1]
     return out
 
 
 def to_matrix(c: Circuit) -> Matrix:
+    """Dense matrix of the whole circuit.
+
+    Each gate acts on the rows of the running product: a 2x2 gate
+    recombines its row pairs, a qubit permutation scatters whole rows.
+    No gate matrix is formed, so a gate costs O(rows touched * 2^width).
+    """
     out = np.eye(1 << c.width, dtype=np.complex128)
     for g in c.gates:
-        out = gate_matrix(g, c.width) @ out
+        if isinstance(g, QubitPerm):
+            moved = np.empty_like(out)
+            moved[_perm_index_map(g.sigma)] = out
+            out = moved
+            continue
+        i, j, u = _row_pairs(g, c.width)
+        ri, rj = out[i], out[j]
+        out[i] = u[0, 0] * ri + u[0, 1] * rj
+        out[j] = u[1, 0] * ri + u[1, 1] * rj
     return out
 
 

@@ -21,7 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Family, GroupSpec, cyclic_irreps, extendable_indices, induce
+# induce is unused here (the tests keep it as the oracle for twiddle) but
+# stays a module attribute: qftbench's tracer wraps synthesis.induce by name.
+from .groups import (  # noqa: F401
+    Family, GroupSpec, cyclic_irreps, extendable_indices, induce)
 from .linalg import Matrix, dft, direct_sum, is_unitary, kron, perm_matrix
 
 __all__ = [
@@ -125,18 +128,18 @@ def twiddle(G: GroupSpec) -> Matrix:
     m = G.cyclic_order
     ext = extendable_indices(G)
     irreps = cyclic_irreps(G.n)
-    transversal = (G.identity(), G.y())
+    y_sq = G.multiply(G.y(), G.y())
     blocks = []
     for pos, i in _layout(G):
+        rho_y_sq = irreps[i].evaluate(y_sq)[0, 0]
         if i in ext:
-            eps_sq = irreps[i].evaluate(
-                G.multiply(G.y(), G.y()))[0, 0]
-            if abs(eps_sq - 1.0) > 1e-12:
+            if abs(rho_y_sq - 1.0) > 1e-12:
                 raise AssertionError(
-                    f"rho_{i}(y^2) = {eps_sq}, expected 1")
+                    f"rho_{i}(y^2) = {rho_y_sq}, expected 1")
             blocks.append(np.eye(1, dtype=np.complex128))
         else:
-            blocks.append(induce(irreps[i], G, transversal).images["y"])
+            blocks.append(np.array([[0.0, 1.0], [rho_y_sq, 0.0]],
+                                   dtype=np.complex128))
     block1 = direct_sum(blocks)
     return direct_sum([np.eye(m, dtype=np.complex128), block1])
 

@@ -49,6 +49,8 @@ class VerificationReport:
     cost_by_n: tuple[tuple[int, float], ...] = ()
 
     def passed(self, tol: float = 1e-10) -> bool:
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {tol}")
         defects = [self.unitarity_defect, self.max_offblock,
                    self.equal_summands_defect]
         if not math.isnan(self.circuit_matrix_defect):
@@ -161,11 +163,13 @@ def scaling_fit(G: GroupSpec, ns: list[int]) -> float:
 def full_report(G: GroupSpec) -> VerificationReport:
     """Decomposition check of assemble(G).b plus the circuit-vs-matrix
     defect of qft_circuit(G), in one report."""
-    result = assemble(G)
-    report = check_decomposition(result.b, G)
+    # keep only b alive: the other factors would stay resident through
+    # the checks, the peak-memory phase
+    b = assemble(G).b
+    report = check_decomposition(b, G)
     c = qft_circuit(G)
     return replace(
         report,
-        circuit_matrix_defect=circuit_matches(c, result.b),
+        circuit_matrix_defect=circuit_matches(c, b),
         cost_by_n=((G.n, cost(c)),),
     )

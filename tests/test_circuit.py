@@ -207,6 +207,66 @@ def test_apply_to_state_matches_bitmask_reference():
         assert np.array_equal(got[~fires], state[~fires]), g
 
 
+# Reference dense gate matrix: a pure-Python loop over the rows, with the
+# permutation map built bit by bit, independent of the vectorized masks
+# that gate_matrix and to_matrix share.
+
+def _gate_matrix_loop(g, width):
+    dim = 1 << width
+    if isinstance(g, QubitPerm):
+        out = np.zeros((dim, dim), dtype=np.complex128)
+        for i in range(dim):
+            out[sum(((i >> q) & 1) << s for q, s in enumerate(g.sigma)), i] = 1.0
+        return out
+    if isinstance(g, Local):
+        u, controls = g.u, ()
+    elif isinstance(g, CNot):
+        u, controls = X_MATRIX, ((g.control, True),)
+    else:
+        u, controls = g.u, g.controls
+    pos = sum(1 << q for q, p in controls if p)
+    neg = sum(1 << q for q, p in controls if not p)
+    tbit = 1 << g.target
+    out = np.eye(dim, dtype=np.complex128)
+    for i in range(dim):
+        if i & tbit or (i & pos) != pos or (i & neg) != 0:
+            continue
+        j = i | tbit
+        out[i, i] = u[0, 0]
+        out[i, j] = u[0, 1]
+        out[j, i] = u[1, 0]
+        out[j, j] = u[1, 1]
+    return out
+
+
+@pytest.mark.parametrize("width", range(2, 7))
+def test_gate_matrix_matches_row_loop_reference(width):
+    rng = np.random.default_rng(400 + width)
+    u = random_unitary(rng, 2)
+    top = width - 1
+    gates = [Local(u, 0), Local(u, top), CNot(0, top), CNot(top, 0),
+             MultiControlled(u, ((top, False),), 0),
+             MultiControlled(u, ((0, True), (top, False)), width // 2)
+             if width > 2 else MultiControlled(u, ((0, True),), 1),
+             *fully_controlled_circuit(rng, width).gates,
+             QubitPerm(tuple(reversed(range(width)))),
+             QubitPerm(tuple(int(s) for s in rng.permutation(width)))]
+    for g in gates:
+        assert np.array_equal(gate_matrix(g, width), _gate_matrix_loop(g, width)), g
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_to_matrix_matches_dense_gate_product(width):
+    rng = np.random.default_rng(500 + width)
+    c = random_circuit(rng, width, 30)
+    if width > 1:
+        c = c + fully_controlled_circuit(rng, width)
+    want = np.eye(1 << width, dtype=np.complex128)
+    for g in c.gates:
+        want = _gate_matrix_loop(g, width) @ want
+    assert np.max(np.abs(to_matrix(c) - want)) < 1e-13
+
+
 def test_controlled_single_x_is_cnot():
     c = controlled(Circuit(1, (Local(X_MATRIX, 0),)))
     assert np.allclose(to_matrix(c), to_matrix(Circuit(2, (CNot(1, 0),))))

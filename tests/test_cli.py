@@ -77,6 +77,15 @@ def test_verify_impossible_tolerance(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_verify_rejects_bad_tolerance(capsys, tol):
+    assert main(["verify", "--family", "dihedral", "--n", "3",
+                 "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "tolerance must be finite and positive" in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+
 def test_count_qp_reorder_twiddle_equalizer_constant(capsys):
     assert main(["count", "--family", "qp", "--range", "3..8",
                  "--format", "structured"]) == 0

@@ -3,7 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from groupqft.groups import Family, GroupSpec, extendable_indices, regular_representation
+from groupqft.groups import (
+    Family,
+    GroupSpec,
+    cyclic_irreps,
+    extendable_indices,
+    induce,
+    regular_representation,
+)
 from groupqft.linalg import dft, direct_sum, is_unitary, kron
 from groupqft.synthesis import (
     assemble,
@@ -70,6 +77,29 @@ def test_twiddle_blocks_n3():
         [np.eye(8), direct_sum([np.eye(2), XM, X, XM])]))
     qp = twiddle(GroupSpec(Family.QP, 3))
     assert np.allclose(qp, direct_sum([np.eye(8), direct_sum([np.eye(4), X, X])]))
+
+
+@pytest.mark.parametrize("family", NONABELIAN)
+@pytest.mark.parametrize("n", range(3, 9))
+def test_twiddle_matches_induced_y_images(family, n):
+    # induce is the oracle for the closed-form blocks [[0, 1], [rho_i(y^2), 0]]
+    G = GroupSpec(family, n)
+    seq = reorder_sequence(G)
+    ext = extendable_indices(G)
+    irreps = cyclic_irreps(n)
+    transversal = (G.identity(), G.y())
+    blocks = []
+    pos = 0
+    while pos < len(seq):
+        i = seq[pos]
+        if i in ext:
+            blocks.append(np.eye(1))
+            pos += 1
+        else:
+            blocks.append(induce(irreps[i], G, transversal).images["y"])
+            pos += 2
+    want = direct_sum([np.eye(G.cyclic_order), direct_sum(blocks)])
+    assert np.array_equal(twiddle(G), want)
 
 
 def test_equalizer_diagonals_n3():

@@ -114,6 +114,9 @@ def test_report_threshold_logic():
     assert base.passed()
     assert not base.passed(tol=1e-14)
     assert math.isnan(base.circuit_matrix_defect)
+    for tol in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            base.passed(tol)
 
 
 @pytest.mark.parametrize("family", NON_ABELIAN + [Family.CYCLIC])
