@@ -5,12 +5,18 @@ significant bit of the basis-state index.  Gates are listed in temporal
 order, so the matrix of the whole circuit multiplies them in reverse:
 gates (g1, g2, ..., gm) realize G_m ... G_2 G_1.
 
+Every gate other than a qubit permutation is a 2x2 unitary `u` on
+`target`, fired by `controls`, a tuple of (qubit, polarity) pairs: a
+Local gate has no controls and a CNOT is X with one positive control.
+Each gate class exposes these three attributes, so the code below reads
+them and never asks which kind a 2x2 gate is.
+
 Two independent evaluation routes are kept deliberately separate:
 `to_matrix` multiplies each gate's action into the running product row
 pair by row pair, on flat basis indices selected by bit masks, while
 `apply_to_state` updates a `(2,)*width` tensor view of the state in
-place, one axis per qubit.  Neither calls the other; tests play one
-against the other.
+place, one axis per qubit.  They read the same gate data but share no
+evaluation code; tests play one against the other.
 
 `cost` sums the fixed per-gate weights of `gate_cost`.
 """
@@ -46,6 +52,9 @@ class Local:
     u: Matrix
     target: int
 
+    # a class attribute, not a field
+    controls = ()
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=np.complex128))
         _check_2x2_unitary(self.u)
@@ -53,8 +62,18 @@ class Local:
 
 @dataclass(frozen=True)
 class CNot:
+    """X on `target` when `control` reads 1."""
+
     control: int
     target: int
+
+    # class attributes, not fields: equality, hashing and the text format
+    # see only control and target
+    u = X_MATRIX
+
+    @property
+    def controls(self) -> tuple[tuple[int, bool], ...]:
+        return ((self.control, True),)
 
     def __post_init__(self) -> None:
         if self.control == self.target:
@@ -101,14 +120,15 @@ class QubitPerm:
 Gate = Local | CNot | MultiControlled | QubitPerm
 
 
-def _gate_qubits(g: Gate) -> tuple[int, ...]:
-    if isinstance(g, Local):
-        return (g.target,)
-    if isinstance(g, CNot):
-        return (g.control, g.target)
-    if isinstance(g, MultiControlled):
-        return tuple(q for q, _ in g.controls) + (g.target,)
-    return tuple(range(len(g.sigma)))
+def _gate_qubits(g: Gate) -> list[int]:
+    if isinstance(g, QubitPerm):
+        return list(range(len(g.sigma)))
+    # a plain loop: a generator here costs gate_sweep about 10%, since
+    # every Circuit, including each concatenation, checks every gate
+    qubits = [g.target]
+    for q, _ in g.controls:
+        qubits.append(q)
+    return qubits
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,52 +164,19 @@ def _perm_index_map(sigma: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _control_masks(controls: tuple[tuple[int, bool], ...]) -> tuple[int, int]:
-    pos = 0
-    neg = 0
-    for q, p in controls:
-        if p:
-            pos |= 1 << q
-        else:
-            neg |= 1 << q
-    return pos, neg
-
-
-def _row_pairs(g: Gate, width: int) -> tuple[np.ndarray, np.ndarray, Matrix]:
-    """Basis-index pairs a 2x2 gate mixes, and its 2x2 unitary.
+def _row_pairs(g: Gate, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis-index pairs a 2x2 gate mixes.
 
     i holds the indices whose target bit is 0 and whose controls match
     their polarities, j = i | target bit; the gate maps rows (i, j) by u
     and leaves every other row alone.
     """
-    if isinstance(g, Local):
-        u, controls = g.u, ()
-    elif isinstance(g, CNot):
-        u, controls = X_MATRIX, ((g.control, True),)
-    else:
-        u, controls = g.u, g.controls
-    pos, neg = _control_masks(controls)
+    pos = sum(1 << q for q, p in g.controls if p)
+    neg = sum(1 << q for q, p in g.controls if not p)
     tbit = 1 << g.target
     idx = np.arange(1 << width, dtype=np.int64)
     i = idx[(idx & (tbit | pos | neg)) == pos]
-    return i, i | tbit, u
-
-
-def gate_matrix(g: Gate, width: int) -> Matrix:
-    """Dense matrix of a single gate on `width` qubits."""
-    dim = 1 << width
-    if isinstance(g, QubitPerm):
-        index_map = _perm_index_map(g.sigma)
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        out[index_map, np.arange(dim)] = 1.0
-        return out
-    i, j, u = _row_pairs(g, width)
-    out = np.eye(dim, dtype=np.complex128)
-    out[i, i] = u[0, 0]
-    out[i, j] = u[0, 1]
-    out[j, i] = u[1, 0]
-    out[j, j] = u[1, 1]
-    return out
+    return i, i | tbit
 
 
 def to_matrix(c: Circuit) -> Matrix:
@@ -206,7 +193,8 @@ def to_matrix(c: Circuit) -> Matrix:
             moved[_perm_index_map(g.sigma)] = out
             out = moved
             continue
-        i, j, u = _row_pairs(g, c.width)
+        i, j = _row_pairs(g, c.width)
+        u = g.u
         ri, rj = out[i], out[j]
         out[i] = u[0, 0] * ri + u[0, 1] * rj
         out[j] = u[1, 0] * ri + u[1, 1] * rj
@@ -238,16 +226,11 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
                 axes[top - s] = top - q
             psi = np.ascontiguousarray(psi.transpose(axes))
             continue
-        if isinstance(g, Local):
-            u, controls = g.u, ()
-        elif isinstance(g, CNot):
-            u, controls = X_MATRIX, ((g.control, True),)
-        else:
-            u, controls = g.u, g.controls
+        u = g.u
         # Slices, not integer indices: when the controls and the target fix
         # every axis, integer indexing returns a 0-d copy and the write is lost.
         idx = [slice(None)] * c.width
-        for q, p in controls:
+        for q, p in g.controls:
             idx[top - q] = _BIT[p]
         idx[top - g.target] = _BIT[0]
         a0 = psi[tuple(idx)]
@@ -283,20 +266,18 @@ def controlled(c: Circuit) -> Circuit:
     ctrl = c.width
     gates: list[Gate] = []
     for g in c.gates:
-        if isinstance(g, Local):
-            gates.append(MultiControlled(g.u, ((ctrl, True),), g.target))
-        elif isinstance(g, CNot):
-            gates.append(MultiControlled(
-                X_MATRIX, ((ctrl, True), (g.control, True)), g.target))
-        elif isinstance(g, MultiControlled):
-            gates.append(MultiControlled(
-                g.u, g.controls + ((ctrl, True),), g.target))
-        else:
+        if isinstance(g, QubitPerm):
             # swap(a, b) = three alternating CNOTs, each picking up the control
             for a, b in _transpositions(g.sigma):
                 for ctl, tgt in ((a, b), (b, a), (a, b)):
                     gates.append(MultiControlled(
                         X_MATRIX, ((ctrl, True), (ctl, True)), tgt))
+            continue
+        # the new control goes first on a CNOT, last on every other gate;
+        # the serialized circuits depend on this order
+        controls = (((ctrl, True),) + g.controls if isinstance(g, CNot)
+                    else g.controls + ((ctrl, True),))
+        gates.append(MultiControlled(g.u, controls, g.target))
     return Circuit(c.width + 1, tuple(gates))
 
 
@@ -314,22 +295,19 @@ def embed(c: Circuit, width: int) -> Circuit:
 def gate_cost(g: Gate, width: int) -> float:
     """Built-in weight of one gate on a `width`-qubit circuit.
 
-    Local gates and CNOTs cost 1.  A multi-controlled gate with k controls
-    costs 1 for k = 1, k for 2 <= k < width - 1, and width**2 for
-    k = width - 1; the jump reflects that a full-register control needs
-    either an ancilla or a quadratic cascade.  A qubit permutation costs 3
-    per transposition.
+    A 2x2 gate with k controls costs 1 for k <= 1 (local gates, CNOTs),
+    width**2 for k = width - 1 >= 2, and k otherwise; the jump reflects
+    that a full-register control needs either an ancilla or a quadratic
+    cascade.  A qubit permutation costs 3 per transposition.
     """
-    if isinstance(g, (Local, CNot)):
+    if isinstance(g, QubitPerm):
+        return 3.0 * len(_transpositions(g.sigma))
+    k = len(g.controls)
+    if k <= 1:
         return 1.0
-    if isinstance(g, MultiControlled):
-        k = len(g.controls)
-        if k == 1:
-            return 1.0
-        if k == width - 1:
-            return float(width * width)
-        return float(k)
-    return 3.0 * len(_transpositions(g.sigma))
+    if k == width - 1:
+        return float(width * width)
+    return float(k)
 
 
 def cost(c: Circuit) -> float:

@@ -273,9 +273,10 @@ def _run_verify(args) -> int:
 
 def _parse_range(spec: str) -> tuple[int, int]:
     lo, _, hi = spec.partition("..")
-    if not _:
-        raise ValueError(f"range must look like 3..8, got {spec!r}")
-    a, b = int(lo), int(hi)
+    try:
+        a, b = int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"range must look like A..B, got {spec!r}") from None
     if a > b:
         raise ValueError(f"empty range {spec!r}")
     return a, b

@@ -44,10 +44,6 @@ class DecompositionResult:
     Recomputing (I_2 (x) a p) d (dft(2) (x) I) c reproduces b exactly up
     to rounding; for the cyclic family the factors degenerate to
     b = a = DFT_{2^n} with p = d = c = I.
-
-    irrep_census lists (degree, count) pairs; extendables holds the
-    character indices of <x> fixed by y-conjugation (empty for cyclic).
-    sequence records which character of <x> each reordered position holds.
     """
 
     b: Matrix
@@ -55,9 +51,6 @@ class DecompositionResult:
     p: Matrix
     d: Matrix
     c: Matrix
-    irrep_census: tuple[tuple[int, int], ...]
-    extendables: frozenset[int]
-    sequence: tuple[int, ...]
 
 
 def reorder_sequence(G: GroupSpec) -> tuple[int, ...]:
@@ -170,12 +163,7 @@ def assemble(G: GroupSpec) -> DecompositionResult:
             raise ValueError("the synthesis entry point needs n >= 1")
         b = dft(m)
         eye = np.eye(m, dtype=np.complex128)
-        return DecompositionResult(
-            b=b, a=b, p=eye, d=eye, c=eye,
-            irrep_census=((1, m),),
-            extendables=frozenset(),
-            sequence=tuple(range(m)),
-        )
+        return DecompositionResult(b=b, a=b, p=eye, d=eye, c=eye)
     a = dft(m)
     p = reorder_permutation(G)
     d = twiddle(G)
@@ -183,11 +171,4 @@ def assemble(G: GroupSpec) -> DecompositionResult:
     b = kron(np.eye(2), a @ p) @ d @ kron(dft(2), np.eye(m)) @ c
     if not is_unitary(b, 1e-10):
         raise AssertionError("assembled transform failed the unitarity check")
-    ext = extendable_indices(G)
-    n_pairs = (m - len(ext)) // 2
-    return DecompositionResult(
-        b=b, a=a, p=p, d=d, c=c,
-        irrep_census=((1, 2 * len(ext)), (2, n_pairs)),
-        extendables=ext,
-        sequence=reorder_sequence(G),
-    )
+    return DecompositionResult(b=b, a=a, p=p, d=d, c=c)

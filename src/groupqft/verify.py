@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 ROUND_DIGITS = 9
+# a 2-dim block is irreducible when its generator images fail to commute
+# by more than this
+COMMUTATOR_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -77,15 +80,15 @@ def _block_sizes(G: GroupSpec) -> tuple[int, ...]:
     return half + half
 
 
-def check_decomposition(b: Matrix, G: GroupSpec,
-                        commutator_floor: float = 1e-6) -> VerificationReport:
+def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
     """Conjugate the regular representation by b and grade the result
     against the predicted block structure."""
     b = np.asarray(b, dtype=np.complex128)
     if b.shape != (G.order, G.order):
         raise ValueError(f"matrix shape {b.shape} does not match |G| = {G.order}")
     phi = regular_representation(G)
-    conjugated = [b.conj().T @ phi.evaluate(g) @ b for g in G.generators()]
+    # phi's images are those of the generators: x, then y if non-abelian
+    conjugated = [b.conj().T @ m @ b for m in phi.images.values()]
     unitarity = float(np.max(np.abs(b @ b.conj().T - np.eye(G.order))))
 
     sizes = _block_sizes(G)
@@ -110,7 +113,7 @@ def check_decomposition(b: Matrix, G: GroupSpec,
             ok &= all(abs(abs(m[0, 0]) - 1.0) < 1e-9 for m in images)
         else:
             comm = images[0] @ images[1] - images[1] @ images[0]
-            ok &= bool(np.max(np.abs(comm)) > commutator_floor)
+            ok &= bool(np.max(np.abs(comm)) > COMMUTATOR_FLOOR)
     distinct = {1: set(), 2: set()}
     for images, w in zip(blocks, sizes):
         distinct[w].add(key(images))

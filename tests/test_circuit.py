@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,10 @@ from groupqft.circuit import (
     cost,
     embed,
     gate_cost,
-    gate_matrix,
     to_matrix,
 )
+from groupqft.circuit_library import increment_circuit
+from groupqft.cli import format_circuit
 from groupqft.linalg import dft, direct_sum, kron
 
 
@@ -70,7 +73,7 @@ def test_local_embedding():
 
 def test_qubitperm_register_action():
     # qubit cycle 0->2->1->0 moves register states in cycles (1 4 2)(3 5 6)
-    m = gate_matrix(QubitPerm((2, 0, 1)), 3)
+    m = to_matrix(Circuit(3, (QubitPerm((2, 0, 1)),)))
     image = [int(np.argmax(m[:, v])) for v in range(8)]
     assert image == [0, 4, 1, 5, 2, 6, 3, 7]
 
@@ -87,10 +90,11 @@ def test_qubitperm_conjugates_local_gates():
     rng = np.random.default_rng(5)
     u = random_unitary(rng, 2)
     sigma = (2, 0, 3, 1)
-    p = gate_matrix(QubitPerm(sigma), 4)
+    p = to_matrix(Circuit(4, (QubitPerm(sigma),)))
     for q in range(4):
-        lhs = p @ gate_matrix(Local(u, q), 4) @ p.conj().T
-        assert np.max(np.abs(lhs - gate_matrix(Local(u, sigma[q]), 4))) < 1e-12
+        lhs = p @ to_matrix(Circuit(4, (Local(u, q),))) @ p.conj().T
+        want = to_matrix(Circuit(4, (Local(u, sigma[q]),)))
+        assert np.max(np.abs(lhs - want)) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -208,8 +212,8 @@ def test_apply_to_state_matches_bitmask_reference():
 
 
 # Reference dense gate matrix: a pure-Python loop over the rows, with the
-# permutation map built bit by bit, independent of the vectorized masks
-# that gate_matrix and to_matrix share.
+# permutation map built bit by bit, independent of to_matrix's vectorized
+# masks.
 
 def _gate_matrix_loop(g, width):
     dim = 1 << width
@@ -252,7 +256,8 @@ def test_gate_matrix_matches_row_loop_reference(width):
              QubitPerm(tuple(reversed(range(width)))),
              QubitPerm(tuple(int(s) for s in rng.permutation(width)))]
     for g in gates:
-        assert np.array_equal(gate_matrix(g, width), _gate_matrix_loop(g, width)), g
+        assert np.array_equal(to_matrix(Circuit(width, (g,))),
+                              _gate_matrix_loop(g, width)), g
 
 
 @pytest.mark.parametrize("width", range(1, 7))
@@ -306,6 +311,65 @@ def test_cost_model_defaults():
     ncycle = QubitPerm((4, 0, 1, 2, 3))
     assert gate_cost(ncycle, 5) == 3 * 4
     assert gate_cost(QubitPerm((0, 1, 2)), 3) == 0
+
+
+def test_gate_cost_edge_widths():
+    # one control, or none, costs 1 even where k = width - 1
+    assert gate_cost(CNot(0, 1), 2) == 1
+    assert gate_cost(MultiControlled(X_MATRIX, ((1, True),), 0), 2) == 1
+    assert gate_cost(Local(H_MATRIX, 0), 1) == 1
+    assert gate_cost(MultiControlled(
+        X_MATRIX, ((1, True), (2, False)), 0), 3) == 9
+
+
+def test_every_2x2_gate_exposes_u_controls_target():
+    u = H_MATRIX
+    cases = [
+        (Local(u, 2), u, (), 2),
+        (CNot(3, 1), X_MATRIX, ((3, True),), 1),
+        (MultiControlled(u, ((0, False), (4, True)), 2), u,
+         ((0, False), (4, True)), 2),
+    ]
+    for g, want_u, want_controls, want_target in cases:
+        assert np.array_equal(g.u, want_u), g
+        assert g.controls == want_controls, g
+        assert g.target == want_target, g
+    # u and controls of Local/CNot are not fields: equality, hashing and
+    # the text format see the same fields as before
+    names = {cls: [f.name for f in dataclasses.fields(cls)]
+             for cls in (Local, CNot, MultiControlled, QubitPerm)}
+    assert names == {Local: ["u", "target"], CNot: ["control", "target"],
+                     MultiControlled: ["u", "controls", "target"],
+                     QubitPerm: ["sigma"]}
+    assert CNot(3, 1) == CNot(3, 1) and CNot(3, 1) != CNot(1, 3)
+    assert hash(CNot(3, 1)) == hash(CNot(3, 1))
+
+
+_X_TEXT = "u=0,0,1,0,1,0,0,0"
+
+
+def _controlled_increment_text(n):
+    """Text of controlled(increment_circuit(n)): the carry gates keep
+    their controls and gain the new one last; the CNOT gains it first."""
+    lines = [f"circuit width={n + 1} gates={n}"]
+    for j in range(n - 1, 1, -1):
+        ctrls = ",".join(f"{k}:+" for k in (*range(j), n))
+        lines.append(f"mcu controls={ctrls} t={j} {_X_TEXT}")
+    if n >= 2:
+        lines.append(f"mcu controls={n}:+,0:+ t=1 {_X_TEXT}")
+    lines.append(f"mcu controls={n}:+ t=0 {_X_TEXT}")
+    return "\n".join(lines)
+
+
+def test_controlled_increment_text_is_stable():
+    assert format_circuit(controlled(increment_circuit(3))) == (
+        "circuit width=4 gates=3\n"
+        "mcu controls=0:+,1:+,3:+ t=2 u=0,0,1,0,1,0,0,0\n"
+        "mcu controls=3:+,0:+ t=1 u=0,0,1,0,1,0,0,0\n"
+        "mcu controls=3:+ t=0 u=0,0,1,0,1,0,0,0")
+    for n in range(2, 9):
+        assert format_circuit(controlled(increment_circuit(n))) \
+            == _controlled_increment_text(n), n
 
 
 def test_cost_additive():

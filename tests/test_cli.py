@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import groupqft
 from groupqft.circuit import to_matrix
 from groupqft.circuit_library import qft_circuit
 from groupqft.cli import (
@@ -19,10 +22,15 @@ from groupqft.groups import Family, GroupSpec
 from groupqft.synthesis import assemble
 
 
+# the subprocess imports the same groupqft as the tests, installed or not
+SRC = str(Path(groupqft.__file__).resolve().parents[1])
+
+
 def run_cli(*argv):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "groupqft", *argv],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -101,6 +109,13 @@ def test_count_text_table(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["n", "width", "total", "cyclic"]
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("spec", ["..8", "3..", "3..8..9", "a..b", "35"])
+def test_count_malformed_range_is_explained(capsys, spec):
+    assert main(["count", "--family", "qp", "--range", spec]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: range must look like A..B, got {spec!r}\n"
 
 
 def test_usage_errors(capsys):
