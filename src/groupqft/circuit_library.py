@@ -5,10 +5,11 @@ the basis state with a on qubits 0..n-1 (qubit 0 = least significant bit
 of a) and b on qubit n.  Cyclic transforms act on n wires.
 
 Every builder returns gates whose product equals the corresponding
-matrix factor from `synthesis` exactly (up to rounding); the tests
-enforce this against `synthesis.assemble`.  `qft_factors` is the one
-place that lists the factors of the transform in temporal order;
-`qft_circuit` and the CLI cost table are both read from it.
+matrix factor exactly (up to rounding); the tests enforce this against
+`dft` and `synthesis`' `reorder_permutation`, `twiddle` and `equalizer`,
+and the whole circuit against `synthesis.assemble`.  `qft_factors` is
+the one place that lists the factors of the transform in temporal
+order; `qft_circuit` and the CLI cost table are both read from it.
 """
 
 from __future__ import annotations
@@ -166,7 +167,6 @@ def qft_factors(G: GroupSpec) -> tuple[tuple[str, Circuit], ...]:
 def qft_circuit(G: GroupSpec) -> Circuit:
     """Full transform circuit, the concatenation of `qft_factors`; its
     gate product equals assemble(G).b."""
-    (_, c), *rest = qft_factors(G)
-    for _, f in rest:
-        c = c + f
-    return c
+    factors = qft_factors(G)
+    return Circuit(factors[0][1].width,
+                   tuple(g for _, f in factors for g in f.gates))

@@ -12,6 +12,10 @@ signs so equivalent summands of the result come out equal.  The general
 recursion also conjugates by an M that equalizes conjugate summands; every
 character of Z_{2^n} has degree 1, so M is the identity and is left out.
 
+Only A is dense: P is an index order, D a signed swap of each conjugate
+pair, and C a sign vector, so `assemble` gathers B from A's columns; the
+tests multiply out the factor matrices as its oracle.
+
 The abelian base case returns B = DFT_{2^n} directly.
 """
 
@@ -21,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# induce is unused here (the tests keep it as the oracle for twiddle) but
-# stays a module attribute: qftbench's tracer wraps synthesis.induce by name.
+# induce and kron are unused here but stay module attributes: qftbench's
+# tracer wraps synthesis.induce and synthesis.kron by name.
 from .groups import (  # noqa: F401
-    Family, GroupSpec, cyclic_irreps, extendable_indices, induce)
-from .linalg import Matrix, dft, direct_sum, is_unitary, kron, perm_matrix
+    Family, GroupSpec, extendable_indices, induce)
+from .linalg import Matrix, dft, is_unitary, kron, perm_matrix  # noqa: F401
 
 __all__ = [
     "DecompositionResult",
@@ -39,18 +43,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DecompositionResult:
-    """Transform matrix b together with the factors that produced it.
-
-    Recomputing (I_2 (x) a p) d (dft(2) (x) I) c reproduces b exactly up
-    to rounding; for the cyclic family the factors degenerate to
-    b = a = DFT_{2^n} with p = d = c = I.
-    """
+    """The transform b: DFT_{2^n} for the cyclic family, else the product
+    of `dft`, `reorder_permutation`, `twiddle` and `equalizer` above."""
 
     b: Matrix
-    a: Matrix
-    p: Matrix
-    d: Matrix
-    c: Matrix
 
 
 def reorder_sequence(G: GroupSpec) -> tuple[int, ...]:
@@ -95,46 +91,33 @@ def reorder_permutation(G: GroupSpec) -> Matrix:
     return perm_matrix(reorder_sequence(G))
 
 
-def _layout(G: GroupSpec) -> list[tuple[int, int]]:
-    """(position, character) walk of the reordered sum: one entry per
-    summand, extendables of width 1 and conjugate pairs of width 2."""
-    seq = reorder_sequence(G)
-    ext = extendable_indices(G)
-    out = []
-    pos = 0
-    while pos < len(seq):
-        i = seq[pos]
-        out.append((pos, i))
-        pos += 1 if i in ext else 2
-    return out
+def _pairs(G: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Reordered-sum position of each y-conjugate pair's first character i,
+    and its sign rho_i(y^2) = omega^(i q): the pairs follow the extendables
+    two apart (reorder_sequence's contract), and q is 0 or 2^(n-1), so the
+    sign is exactly 1, or (-1)^i for the quaternion family."""
+    m = G.cyclic_order
+    seq = np.array(reorder_sequence(G))
+    pos = np.arange(len(extendable_indices(G)), m, 2)
+    sign = np.where(seq[pos] * G.y_square_exponent % m == 0, 1.0, -1.0)
+    return pos, sign
 
 
 def twiddle(G: GroupSpec) -> Matrix:
     """D = rho_bar(1) (+) rho_bar(y) in the reordered layout.
 
     Extendable characters contribute the extension scalar epsilon with
-    epsilon^2 = rho_i(y^2); rho_i(y^2) = 1 for every family here (y^2 is
-    either trivial or x^(2^(n-1)) evaluated at an even character), so
-    epsilon = 1 throughout.  Conjugate pairs contribute the y-image of the
-    induced representation, [[0, 1], [rho_i(y^2), 0]].
+    epsilon^2 = rho_i(y^2) = omega^(i q); every extendable i has
+    i q = 0 mod 2^n, so epsilon = 1 throughout.  Conjugate pairs contribute
+    the y-image of the induced representation, [[0, 1], [rho_i(y^2), 0]].
     """
     m = G.cyclic_order
-    ext = extendable_indices(G)
-    irreps = cyclic_irreps(G.n)
-    y_sq = G.multiply(G.y(), G.y())
-    blocks = []
-    for pos, i in _layout(G):
-        rho_y_sq = irreps[i].evaluate(y_sq)[0, 0]
-        if i in ext:
-            if abs(rho_y_sq - 1.0) > 1e-12:
-                raise AssertionError(
-                    f"rho_{i}(y^2) = {rho_y_sq}, expected 1")
-            blocks.append(np.eye(1, dtype=np.complex128))
-        else:
-            blocks.append(np.array([[0.0, 1.0], [rho_y_sq, 0.0]],
-                                   dtype=np.complex128))
-    block1 = direct_sum(blocks)
-    return direct_sum([np.eye(m, dtype=np.complex128), block1])
+    pos, sign = _pairs(G)
+    top = m + pos
+    d = np.eye(2 * m, dtype=np.complex128)
+    d[top, top] = d[top + 1, top + 1] = 0.0
+    d[top, top + 1], d[top + 1, top] = 1.0, sign
+    return d
 
 
 def equalizer(G: GroupSpec) -> Matrix:
@@ -142,33 +125,37 @@ def equalizer(G: GroupSpec) -> Matrix:
     pair in the lambda_1 half, which maps lambda_1 . (rho_i induced) back
     to the induced representation itself."""
     m = G.cyclic_order
-    ext = extendable_indices(G)
+    pos, _ = _pairs(G)
     diag = np.ones(2 * m, dtype=np.complex128)
-    for pos, i in _layout(G):
-        if i not in ext:
-            diag[m + pos + 1] = -1.0
+    diag[m + pos + 1] = -1.0
     return np.diag(diag)
 
 
 def assemble(G: GroupSpec) -> DecompositionResult:
     """Build the full transform for G.
 
-    Returns a DecompositionResult whose b satisfies: conjugating the right
-    regular representation of G by b is block-diagonal with the census
-    pattern, equivalent summands equal.
+    Conjugating the right regular representation of G by b is block-
+    diagonal with the census pattern, equivalent summands equal.  With A
+    scaled by 1/sqrt(2), b = [[A P, A P c], [A P T, -A P T c]], T the
+    y-half of D and c that of C: A P lists A's columns in reorder_sequence
+    order, and A P T also swaps each pair's two columns and scales the
+    first by rho_i(y^2).
     """
     m = G.cyclic_order
     if G.is_abelian:
         if G.n < 1:
             raise ValueError("the synthesis entry point needs n >= 1")
-        b = dft(m)
-        eye = np.eye(m, dtype=np.complex128)
-        return DecompositionResult(b=b, a=b, p=eye, d=eye, c=eye)
-    a = dft(m)
-    p = reorder_permutation(G)
-    d = twiddle(G)
-    c = equalizer(G)
-    b = kron(np.eye(2), a @ p) @ d @ kron(dft(2), np.eye(m)) @ c
+        return DecompositionResult(b=dft(m))
+    seq = np.array(reorder_sequence(G))
+    pos, sign = _pairs(G)
+    swapped = seq.copy()
+    swapped[pos], swapped[pos + 1] = seq[pos + 1], seq[pos]
+    s, c = np.ones(m), np.ones(m)
+    s[pos], c[pos + 1] = sign, -1.0
+    a = dft(m) / np.sqrt(2)
+    top = a[:, seq]
+    bottom = a[:, swapped] * s
+    b = np.block([[top, top * c], [bottom, -bottom * c]])
     if not is_unitary(b, 1e-10):
         raise AssertionError("assembled transform failed the unitarity check")
-    return DecompositionResult(b=b, a=a, p=p, d=d, c=c)
+    return DecompositionResult(b=b)

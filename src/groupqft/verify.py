@@ -80,16 +80,29 @@ def _block_sizes(G: GroupSpec) -> tuple[int, ...]:
     return half + half
 
 
+def _row_permutation(m: Matrix) -> np.ndarray:
+    """sigma with m @ b == b[sigma]; raises unless m is a permutation."""
+    sigma = np.argmax(np.abs(m), axis=1)
+    if not (np.count_nonzero(m) == len(m) and np.unique(sigma).size == len(m)
+            and np.all(m[np.arange(len(m)), sigma] == 1)):
+        raise AssertionError("phi(g) is not a permutation matrix")
+    return sigma
+
+
 def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
     """Conjugate the regular representation by b and grade the result
     against the predicted block structure."""
     b = np.asarray(b, dtype=np.complex128)
     if b.shape != (G.order, G.order):
         raise ValueError(f"matrix shape {b.shape} does not match |G| = {G.order}")
-    phi = regular_representation(G)
-    # phi's images are those of the generators: x, then y if non-abelian
-    conjugated = [b.conj().T @ m @ b for m in phi.images.values()]
-    unitarity = float(np.max(np.abs(b @ b.conj().T - np.eye(G.order))))
+    # phi's images are those of the generators: x, then y if non-abelian;
+    # each is a permutation matrix, so phi(g) b gathers b's rows.  Only the
+    # index arrays are kept, which frees the dense images before the checks.
+    perms = [_row_permutation(m)
+             for m in regular_representation(G).images.values()]
+    bh = b.conj().T
+    conjugated = [bh @ b[sigma] for sigma in perms]
+    unitarity = float(np.max(np.abs(b @ bh - np.eye(G.order))))
 
     sizes = _block_sizes(G)
     starts = np.cumsum((0,) + sizes)
@@ -166,8 +179,6 @@ def scaling_fit(G: GroupSpec, ns: list[int]) -> float:
 def full_report(G: GroupSpec) -> VerificationReport:
     """Decomposition check of assemble(G).b plus the circuit-vs-matrix
     defect of qft_circuit(G), in one report."""
-    # keep only b alive: the other factors would stay resident through
-    # the checks, the peak-memory phase
     b = assemble(G).b
     report = check_decomposition(b, G)
     c = qft_circuit(G)

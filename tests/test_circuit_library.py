@@ -5,6 +5,7 @@ import pytest
 
 from groupqft.circuit import (
     MultiControlled,
+    QubitPerm,
     cost,
     to_matrix,
 )
@@ -19,7 +20,12 @@ from groupqft.circuit_library import (
 )
 from groupqft.groups import Family, GroupSpec
 from groupqft.linalg import dft, kron
-from groupqft.synthesis import assemble
+from groupqft.synthesis import (
+    assemble,
+    equalizer,
+    reorder_permutation,
+    twiddle,
+)
 
 NON_ABELIAN = [Family.DIHEDRAL, Family.QUATERNION, Family.QP, Family.QD]
 
@@ -72,14 +78,13 @@ def test_factor_circuits_match_matrices(family, n):
     # each named factor circuit against its synthesis factor, in the
     # temporal order C, H_y, D, I (x) P, I (x) A
     g = GroupSpec(family, n)
-    res = assemble(g)
     eye2, eye_m = np.eye(2), np.eye(g.cyclic_order)
     expected = {
-        "equalizer": res.c,
+        "equalizer": equalizer(g),
         "hadamard": kron(dft(2), eye_m),
-        "twiddle": res.d,
-        "reorder": kron(eye2, res.p),
-        "cyclic": kron(eye2, res.a),
+        "twiddle": twiddle(g),
+        "reorder": kron(eye2, reorder_permutation(g)),
+        "cyclic": kron(eye2, dft(g.cyclic_order)),
     }
     factors = qft_factors(g)
     assert [name for name, _ in factors] == list(expected)
@@ -110,6 +115,26 @@ def test_qft_circuit_matches_assembled_transform(family, n):
     g = GroupSpec(family, n)
     b = assemble(g).b
     assert np.max(np.abs(to_matrix(qft_circuit(g)) - b)) < 1e-10
+
+
+def _gate_key(g):
+    if isinstance(g, QubitPerm):
+        return (QubitPerm, g.sigma)
+    return (type(g), g.target, g.controls, g.u.tobytes())
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_qft_circuit_is_the_folded_factor_concatenation(family):
+    # one Circuit from all factor gates, gate for gate what folding + gives
+    for n in range(3, 17):
+        g = GroupSpec(family, n)
+        (_, folded), *rest = qft_factors(g)
+        for _, f in rest:
+            folded = folded + f
+        c = qft_circuit(g)
+        assert c.width == folded.width
+        assert [_gate_key(h) for h in c.gates] \
+            == [_gate_key(h) for h in folded.gates]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -4,10 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_unitary
 
 from groupqft.circuit import Circuit, cost
 from groupqft.circuit_library import qft_circuit, qft_cyclic_circuit
-from groupqft.groups import Family, GroupSpec
+from groupqft import verify
+from groupqft.groups import (
+    Family,
+    GroupSpec,
+    Representation,
+    extendable_indices,
+    regular_representation,
+)
 from groupqft.linalg import dft
 from groupqft.synthesis import assemble
 from groupqft.verify import (
@@ -60,6 +68,48 @@ def test_check_decomposition_rejects_identity():
     assert report.max_offblock == 1.0
     assert not report.census_ok
     assert not report.passed()
+
+
+@pytest.mark.parametrize("family", NON_ABELIAN)
+def test_check_decomposition_gather_matches_dense_conjugation(family):
+    # a random unitary leaves large off-block entries; the row gather must
+    # grade them as the dense b^H phi(g) b product does
+    g = GroupSpec(family, 3)
+    b = random_unitary(np.random.default_rng(7), g.order)
+    report = check_decomposition(b, g)
+    phi = regular_representation(g)
+    conj = [b.conj().T @ m @ b for m in phi.images.values()]
+    k = len(extendable_indices(g))
+    sizes = ([1] * k + [2] * ((g.cyclic_order - k) // 2)) * 2
+    mask = np.zeros((g.order, g.order), dtype=bool)
+    pos = 0
+    for w in sizes:
+        mask[pos:pos + w, pos:pos + w] = True
+        pos += w
+    off = max(np.max(np.abs(c[~mask])) for c in conj)
+    assert report.max_offblock == pytest.approx(off, rel=1e-12)
+    assert report.unitarity_defect == pytest.approx(
+        np.max(np.abs(b @ b.conj().T - np.eye(g.order))), abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", ["scaled", "two_per_row", "repeated_column"])
+def test_check_decomposition_rejects_non_permutation_phi(monkeypatch, bad):
+    # the row gather is only valid for permutation images, so a faulty
+    # regular representation must fail loudly, not be graded
+    g = GroupSpec(Family.DIHEDRAL, 3)
+    good = regular_representation(g)
+    x = np.array(good.images["x"])
+    if bad == "scaled":
+        x[0] *= 2.0
+    elif bad == "two_per_row":
+        x[0, (np.argmax(x[0]) + 1) % g.order] = 1.0
+    else:
+        x[1] = x[0]
+    faulty = Representation(group=g, degree=g.order,
+                            images={"x": x, "y": good.images["y"]})
+    monkeypatch.setattr(verify, "regular_representation", lambda G: faulty)
+    with pytest.raises(AssertionError, match="not a permutation"):
+        check_decomposition(assemble(g).b, g)
 
 
 def test_check_decomposition_cyclic_dft():
@@ -128,3 +178,11 @@ def test_full_report(family):
     ((n, c),) = report.cost_by_n
     assert n == 3
     assert c == cost(qft_circuit(g))
+
+
+def test_quaternion_n8_offblock_is_at_rounding_level():
+    # rho_i(y^2) = (-1)^i exactly; evaluated through matrix_power it was up
+    # to 9.7e-13 off and the off-block defect read 4.9e-13
+    report = full_report(GroupSpec(Family.QUATERNION, 8))
+    assert report.max_offblock < 1e-13
+    assert report.unitarity_defect < 1e-13
