@@ -12,11 +12,14 @@ Each gate class exposes these three attributes, so the code below reads
 them and never asks which kind a 2x2 gate is.
 
 Two independent evaluation routes are kept deliberately separate:
-`to_matrix` multiplies each gate's action into the running product row
-pair by row pair, on flat basis indices selected by bit masks, while
-`apply_to_state` updates a `(2,)*width` tensor view of the state in
-place, one axis per qubit.  They read the same gate data but share no
-evaluation code; tests play one against the other.
+`to_matrix` multiplies each gate's action, one gate at a time, into the
+running product row pair by row pair, on flat basis indices selected by
+bit masks, while `apply_to_state` updates a `(2,)*width` tensor view of
+the state in place, one axis per qubit.  The state kernel reads each
+gate's `u`: diagonal gates only scale, and a run of diag(1, z) gates on
+one target is fused into one broadcast multiply of the target-1 half.
+`to_matrix` stays unfused, so it remains the oracle.  They read the same
+gate data but share no evaluation code; tests play one against the other.
 
 `cost` sums the fixed per-gate weights of `gate_cost`.
 """
@@ -204,14 +207,75 @@ def to_matrix(c: Circuit) -> Matrix:
 # length-1 slices selecting bit 0 / bit 1 of one tensor axis
 _BIT = (slice(0, 1), slice(1, 2))
 
+# Entries a fused phase tensor may reach before its run is applied early,
+# so that fusion never builds a temporary near the size of the state.
+_PHASE_CAP = 1 << 10
+
+
+def _block(top: int, g: Gate, bit: int) -> tuple[slice, ...]:
+    """Index of the control-matched block of `g` with its target axis at
+    `bit`, on a tensor whose axis top-q holds qubit q.
+
+    Slices, not integer indices: when the controls and the target fix
+    every axis, integer indexing returns a 0-d copy and the write is lost.
+    """
+    idx = [slice(None)] * (top + 1)
+    for q, p in g.controls:
+        idx[top - q] = _BIT[p]
+    idx[top - g.target] = _BIT[bit]
+    return tuple(idx)
+
+
+def _phase_factor(top: int, g: Gate) -> np.ndarray:
+    """diag(1, z) gate as a factor on the target-1 half: z where the
+    controls match, 1 elsewhere, with a length-2 axis per control and
+    length 1 on every other axis, so it broadcasts over the half."""
+    shape = [1] * (top + 1)
+    corner = [0] * (top + 1)
+    for q, p in g.controls:
+        shape[top - q] = 2
+        corner[top - q] = int(p)
+    f = np.ones(shape, dtype=np.complex128)
+    f[tuple(corner)] = g.u[1, 1]
+    return f
+
+
+def _scale_target_half(psi: np.ndarray, target: int, phase: np.ndarray) -> None:
+    idx = [slice(None)] * psi.ndim
+    idx[psi.ndim - 1 - target] = _BIT[1]
+    psi[tuple(idx)] *= phase
+
+
+def _mix(a0: np.ndarray, a1: np.ndarray, u: Matrix) -> None:
+    """(a0, a1) <- (u00 a0 + u01 a1, u10 a0 + u11 a1) in place.  A
+    function of its own, so the half-block copy and the views of the
+    state are freed on return, before the next gate allocates."""
+    t = a0.copy()
+    a0 *= u[0, 0]
+    a0 += u[0, 1] * a1
+    a1 *= u[1, 1]
+    t *= u[1, 0]
+    a1 += t
+
 
 def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit on a state vector of length 2**width.
 
     Returns a new array and never writes to `state`.  The copy is viewed
-    as a (2,)*width tensor whose axis width-1-q holds qubit q; a 2x2 gate
-    combines the two target-axis halves of the control-selected block in
-    place, and a qubit permutation is an axis transpose.
+    as a (2,)*width tensor whose axis width-1-q holds qubit q, and every
+    gate updates it in place:
+
+    - a run of consecutive diag(1, z) gates on one target is fused: each
+      gate contributes a small factor over its control axes, and the
+      product scales the target-1 half in one broadcast multiply, applied
+      early whenever the product would pass `_PHASE_CAP` entries;
+    - any other diagonal gate scales the halves of its control-selected
+      block whose entry is not 1;
+    - any other 2x2 gate mixes the two target-axis halves of its block
+      through one half-block copy;
+    - a qubit permutation is an axis transpose.
+
+    `to_matrix` applies every gate on its own and is the oracle for this.
     """
     psi = np.array(state, dtype=np.complex128, order="C")
     if psi.shape != (1 << c.width,):
@@ -219,25 +283,37 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
             f"state has shape {psi.shape}, expected ({1 << c.width},)")
     top = c.width - 1
     psi = psi.reshape((2,) * c.width)
+    phase = None       # product of the pending run's factors
+    run_target = -1    # target of the pending run
     for g in c.gates:
-        if isinstance(g, QubitPerm):
+        u = None if isinstance(g, QubitPerm) else g.u
+        fusable = (u is not None and u[0, 0] == 1 and u[0, 1] == 0
+                   and u[1, 0] == 0 and 1 << len(g.controls) <= _PHASE_CAP)
+        if phase is not None and (
+                not fusable or g.target != run_target
+                or phase.size << len(g.controls) > _PHASE_CAP):
+            _scale_target_half(psi, run_target, phase)
+            phase = None
+        if u is None:
             axes = [0] * c.width
             for q, s in enumerate(g.sigma):
                 axes[top - s] = top - q
             psi = np.ascontiguousarray(psi.transpose(axes))
-            continue
-        u = g.u
-        # Slices, not integer indices: when the controls and the target fix
-        # every axis, integer indexing returns a 0-d copy and the write is lost.
-        idx = [slice(None)] * c.width
-        for q, p in g.controls:
-            idx[top - q] = _BIT[p]
-        idx[top - g.target] = _BIT[0]
-        a0 = psi[tuple(idx)]
-        idx[top - g.target] = _BIT[1]
-        a1 = psi[tuple(idx)]
-        a0[...], a1[...] = (u[0, 0] * a0 + u[0, 1] * a1,
-                            u[1, 0] * a0 + u[1, 1] * a1)
+        elif fusable:
+            f = _phase_factor(top, g)
+            if phase is None:
+                phase, run_target = f, g.target
+            else:
+                phase = phase * f
+        elif u[0, 1] == 0 and u[1, 0] == 0:
+            if u[0, 0] != 1:
+                psi[_block(top, g, 0)] *= u[0, 0]
+            if u[1, 1] != 1:
+                psi[_block(top, g, 1)] *= u[1, 1]
+        else:
+            _mix(psi[_block(top, g, 0)], psi[_block(top, g, 1)], u)
+    if phase is not None:
+        _scale_target_half(psi, run_target, phase)
     return psi.reshape(-1)
 
 

@@ -34,3 +34,23 @@ def random_circuit(rng: np.random.Generator, width: int,
         else:
             gates.append(QubitPerm(tuple(int(s) for s in rng.permutation(width))))
     return Circuit(width, tuple(gates))
+
+
+def random_phase_circuit(rng: np.random.Generator, width: int,
+                         n_runs: int) -> Circuit:
+    """Runs of diag(1, z) gates, each run on one target with random
+    controls and polarities, every run followed by one `random_circuit`
+    gate (dense 2x2 or permutation)."""
+    gates = []
+    for _ in range(n_runs):
+        t = int(rng.integers(0, width))
+        others = [q for q in range(width) if q != t]
+        for _ in range(int(rng.integers(1, 5))):
+            k = int(rng.integers(0, width))
+            controls = tuple((int(q), bool(rng.integers(0, 2)))
+                             for q in rng.permutation(others)[:k])
+            u = np.diag([1.0, np.exp(2j * np.pi * rng.random())])
+            gates.append(MultiControlled(u, controls, t) if controls
+                         else Local(u, t))
+        gates.extend(random_circuit(rng, width, 1).gates)
+    return Circuit(width, tuple(gates))

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_circuit, random_unitary
+from conftest import random_circuit, random_phase_circuit, random_unitary
 from groupqft.circuit import (
     Circuit,
     CNot,
@@ -14,6 +15,7 @@ from groupqft.circuit import (
     MultiControlled,
     QubitPerm,
     X_MATRIX,
+    Z_MATRIX,
     apply_to_state,
     controlled,
     cost,
@@ -21,9 +23,15 @@ from groupqft.circuit import (
     gate_cost,
     to_matrix,
 )
-from groupqft.circuit_library import increment_circuit
+from groupqft.circuit_library import (
+    increment_circuit,
+    qft_circuit,
+    qft_cyclic_circuit,
+)
 from groupqft.cli import format_circuit
+from groupqft.groups import Family, GroupSpec
 from groupqft.linalg import dft, direct_sum, kron
+from groupqft.synthesis import assemble
 
 
 def test_gate_validation():
@@ -117,12 +125,17 @@ def fully_controlled_circuit(rng: np.random.Generator, width: int) -> Circuit:
 
 
 # ints: random circuits; "fullW": fully_controlled_circuit at width W, where
-# each 2x2 update selects a single pair of amplitudes
-@pytest.mark.parametrize("case", [*range(8), "full2", "full3", "full4"])
+# each 2x2 update selects a single pair of amplitudes; "phaseK": phase runs
+# mixed with dense gates and permutations
+@pytest.mark.parametrize("case", [*range(8), "full2", "full3", "full4",
+                                  *(f"phase{k}" for k in range(6))])
 def test_apply_to_state_matches_matrix(case):
     if isinstance(case, int):
         rng = np.random.default_rng(100 + case)
         c = random_circuit(rng, int(rng.integers(1, 7)), 15)
+    elif case.startswith("phase"):
+        rng = np.random.default_rng(600 + int(case.removeprefix("phase")))
+        c = random_phase_circuit(rng, int(rng.integers(1, 8)), 6)
     else:
         rng = np.random.default_rng(300)
         c = fully_controlled_circuit(rng, int(case.removeprefix("full")))
@@ -209,6 +222,145 @@ def test_apply_to_state_matches_bitmask_reference():
         assert np.max(np.abs(got - want)) < 1e-12, g
         # amplitudes whose controls do not match pass through bit for bit
         assert np.array_equal(got[~fires], state[~fires]), g
+
+
+def _diag(a, b):
+    return np.diag([a, b]).astype(np.complex128)
+
+
+def _phase_gate(rng, controls, target):
+    """diag(1, z) on `target` for a random unit z, fired by `controls`."""
+    u = _diag(1.0, np.exp(2j * np.pi * rng.random()))
+    return MultiControlled(u, controls, target) if controls else Local(u, target)
+
+
+def _phase_run_cases():
+    """(width, gates) per fuser edge case; the phase values are random."""
+    rng = np.random.default_rng(700)
+    ph = lambda controls, t: _phase_gate(rng, controls, t)  # noqa: E731
+    ab = _diag(np.exp(0.7j), np.exp(-1.9j))
+    return {
+        "broken_by_dense": (5, [
+            ph(((0, True),), 2), ph(((1, True),), 2), Local(H_MATRIX, 2),
+            ph(((3, True),), 2), Local(random_unitary(rng, 2), 0),
+            ph(((0, True),), 2)]),
+        "broken_by_perm": (5, [
+            ph(((0, True),), 2), ph(((1, False),), 2),
+            QubitPerm((0, 1, 4, 3, 2)), ph(((3, True),), 2),
+            QubitPerm((1, 2, 3, 4, 0)), ph(((0, True),), 2)]),
+        "broken_by_target": (5, [
+            ph(((0, True),), 2), ph(((0, True),), 3), ph(((1, True),), 2),
+            ph(((2, True),), 3), ph(((4, False),), 1), ph(((4, True),), 2)]),
+        "negative_polarity": (5, [
+            ph(((1, False),), 3), ph(((0, True),), 3), ph(((4, False),), 3),
+            ph(((1, False),), 3)]),
+        "two_controls": (5, [
+            ph(((0, True),), 2), ph(((0, True), (4, False)), 2),
+            ph(((1, False), (3, True)), 2), ph(((3, True),), 2)]),
+        "diag_and_z": (5, [
+            MultiControlled(ab, ((1, True),), 0),
+            MultiControlled(ab, ((4, True),), 3),
+            ph(((1, True),), 0), Local(Z_MATRIX, 2),
+            MultiControlled(Z_MATRIX, ((0, False),), 2), ph(((0, True),), 2),
+            MultiControlled(ab, ((2, False), (4, True)), 0)]),
+        "top_qubit": (5, [ph((), 4), *(ph(((k, True),), 4) for k in range(4))]),
+        "bottom_qubit": (5, [*(ph(((k, k % 2 == 1),), 0) for k in range(1, 5)),
+                             ph((), 0)]),
+        # fullW-style: controls and target fix every axis
+        "all_axes_fixed": (4, [
+            *(ph(tuple((q, (q + t) % 2 == 0) for q in range(4) if q != t), t)
+              for t in range(4)),
+            *(MultiControlled(ab, tuple((q, q != t + 1) for q in range(4)
+                                        if q != t), t) for t in range(4))]),
+        # twelve one-control factors on one target pass the fused tensor's
+        # 2**10 entries, and an eleven-control phase gate is too large to
+        # fuse at all
+        "past_the_cap": (13, [
+            *(ph(((k, k % 3 != 0),), 12) for k in range(11, -1, -1)),
+            ph(tuple((k, k % 2 == 0) for k in range(11)), 12),
+            ph(((0, True),), 12)]),
+    }
+
+
+def _is_diagonal(g):
+    return not isinstance(g, QubitPerm) and g.u[0, 1] == 0 and g.u[1, 0] == 0
+
+
+@pytest.mark.parametrize("name", list(_phase_run_cases()))
+def test_phase_runs_match_references(name):
+    width, gates = _phase_run_cases()[name]
+    c = Circuit(width, tuple(gates))
+    rng = np.random.default_rng(701)
+    dim = 1 << width
+    state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    got = apply_to_state(c, state)
+    want = state
+    changed = np.zeros(dim, bool)
+    for g in gates:
+        want, fires = reference_apply(g, want)
+        if _is_diagonal(g):
+            # a diag(1, z) gate changes only the target-1 half of its block
+            target_1 = (np.arange(dim) >> g.target) & 1 == 1
+            changed |= fires & (target_1 | (g.u[0, 0] != 1))
+    assert np.max(np.abs(got - want)) < 1e-12
+    if width <= 8:
+        assert np.max(np.abs(got - to_matrix(c) @ state)) < 1e-12
+    if all(_is_diagonal(g) for g in gates):
+        # amplitudes outside every gate's target-1, control-matched set
+        # pass through bit for bit
+        assert np.array_equal(got[~changed], state[~changed])
+        assert changed.any() and not changed.all()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_cyclic_circuit_state_matches_fft(n):
+    # past the dense ceiling; targets >= 11 apply their runs in pieces
+    rng = np.random.default_rng(800 + n)
+    dim = 1 << n
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    got = apply_to_state(qft_cyclic_circuit(n), v)
+    assert np.max(np.abs(got - np.sqrt(dim) * np.fft.ifft(v))) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("family", [f for f in Family if f is not Family.CYCLIC])
+def test_qft_circuit_state_matches_assemble(family, n):
+    G = GroupSpec(family, n)
+    rng = np.random.default_rng(900 + n)
+    dim = 2 * (1 << n)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    got = apply_to_state(qft_circuit(G), v)
+    assert np.max(np.abs(got - assemble(G).b @ v)) < 1e-12
+
+
+def _traced_peak(c, v):
+    tracemalloc.start()
+    try:
+        apply_to_state(c, v)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cyclic_circuit_memory_peak():
+    # the state copy plus the final permutation's new array make 2 state
+    # sizes; a dense gate adds one half-block copy and one half-block
+    # product, freed before the permutation allocates
+    v = np.random.default_rng(1000).standard_normal(1 << 16) + 0j
+    assert _traced_peak(qft_cyclic_circuit(16), v) <= 2.5 * v.nbytes
+
+
+def test_long_phase_run_memory_peak():
+    # 17 one-control phase gates on the top qubit: fused without a cap the
+    # factor product would grow to half the state
+    width = 18
+    rng = np.random.default_rng(1001)
+    c = Circuit(width, tuple(_phase_gate(rng, ((k, True),), width - 1)
+                             for k in range(width - 1)))
+    v = rng.standard_normal(1 << width) + 0j
+    assert _traced_peak(c, v) <= 1.25 * v.nbytes
 
 
 # Reference dense gate matrix: a pure-Python loop over the rows, with the
