@@ -212,9 +212,9 @@ _BIT = (slice(0, 1), slice(1, 2))
 _PHASE_CAP = 1 << 10
 
 
-def _block(top: int, g: Gate, bit: int) -> tuple[slice, ...]:
-    """Index of the control-matched block of `g` with its target axis at
-    `bit`, on a tensor whose axis top-q holds qubit q.
+def _halves(psi: np.ndarray, top: int, g: Gate) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the target-0 and target-1 halves of the control-matched
+    block of `g`, on a tensor whose axis top-q holds qubit q.
 
     Slices, not integer indices: when the controls and the target fix
     every axis, integer indexing returns a 0-d copy and the write is lost.
@@ -222,8 +222,10 @@ def _block(top: int, g: Gate, bit: int) -> tuple[slice, ...]:
     idx = [slice(None)] * (top + 1)
     for q, p in g.controls:
         idx[top - q] = _BIT[p]
-    idx[top - g.target] = _BIT[bit]
-    return tuple(idx)
+    idx[top - g.target] = _BIT[0]
+    a0 = psi[tuple(idx)]
+    idx[top - g.target] = _BIT[1]
+    return a0, psi[tuple(idx)]
 
 
 def _phase_factor(top: int, g: Gate) -> np.ndarray:
@@ -246,15 +248,24 @@ def _scale_target_half(psi: np.ndarray, target: int, phase: np.ndarray) -> None:
     psi[tuple(idx)] *= phase
 
 
-def _mix(a0: np.ndarray, a1: np.ndarray, u: Matrix) -> None:
-    """(a0, a1) <- (u00 a0 + u01 a1, u10 a0 + u11 a1) in place.  A
-    function of its own, so the half-block copy and the views of the
-    state are freed on return, before the next gate allocates."""
-    t = a0.copy()
+def _apply_2x2(a0: np.ndarray, a1: np.ndarray, u: Matrix) -> None:
+    """(a0, a1) <- (u00 a0 + u01 a1, u10 a0 + u11 a1) in place.
+
+    A diagonal u only scales the halves whose entry is not 1; any other u
+    goes through one half-block product.  A function of its own, so that
+    product and the views of the state are freed on return, before the
+    next gate allocates.
+    """
+    if u[0, 1] == 0 and u[1, 0] == 0:
+        if u[0, 0] != 1:
+            a0 *= u[0, 0]
+        if u[1, 1] != 1:
+            a1 *= u[1, 1]
+        return
+    t = u[1, 0] * a0
     a0 *= u[0, 0]
     a0 += u[0, 1] * a1
     a1 *= u[1, 1]
-    t *= u[1, 0]
     a1 += t
 
 
@@ -272,7 +283,7 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     - any other diagonal gate scales the halves of its control-selected
       block whose entry is not 1;
     - any other 2x2 gate mixes the two target-axis halves of its block
-      through one half-block copy;
+      through one half-block product;
     - a qubit permutation is an axis transpose.
 
     `to_matrix` applies every gate on its own and is the oracle for this.
@@ -305,13 +316,8 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
                 phase, run_target = f, g.target
             else:
                 phase = phase * f
-        elif u[0, 1] == 0 and u[1, 0] == 0:
-            if u[0, 0] != 1:
-                psi[_block(top, g, 0)] *= u[0, 0]
-            if u[1, 1] != 1:
-                psi[_block(top, g, 1)] *= u[1, 1]
         else:
-            _mix(psi[_block(top, g, 0)], psi[_block(top, g, 1)], u)
+            _apply_2x2(*_halves(psi, top, g), u)
     if phase is not None:
         _scale_target_half(psi, run_target, phase)
     return psi.reshape(-1)
