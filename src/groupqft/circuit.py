@@ -242,12 +242,6 @@ def _phase_factor(top: int, g: Gate) -> np.ndarray:
     return f
 
 
-def _scale_target_half(psi: np.ndarray, target: int, phase: np.ndarray) -> None:
-    idx = [slice(None)] * psi.ndim
-    idx[psi.ndim - 1 - target] = _BIT[1]
-    psi[tuple(idx)] *= phase
-
-
 def _apply_2x2(a0: np.ndarray, a1: np.ndarray, u: Matrix) -> None:
     """(a0, a1) <- (u00 a0 + u01 a1, u10 a0 + u11 a1) in place.
 
@@ -269,6 +263,31 @@ def _apply_2x2(a0: np.ndarray, a1: np.ndarray, u: Matrix) -> None:
     a1 += t
 
 
+def _apply_phase_run(psi: np.ndarray, top: int, run: list[Gate]) -> None:
+    """Apply consecutive diag(1, z) gates that share one target.
+
+    A lone gate is scaled on its own block like any diagonal gate.  A
+    longer run multiplies the target-1 half by the product of the gates'
+    factors, applied early whenever the product could pass `_PHASE_CAP`
+    entries, so no temporary near the size of the state is built.
+    """
+    if len(run) == 1:
+        _apply_2x2(*_halves(psi, top, run[0]), run[0].u)
+        return
+    idx = [slice(None)] * (top + 1)
+    idx[top - run[0].target] = _BIT[1]
+    half = psi[tuple(idx)]
+    phase = np.ones((1,) * (top + 1), dtype=np.complex128)
+    for g in run:
+        f = _phase_factor(top, g)
+        if phase.size * f.size > _PHASE_CAP:
+            half *= phase
+            phase = f
+        else:
+            phase = phase * f
+    half *= phase
+
+
 def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit on a state vector of length 2**width.
 
@@ -276,12 +295,12 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     as a (2,)*width tensor whose axis width-1-q holds qubit q, and every
     gate updates it in place:
 
-    - a run of consecutive diag(1, z) gates on one target is fused: each
-      gate contributes a small factor over its control axes, and the
-      product scales the target-1 half in one broadcast multiply, applied
-      early whenever the product would pass `_PHASE_CAP` entries;
-    - any other diagonal gate scales the halves of its control-selected
-      block whose entry is not 1;
+    - a run of two or more consecutive diag(1, z) gates on one target is
+      fused: each gate contributes a small factor over its control axes,
+      and the product scales the target-1 half in one broadcast multiply,
+      applied early whenever it could pass `_PHASE_CAP` entries;
+    - any other diagonal gate, a lone diag(1, z) among them, scales the
+      halves of its control-selected block whose entry is not 1;
     - any other 2x2 gate mixes the two target-axis halves of its block
       through one half-block product;
     - a qubit permutation is an axis transpose.
@@ -294,32 +313,25 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
             f"state has shape {psi.shape}, expected ({1 << c.width},)")
     top = c.width - 1
     psi = psi.reshape((2,) * c.width)
-    phase = None       # product of the pending run's factors
-    run_target = -1    # target of the pending run
+    run: list[Gate] = []   # pending diag(1, z) gates on one target
     for g in c.gates:
         u = None if isinstance(g, QubitPerm) else g.u
         fusable = (u is not None and u[0, 0] == 1 and u[0, 1] == 0
                    and u[1, 0] == 0 and 1 << len(g.controls) <= _PHASE_CAP)
-        if phase is not None and (
-                not fusable or g.target != run_target
-                or phase.size << len(g.controls) > _PHASE_CAP):
-            _scale_target_half(psi, run_target, phase)
-            phase = None
+        if run and not (fusable and g.target == run[0].target):
+            _apply_phase_run(psi, top, run)
+            run = []
         if u is None:
             axes = [0] * c.width
             for q, s in enumerate(g.sigma):
                 axes[top - s] = top - q
             psi = np.ascontiguousarray(psi.transpose(axes))
         elif fusable:
-            f = _phase_factor(top, g)
-            if phase is None:
-                phase, run_target = f, g.target
-            else:
-                phase = phase * f
+            run.append(g)
         else:
             _apply_2x2(*_halves(psi, top, g), u)
-    if phase is not None:
-        _scale_target_half(psi, run_target, phase)
+    if run:
+        _apply_phase_run(psi, top, run)
     return psi.reshape(-1)
 
 

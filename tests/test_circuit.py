@@ -266,10 +266,10 @@ def _phase_run_cases():
         "top_qubit": (5, [ph((), 4), *(ph(((k, True),), 4) for k in range(4))]),
         "bottom_qubit": (5, [*(ph(((k, k % 2 == 1),), 0) for k in range(1, 5)),
                              ph((), 0)]),
-        # fullW-style: controls and target fix every axis
+        # fullW-style: controls and target fix every axis, in runs of two
         "all_axes_fixed": (4, [
-            *(ph(tuple((q, (q + t) % 2 == 0) for q in range(4) if q != t), t)
-              for t in range(4)),
+            *(ph(tuple((q, (q + t + s) % 2 == 0) for q in range(4) if q != t), t)
+              for t in range(4) for s in range(2)),
             *(MultiControlled(ab, tuple((q, q != t + 1) for q in range(4)
                                         if q != t), t) for t in range(4))]),
         # twelve one-control factors on one target pass the fused tensor's
