@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -237,7 +238,7 @@ def _phase_gate(rng, controls, target):
 def _phase_run_cases():
     """(width, gates) per fuser edge case; the phase values are random."""
     rng = np.random.default_rng(700)
-    ph = lambda controls, t: _phase_gate(rng, controls, t)  # noqa: E731
+    ph = functools.partial(_phase_gate, rng)
     ab = _diag(np.exp(0.7j), np.exp(-1.9j))
     return {
         "broken_by_dense": (5, [
