@@ -18,8 +18,11 @@ bit masks, while `apply_to_state` updates a `(2,)*width` tensor view of
 the state in place, one axis per qubit.  The state kernel reads each
 gate's `u`: diagonal gates only scale, and a run of diag(1, z) gates on
 one target is fused into one broadcast multiply of the target-1 half.
-`to_matrix` stays unfused, so it remains the oracle.  They read the same
-gate data but share no evaluation code; tests play one against the other.
+A mixing gate walks the two target halves of its block in cache-sized
+pieces: X swaps them, the Hadamard is a butterfly, and any other u is a
+product formula.  `to_matrix` stays unfused, so it remains the oracle.
+They read the same gate data but share no evaluation code; tests play
+one against the other.
 
 `cost` sums the fixed per-gate weights of `gate_cost`.
 """
@@ -211,6 +214,10 @@ _BIT = (slice(0, 1), slice(1, 2))
 # so that fusion never builds a temporary near the size of the state.
 _PHASE_CAP = 1 << 10
 
+# Entries in each of the paired sub-views a mixing gate updates at a time:
+# two blocks and their temporaries, at most 1 MiB, stay in cache.
+_BLOCK = 1 << 14
+
 
 def _halves(psi: np.ndarray, top: int, g: Gate) -> tuple[np.ndarray, np.ndarray]:
     """Views of the target-0 and target-1 halves of the control-matched
@@ -242,25 +249,77 @@ def _phase_factor(top: int, g: Gate) -> np.ndarray:
     return f
 
 
+def _blocks(a0: np.ndarray, a1: np.ndarray):
+    """Paired sub-views of a0 and a1 of at most `_BLOCK` entries each.
+
+    The two halves have the same shape: length 2 on every free axis,
+    length 1 on the axes the controls and the target fix.  Fixing the
+    leading free axes, one `np.ndindex` key at a time, leaves the trailing
+    ones, so each pair is a view and a block-sized temporary stays in
+    cache.
+    """
+    n_lead = a0.size.bit_length() - _BLOCK.bit_length()
+    if n_lead <= 0:
+        yield a0, a1
+        return
+    lead = [ax for ax, n in enumerate(a0.shape) if n == 2][:n_lead]
+    idx = [slice(None)] * a0.ndim
+    for key in np.ndindex((2,) * n_lead):
+        for ax, k in zip(lead, key):
+            idx[ax] = k
+        t = tuple(idx)
+        yield a0[t], a1[t]
+
+
 def _apply_2x2(a0: np.ndarray, a1: np.ndarray, u: Matrix) -> None:
     """(a0, a1) <- (u00 a0 + u01 a1, u10 a0 + u11 a1) in place.
 
-    A diagonal u only scales the halves whose entry is not 1; any other u
-    goes through one half-block product.  A function of its own, so that
-    product and the views of the state are freed on return, before the
-    next gate allocates.
+    u alone decides how:
+
+    - diagonal: scale the halves whose entry is not 1, each in one
+      in-place pass over the whole half, which needs no temporary;
+    - anti-diagonal (X, so every CNOT): swap the halves, scaling only
+      where an entry is not 1;
+    - s * [[1, 1], [1, -1]] with real s (the Hadamard): the butterfly
+      t = a0 - a1; a0 += a1; a0 *= s; a1 = s t;
+    - anything else: t = u10 a0; a0 *= u00; a0 += u01 a1; a1 *= u11;
+      a1 += t.
+
+    The last three walk the halves in `_blocks`, so each temporary has at
+    most `_BLOCK` entries.  A function of its own, so the views of the
+    state are freed on return, before the next gate allocates.
     """
-    if u[0, 1] == 0 and u[1, 0] == 0:
-        if u[0, 0] != 1:
-            a0 *= u[0, 0]
-        if u[1, 1] != 1:
-            a1 *= u[1, 1]
-        return
-    t = u[1, 0] * a0
-    a0 *= u[0, 0]
-    a0 += u[0, 1] * a1
-    a1 *= u[1, 1]
-    a1 += t
+    u00, u01, u10, u11 = u[0, 0], u[0, 1], u[1, 0], u[1, 1]
+    if u01 == 0 and u10 == 0:
+        if u00 != 1:
+            a0 *= u00
+        if u11 != 1:
+            a1 *= u11
+    elif u00 == 0 and u11 == 0:
+        for b0, b1 in _blocks(a0, a1):
+            t = b0.copy()
+            if u01 == 1:
+                b0[...] = b1
+            else:
+                np.multiply(b1, u01, out=b0)
+            if u10 == 1:
+                b1[...] = t
+            else:
+                np.multiply(t, u10, out=b1)
+    elif u00 == u01 == u10 == -u11 and u00.imag == 0:
+        s = u00.real
+        for b0, b1 in _blocks(a0, a1):
+            t = b0 - b1
+            b0 += b1
+            b0 *= s
+            np.multiply(t, s, out=b1)
+    else:
+        for b0, b1 in _blocks(a0, a1):
+            t = u10 * b0
+            b0 *= u00
+            b0 += u01 * b1
+            b1 *= u11
+            b1 += t
 
 
 def _apply_phase_run(psi: np.ndarray, top: int, run: list[Gate]) -> None:
@@ -302,8 +361,15 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     - any other diagonal gate, a lone diag(1, z) among them, scales the
       halves of its control-selected block whose entry is not 1;
     - any other 2x2 gate mixes the two target-axis halves of its block
-      through one half-block product;
+      in paired pieces of at most `_BLOCK` entries: an anti-diagonal u
+      swaps them, a real multiple of [[1, 1], [1, -1]] (the Hadamard) is
+      a butterfly, and any other u a product formula (`_apply_2x2`);
     - a qubit permutation is an axis transpose.
+
+    Scaling and phase runs need no blocking: each is one in-place
+    multiply per half and builds no state-sized temporary, whereas the
+    swap, the butterfly and the product each keep a temporary of the
+    piece they update.
 
     `to_matrix` applies every gate on its own and is the oracle for this.
     """
