@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_circuit, random_phase_circuit, random_unitary
+from groupqft import circuit as circuit_module
 from groupqft.circuit import (
     Circuit,
     CNot,
@@ -347,8 +348,8 @@ def _traced_peak(c, v):
 
 def test_cyclic_circuit_memory_peak():
     # the state copy plus the final permutation's new array make 2 state
-    # sizes; a dense gate adds one half-block copy and one half-block
-    # product, freed before the permutation allocates
+    # sizes; a mixing gate adds only block-sized temporaries, freed before
+    # the permutation allocates
     v = np.random.default_rng(1000).standard_normal(1 << 16) + 0j
     assert _traced_peak(qft_cyclic_circuit(16), v) <= 2.5 * v.nbytes
 
@@ -362,6 +363,57 @@ def test_long_phase_run_memory_peak():
                              for k in range(width - 1)))
     v = rng.standard_normal(1 << width) + 0j
     assert _traced_peak(c, v) <= 1.25 * v.nbytes
+
+
+@pytest.mark.parametrize("name", ["hadamard", "dense"])
+def test_lone_mixing_gate_memory_peak(name):
+    # the state copy plus temporaries of at most one block each; an
+    # unblocked half-block product would add a full half, 2 state sizes
+    width = 18
+    rng = np.random.default_rng(1002)
+    u = H_MATRIX if name == "hadamard" else random_unitary(rng, 2)
+    v = rng.standard_normal(1 << width) + 0j
+    for t in (0, width // 2, width - 1):
+        c = Circuit(width, (Local(u, t),))
+        assert _traced_peak(c, v) <= 1.25 * v.nbytes, t
+
+
+_Y_MATRIX = np.array([[0, -1j], [1j, 0]])
+
+# one u per branch of the mixing kernel
+_BRANCH_U = {
+    "diagonal": _diag(np.exp(0.7j), np.exp(-1.9j)),
+    "x": X_MATRIX,
+    "scaled_antidiagonal": _Y_MATRIX,
+    "hadamard": H_MATRIX,
+    "dense": random_unitary(np.random.default_rng(1100), 2),
+}
+
+
+@pytest.mark.parametrize("block", ["default", 1 << 6])
+@pytest.mark.parametrize("branch", list(_BRANCH_U))
+def test_mixing_gates_match_reference_across_blocks(branch, block,
+                                                    monkeypatch):
+    # at width 16 an uncontrolled half spans two default blocks; with
+    # 2**6-entry blocks every gate spans many, and the controls fix axes
+    # among the leading ones that pick a block
+    if block != "default":
+        monkeypatch.setattr(circuit_module, "_BLOCK", block)
+    width = 16
+    u = _BRANCH_U[branch]
+    controls = {15: ((0, True), (7, False)),
+                8: ((15, False), (3, True), (9, False)),
+                0: ((15, True), (9, False))}
+    rng = np.random.default_rng(1101)
+    dim = 1 << width
+    state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    for t, ctrl in controls.items():
+        for g in (Local(u, t), MultiControlled(u, ctrl, t)):
+            got = apply_to_state(Circuit(width, (g,)), state)
+            want, fires = reference_apply(g, state)
+            assert np.max(np.abs(got - want)) < 1e-12, g
+            # amplitudes whose controls do not match pass through bit for bit
+            assert np.array_equal(got[~fires], state[~fires]), g
 
 
 # Reference dense gate matrix: a pure-Python loop over the rows, with the
