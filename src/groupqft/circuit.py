@@ -29,6 +29,7 @@ one against the other.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,7 +250,8 @@ def _phase_factor(top: int, g: Gate) -> np.ndarray:
     return f
 
 
-def _blocks(a0: np.ndarray, a1: np.ndarray):
+def _blocks(a0: np.ndarray,
+            a1: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Paired sub-views of a0 and a1 of at most `_BLOCK` entries each.
 
     The two halves have the same shape: length 2 on every free axis,
