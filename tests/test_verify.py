@@ -186,3 +186,73 @@ def test_quaternion_n8_offblock_is_at_rounding_level():
     report = full_report(GroupSpec(Family.QUATERNION, 8))
     assert report.max_offblock < 1e-13
     assert report.unitarity_defect < 1e-13
+
+
+# Planted defects, one per census sub-check.  Columns of b index the
+# summands: per half of width |G|/2, the e extendable characters, then the
+# induced pairs two columns each.  Each input breaks only its own sub-check.
+
+def _layout(g):
+    counts = dict(census(g))
+    return counts[1] // 2, counts[2], g.order // 2
+
+
+def _pair_columns(g, half, k):
+    e, _, h = _layout(g)
+    start = half * h + e + 2 * k
+    return slice(start, start + 2)
+
+
+@pytest.mark.parametrize("family", NON_ABELIAN)
+def test_planted_scaled_character_fails_unit_modulus(family):
+    g = GroupSpec(family, 4)
+    b = assemble(g).b
+    b[:, 0] *= 2.0
+    report = check_decomposition(b, g)
+    assert report.max_offblock < 1e-12
+    assert report.equal_summands_defect < 1e-12
+    assert not report.census_ok
+
+
+@pytest.mark.parametrize("family", NON_ABELIAN)
+def test_planted_commutator_floor_fails_irreducibility(monkeypatch, family):
+    # generator images have unit-size entries, so no 2x2 commutator can
+    # reach 10: every pair now reads reducible
+    g = GroupSpec(family, 4)
+    monkeypatch.setattr(verify, "COMMUTATOR_FLOOR", 10.0)
+    report = check_decomposition(assemble(g).b, g)
+    assert report.max_offblock < 1e-12
+    assert not report.census_ok
+
+
+@pytest.mark.parametrize("family", NON_ABELIAN)
+@pytest.mark.parametrize("degree", [1, 2])
+def test_planted_repeated_summand_fails_distinct_count(family, degree):
+    # a summand copied over another: every block stays a unit character or
+    # an irreducible pair, and the halves still match, but one fewer
+    # distinct summand of that degree remains
+    g = GroupSpec(family, 4)
+    b = assemble(g).b
+    if degree == 1:
+        b[:, 1] = b[:, 0]
+    else:
+        for half in (0, 1):
+            b[:, _pair_columns(g, half, 1)] = b[:, _pair_columns(g, half, 0)]
+    report = check_decomposition(b, g)
+    assert report.equal_summands_defect < 1e-12
+    assert not report.census_ok
+
+
+@pytest.mark.parametrize("family", NON_ABELIAN)
+def test_planted_swapped_pairs_read_as_unequal_summands(family):
+    # swapping two pairs inside one half keeps the census but puts unequal
+    # summands side by side across the halves
+    g = GroupSpec(family, 4)
+    b = assemble(g).b
+    p0, p1 = _pair_columns(g, 0, 0), _pair_columns(g, 0, 1)
+    b[:, p0], b[:, p1] = b[:, p1].copy(), b[:, p0].copy()
+    report = check_decomposition(b, g)
+    assert report.census_ok
+    assert report.max_offblock < 1e-12
+    assert report.equal_summands_defect > 0.3
+    assert not report.passed()
