@@ -4,6 +4,8 @@ Everything here is built to distrust `synthesis`: the regular
 representation comes from group multiplication alone, the census from
 the closed-form count table, and block positions from that census.  The
 only synthesis artifact a check touches is the matrix under test.
+`check_decomposition` grades the predicted blocks as two stacked arrays,
+1-dim and 2-dim summands, with whole-array operations.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ COMMUTATOR_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Defect summary; every defect is a max-magnitude, hence >= 0.
+    """Defect summary; every defect is a max-magnitude over an array, hence
+    >= 0, or NaN when the matrix under test holds a NaN (which never passes).
 
     census_ok covers the structural claims: block counts by distinctness
     match the census, 1-dim blocks are unit-modulus characters, and 2-dim
@@ -70,16 +73,6 @@ def census(G: GroupSpec) -> tuple[tuple[int, int], ...]:
     return ((1, 4), (2, (1 << (G.n - 1)) - 1))
 
 
-def _block_sizes(G: GroupSpec) -> tuple[int, ...]:
-    """Predicted block layout of the conjugated regular representation:
-    per half, the extendable characters then the induced pairs."""
-    if G.is_abelian:
-        return (1,) * G.order
-    counts = dict(census(G))
-    half = (1,) * (counts[1] // 2) + (2,) * counts[2]
-    return half + half
-
-
 def _row_permutation(m: Matrix) -> np.ndarray:
     """sigma with m @ b == b[sigma]; raises unless m is a permutation."""
     sigma = np.argmax(np.abs(m), axis=1)
@@ -91,64 +84,65 @@ def _row_permutation(m: Matrix) -> np.ndarray:
 
 def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
     """Conjugate the regular representation by b and grade the result
-    against the predicted block structure."""
+    against the predicted block structure.
+
+    Blocks are stacked in layout order, both halves: `ones` (k1, generators)
+    holds the 1-dim summands, `twos` (k2, generators, 2, 2) the 2-dim ones.
+    The conjugated images are fresh products, so zeroing their block entries
+    in place leaves the off-block part.
+    """
     b = np.asarray(b, dtype=np.complex128)
     if b.shape != (G.order, G.order):
         raise ValueError(f"matrix shape {b.shape} does not match |G| = {G.order}")
-    # phi's images are those of the generators: x, then y if non-abelian;
-    # each is a permutation matrix, so phi(g) b gathers b's rows.  Only the
-    # index arrays are kept, which frees the dense images before the checks.
-    perms = [_row_permutation(m)
-             for m in regular_representation(G).images.values()]
+    # phi's images (x, then y if non-abelian) are permutation matrices, so
+    # phi(g) b gathers b's rows; only the index arrays are kept.
+    perms = np.array([_row_permutation(m)
+                      for m in regular_representation(G).images.values()])
     bh = b.conj().T
-    conjugated = [bh @ b[sigma] for sigma in perms]
+    conjugated = np.empty((len(perms), G.order, G.order), dtype=np.complex128)
+    for m, sigma in zip(conjugated, perms):
+        np.matmul(bh, b[sigma], out=m)
     unitarity = float(np.max(np.abs(b @ bh - np.eye(G.order))))
 
-    sizes = _block_sizes(G)
-    starts = np.cumsum((0,) + sizes)
-    mask = np.zeros((G.order, G.order), dtype=bool)
-    for s, w in zip(starts, sizes):
-        mask[s:s + w, s:s + w] = True
-    off_block = float(max(np.max(np.abs(m[~mask])) for m in conjugated))
+    # layout, per half: the extendable characters, then the induced pairs
+    # (the cyclic group is a single half of characters)
+    if G.is_abelian:
+        halves, chars, pairs = 1, G.order, 0
+    else:
+        counts = dict(census(G))
+        halves, chars, pairs = 2, counts[1] // 2, counts[2]
+    start = G.order // halves * np.arange(halves)[:, None]
+    one = (start + np.arange(chars)).ravel()
+    two = (start + chars + 2 * np.arange(pairs)).ravel()[:, None] + (0, 1)
+    two_blocks = (slice(None), two[:, :, None], two[:, None, :])
+    ones = conjugated[:, one, one].T
+    twos = conjugated[two_blocks].swapaxes(0, 1)
+    conjugated[:, one, one] = 0.0
+    conjugated[two_blocks] = 0.0
+    off_block = float(np.max(np.abs(conjugated)))
 
-    # blocks[k] = tuple of generator images of summand k
-    blocks = [tuple(m[s:s + w, s:s + w] for m in conjugated)
-              for s, w in zip(starts, sizes)]
-
-    def key(images):
-        flat = np.concatenate([m.ravel() for m in images])
-        return tuple(np.round(flat.real, ROUND_DIGITS)) \
-            + tuple(np.round(flat.imag, ROUND_DIGITS))
-
-    ok = True
-    for images, w in zip(blocks, sizes):
-        if w == 1:
-            ok &= all(abs(abs(m[0, 0]) - 1.0) < 1e-9 for m in images)
-        else:
-            comm = images[0] @ images[1] - images[1] @ images[0]
-            ok &= bool(np.max(np.abs(comm)) > COMMUTATOR_FLOOR)
-    distinct = {1: set(), 2: set()}
-    for images, w in zip(blocks, sizes):
-        distinct[w].add(key(images))
-    expected = dict(census(G)) if not G.is_abelian else {1: G.order}
-    ok &= all(len(distinct[w]) == c for w, c in expected.items())
-
-    equal_defect = 0.0
-    if not G.is_abelian:
-        # pair k of the first half is claimed equal to pair k of the second
-        per_half = len(sizes) // 2
-        for k, w in enumerate(sizes[:per_half]):
-            if w != 2:
-                continue
-            for m0, m1 in zip(blocks[k], blocks[per_half + k]):
-                equal_defect = max(equal_defect, float(np.max(np.abs(m0 - m1))))
+    ok = bool(np.all(np.abs(np.abs(ones) - 1.0) < 1e-9))
+    # a 2-dim summand is irreducible when its x and y images fail to
+    # commute (the cyclic group has no 2-dim summands, hence no y to index)
+    x, y = twos[:, 0], twos[:, -1]
+    ok &= bool(np.all(np.max(np.abs(x @ y - y @ x), axis=(1, 2))
+                      > COMMUTATOR_FLOOR))
+    # distinct summands by their rounded generator images: every character
+    # differs, and each pair appears once per half
+    for summands, expected in ((ones, len(ones)), (twos, pairs)):
+        keys = np.round(np.stack([summands.real, summands.imag], axis=-1),
+                        ROUND_DIGITS)
+        ok &= len(np.unique(keys, axis=0)) == expected
+    # pair k of the first half is claimed equal to pair k of the second
+    equal_defect = float(np.max(np.abs(twos[:pairs] - twos[pairs:]),
+                                initial=0.0))
 
     return VerificationReport(
         group=G,
         unitarity_defect=unitarity,
         max_offblock=off_block,
         equal_summands_defect=equal_defect,
-        census_ok=bool(ok),
+        census_ok=ok,
     )
 
 

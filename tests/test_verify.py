@@ -192,23 +192,36 @@ def test_quaternion_n8_offblock_is_at_rounding_level():
 # summands: per half of width |G|/2, the e extendable characters, then the
 # induced pairs two columns each.  Each input breaks only its own sub-check.
 
-def _layout(g):
-    counts = dict(census(g))
-    return counts[1] // 2, counts[2], g.order // 2
-
-
 def _pair_columns(g, half, k):
-    e, _, h = _layout(g)
-    start = half * h + e + 2 * k
+    start = half * (g.order // 2) + dict(census(g))[1] // 2 + 2 * k
     return slice(start, start + 2)
+
+
+def planted(g, kind):
+    """assemble(g).b with one planted defect."""
+    b = assemble(g).b
+    if kind == "scaled_character":
+        b[:, 0] *= 2.0
+    elif kind == "repeated_character":
+        b[:, 1] = b[:, 0]
+    elif kind == "repeated_pair":
+        for half in (0, 1):
+            b[:, _pair_columns(g, half, 1)] = b[:, _pair_columns(g, half, 0)]
+    else:
+        assert kind == "swapped_pairs"
+        p0, p1 = _pair_columns(g, 0, 0), _pair_columns(g, 0, 1)
+        b[:, p0], b[:, p1] = b[:, p1].copy(), b[:, p0].copy()
+    return b
+
+
+PLANTED = ("scaled_character", "repeated_character", "repeated_pair",
+           "swapped_pairs")
 
 
 @pytest.mark.parametrize("family", NON_ABELIAN)
 def test_planted_scaled_character_fails_unit_modulus(family):
     g = GroupSpec(family, 4)
-    b = assemble(g).b
-    b[:, 0] *= 2.0
-    report = check_decomposition(b, g)
+    report = check_decomposition(planted(g, "scaled_character"), g)
     assert report.max_offblock < 1e-12
     assert report.equal_summands_defect < 1e-12
     assert not report.census_ok
@@ -226,19 +239,13 @@ def test_planted_commutator_floor_fails_irreducibility(monkeypatch, family):
 
 
 @pytest.mark.parametrize("family", NON_ABELIAN)
-@pytest.mark.parametrize("degree", [1, 2])
-def test_planted_repeated_summand_fails_distinct_count(family, degree):
+@pytest.mark.parametrize("kind", ["repeated_character", "repeated_pair"])
+def test_planted_repeated_summand_fails_distinct_count(family, kind):
     # a summand copied over another: every block stays a unit character or
     # an irreducible pair, and the halves still match, but one fewer
     # distinct summand of that degree remains
     g = GroupSpec(family, 4)
-    b = assemble(g).b
-    if degree == 1:
-        b[:, 1] = b[:, 0]
-    else:
-        for half in (0, 1):
-            b[:, _pair_columns(g, half, 1)] = b[:, _pair_columns(g, half, 0)]
-    report = check_decomposition(b, g)
+    report = check_decomposition(planted(g, kind), g)
     assert report.equal_summands_defect < 1e-12
     assert not report.census_ok
 
@@ -248,11 +255,106 @@ def test_planted_swapped_pairs_read_as_unequal_summands(family):
     # swapping two pairs inside one half keeps the census but puts unequal
     # summands side by side across the halves
     g = GroupSpec(family, 4)
-    b = assemble(g).b
-    p0, p1 = _pair_columns(g, 0, 0), _pair_columns(g, 0, 1)
-    b[:, p0], b[:, p1] = b[:, p1].copy(), b[:, p0].copy()
-    report = check_decomposition(b, g)
+    report = check_decomposition(planted(g, "swapped_pairs"), g)
     assert report.census_ok
     assert report.max_offblock < 1e-12
     assert report.equal_summands_defect > 0.3
     assert not report.passed()
+
+
+def test_nan_entry_reads_as_nan_defects():
+    g = GroupSpec(Family.QD, 4)
+    b = assemble(g).b
+    b[3, 5] = np.nan
+    report = check_decomposition(b, g)
+    assert math.isnan(report.unitarity_defect)
+    assert math.isnan(report.max_offblock)
+    assert math.isnan(report.equal_summands_defect)
+    assert not report.census_ok
+    assert not report.passed()
+
+
+def reference_check(b, g):
+    """The per-block grader that check_decomposition's stacked summand
+    arrays replaced: a dense block mask for the off-block part, one loop
+    iteration per summand, and rounded tuples as distinctness keys."""
+    b = np.asarray(b, dtype=np.complex128)
+    bh = b.conj().T
+    conjugated = [bh @ b[verify._row_permutation(m)]
+                  for m in regular_representation(g).images.values()]
+    unitarity = float(np.max(np.abs(b @ bh - np.eye(g.order))))
+
+    if g.is_abelian:
+        sizes = (1,) * g.order
+        expected = {1: g.order}
+    else:
+        expected = dict(census(g))
+        half = (1,) * (expected[1] // 2) + (2,) * expected[2]
+        sizes = half + half
+    starts = np.cumsum((0,) + sizes)
+    mask = np.zeros((g.order, g.order), dtype=bool)
+    for s, w in zip(starts, sizes):
+        mask[s:s + w, s:s + w] = True
+    off_block = float(max(np.max(np.abs(m[~mask])) for m in conjugated))
+    blocks = [tuple(m[s:s + w, s:s + w] for m in conjugated)
+              for s, w in zip(starts, sizes)]
+
+    def key(images):
+        flat = np.concatenate([m.ravel() for m in images])
+        return tuple(np.round(flat.real, verify.ROUND_DIGITS)) \
+            + tuple(np.round(flat.imag, verify.ROUND_DIGITS))
+
+    ok = True
+    distinct = {1: set(), 2: set()}
+    for images, w in zip(blocks, sizes):
+        if w == 1:
+            ok &= all(abs(abs(m[0, 0]) - 1.0) < 1e-9 for m in images)
+        else:
+            comm = images[0] @ images[1] - images[1] @ images[0]
+            ok &= bool(np.max(np.abs(comm)) > verify.COMMUTATOR_FLOOR)
+        distinct[w].add(key(images))
+    ok &= all(len(distinct[w]) == c for w, c in expected.items())
+
+    equal_defect = 0.0
+    per_half = len(sizes) // 2
+    for k, w in enumerate(sizes[:per_half]):
+        if w == 2:
+            for m0, m1 in zip(blocks[k], blocks[per_half + k]):
+                equal_defect = max(equal_defect, float(np.max(np.abs(m0 - m1))))
+    return VerificationReport(group=g, unitarity_defect=unitarity,
+                              max_offblock=off_block,
+                              equal_summands_defect=equal_defect,
+                              census_ok=bool(ok))
+
+
+ALL_GROUPS = [GroupSpec(f, n) for f in Family
+              for n in range(1 if f is Family.CYCLIC else 3, 7)]
+
+
+@pytest.mark.parametrize("g", ALL_GROUPS, ids=lambda g: f"{g.family.value}-{g.n}")
+def test_check_decomposition_matches_reference_on_assembled(g):
+    b = assemble(g).b
+    assert check_decomposition(b, g) == reference_check(b, g)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("matrix", ["random", "identity"])
+def test_check_decomposition_matches_reference_off_the_transform(family,
+                                                                 matrix):
+    g = GroupSpec(family, 4)
+    b = (random_unitary(np.random.default_rng(11), g.order)
+         if matrix == "random" else np.eye(g.order))
+    assert check_decomposition(b, g) == reference_check(b, g)
+
+
+@pytest.mark.parametrize("family", NON_ABELIAN)
+@pytest.mark.parametrize("kind", PLANTED + ("commutator_floor",))
+def test_check_decomposition_matches_reference_on_planted(monkeypatch,
+                                                          family, kind):
+    g = GroupSpec(family, 4)
+    if kind == "commutator_floor":
+        monkeypatch.setattr(verify, "COMMUTATOR_FLOOR", 10.0)
+        b = assemble(g).b
+    else:
+        b = planted(g, kind)
+    assert check_decomposition(b, g) == reference_check(b, g)
