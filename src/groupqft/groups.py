@@ -113,6 +113,7 @@ class GroupSpec:
         return GroupElement(0, 1)
 
     def generators(self) -> tuple[GroupElement, ...]:
+        """x, then y for the non-abelian families."""
         return (self.x(),) if self.is_abelian else (self.x(), self.y())
 
     def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
@@ -211,9 +212,7 @@ def regular_representation(G: GroupSpec) -> Representation:
             m[u, index[G.multiply(h, g)]] = 1.0
         return m
 
-    images = {"x": image(G.x())}
-    if not G.is_abelian:
-        images["y"] = image(G.y())
+    images = {name: image(g) for name, g in zip("xy", G.generators())}
     return Representation(group=G, degree=len(L), images=images)
 
 
@@ -247,27 +246,29 @@ def inner_conjugate(rho: Representation, ambient: GroupSpec,
     return Representation(group=rho.group, degree=rho.degree, images=images)
 
 
-def _evaluate_embedded(rho: Representation, ambient: GroupSpec,
-                       g: GroupElement) -> Matrix:
-    """Evaluate rho at an ambient element that must lie in rho's domain.
+def _domain_element(rho: Representation, ambient: GroupSpec,
+                    g: GroupElement) -> GroupElement | None:
+    """The ambient element g as an element of rho's domain, or None when g
+    lies outside it.
 
     The domain Z_{2^m} embeds in ambient's <x> as the powers of
     x^(2^(n-m)); membership requires b = 0 and divisibility.
     """
     if rho.group.family is not Family.CYCLIC or rho.group.order == ambient.order:
-        return rho.evaluate(g)
+        return g
     step = ambient.cyclic_order // rho.group.cyclic_order
     if g.b != 0 or g.a % step != 0:
+        return None
+    return GroupElement(g.a // step, 0)
+
+
+def _evaluate_embedded(rho: Representation, ambient: GroupSpec,
+                       g: GroupElement) -> Matrix:
+    """Evaluate rho at an ambient element that must lie in rho's domain."""
+    h = _domain_element(rho, ambient, g)
+    if h is None:
         raise ValueError(f"element x^{g.a} y^{g.b} outside the domain subgroup")
-    return rho.evaluate(GroupElement(g.a // step, 0))
-
-
-def _in_subgroup(rho: Representation, ambient: GroupSpec,
-                 g: GroupElement) -> bool:
-    if rho.group.family is not Family.CYCLIC or rho.group.order == ambient.order:
-        return True
-    step = ambient.cyclic_order // rho.group.cyclic_order
-    return g.b == 0 and g.a % step == 0
+    return rho.evaluate(h)
 
 
 def induce(rho: Representation, G: GroupSpec,
@@ -285,7 +286,7 @@ def induce(rho: Representation, G: GroupSpec,
             f"transversal length {p} does not match index "
             f"{G.order // rho.group.order}")
     # N t_i = N t_j exactly when t_i t_j^-1 lies in N
-    if any(_in_subgroup(rho, G, G.multiply(ti, G.inverse(tj)))
+    if any(_domain_element(rho, G, G.multiply(ti, G.inverse(tj))) is not None
            for i, ti in enumerate(T) for tj in T[:i]):
         raise ValueError("T is not a transversal: cosets collide")
 
@@ -295,15 +296,13 @@ def induce(rho: Representation, G: GroupSpec,
         out = np.zeros((p * d, p * d), dtype=np.complex128)
         for i, ti in enumerate(T):
             for j, tj in enumerate(T):
-                w = G.multiply(G.multiply(ti, g), G.inverse(tj))
-                if _in_subgroup(rho, G, w):
-                    out[i * d:(i + 1) * d, j * d:(j + 1) * d] = \
-                        _evaluate_embedded(rho, G, w)
+                h = _domain_element(
+                    rho, G, G.multiply(G.multiply(ti, g), G.inverse(tj)))
+                if h is not None:
+                    out[i * d:(i + 1) * d, j * d:(j + 1) * d] = rho.evaluate(h)
         return out
 
-    images = {"x": image(G.x())}
-    if not G.is_abelian:
-        images["y"] = image(G.y())
+    images = {name: image(g) for name, g in zip("xy", G.generators())}
     return Representation(group=G, degree=p * d, images=images)
 
 

@@ -331,7 +331,8 @@ ALL_GROUPS = [GroupSpec(f, n) for f in Family
               for n in range(1 if f is Family.CYCLIC else 3, 7)]
 
 
-@pytest.mark.parametrize("g", ALL_GROUPS, ids=lambda g: f"{g.family.value}-{g.n}")
+@pytest.mark.parametrize("g", ALL_GROUPS,
+                         ids=lambda g: f"{g.family.value}-{g.n}")
 def test_check_decomposition_matches_reference_on_assembled(g):
     b = assemble(g).b
     assert check_decomposition(b, g) == reference_check(b, g)
