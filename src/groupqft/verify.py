@@ -96,8 +96,8 @@ def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
         raise ValueError(f"matrix shape {b.shape} does not match |G| = {G.order}")
     # phi's images (x, then y if non-abelian) are permutation matrices, so
     # phi(g) b gathers b's rows; only the index arrays are kept.
-    perms = np.array([_row_permutation(m)
-                      for m in regular_representation(G).images.values()])
+    perms = [_row_permutation(m)
+             for m in regular_representation(G).images.values()]
     bh = b.conj().T
     conjugated = np.empty((len(perms), G.order, G.order), dtype=np.complex128)
     for m, sigma in zip(conjugated, perms):

@@ -189,8 +189,9 @@ def test_quaternion_n8_offblock_is_at_rounding_level():
 
 
 # Planted defects, one per census sub-check.  Columns of b index the
-# summands: per half of width |G|/2, the e extendable characters, then the
-# induced pairs two columns each.  Each input breaks only its own sub-check.
+# summands: per half of width |G|/2, the extendable characters (half the
+# census's 1-dim count), then the induced pairs, two columns each.  Each
+# input breaks only its own census sub-check.
 
 def _pair_columns(g, half, k):
     start = half * (g.order // 2) + dict(census(g))[1] // 2 + 2 * k
