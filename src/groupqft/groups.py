@@ -186,15 +186,15 @@ class Representation:
         G = self.group
         eye = np.eye(self.degree)
         rx = np.asarray(self.images["x"])
-        defect = np.max(np.abs(
-            np.linalg.matrix_power(rx, G.cyclic_order) - eye))
+        residues = [np.linalg.matrix_power(rx, G.cyclic_order) - eye]
         if "y" in self.images:
             ry = np.asarray(self.images["y"])
-            defect = max(defect, np.max(np.abs(
-                ry @ ry - np.linalg.matrix_power(rx, G.y_square_exponent))))
-            defect = max(defect, np.max(np.abs(
-                rx @ ry - ry @ np.linalg.matrix_power(rx, G.conj_exponent))))
-        return float(defect)
+            residues.append(
+                ry @ ry - np.linalg.matrix_power(rx, G.y_square_exponent))
+            residues.append(
+                rx @ ry - ry @ np.linalg.matrix_power(rx, G.conj_exponent))
+        # one np.max over every relator, so a NaN in any of them propagates
+        return float(np.max(np.abs(residues)))
 
 
 def regular_representation(G: GroupSpec) -> Representation:

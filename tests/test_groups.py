@@ -145,6 +145,19 @@ def test_cyclic_irreps_are_characters():
     assert np.max(np.abs(d - np.diag(omega ** np.arange(8)))) < 1e-12
 
 
+@pytest.mark.parametrize("generator", ["x", "y"])
+@pytest.mark.parametrize("family", NONABELIAN)
+def test_nan_image_reads_as_nan_relation_defect(family, generator):
+    # a NaN in either image must not be dropped by a max over the relators
+    G = GroupSpec(family, 3)
+    images = {name: np.array(m, dtype=np.complex128)
+              for name, m in regular_representation(G).images.items()}
+    assert Representation(G, G.order, images).relation_defect() == 0.0
+    images[generator][1, 2] = np.nan
+    rho = Representation(G, G.order, images)
+    assert np.isnan(rho.relation_defect())
+
+
 def test_quaternion_2dim_irrep_oracle():
     # classic U(2) irrep of Q_16: x -> diag(zeta, conj(zeta)), y -> [[0,1],[-1,0]]
     Q = GroupSpec(Family.QUATERNION, 3)
