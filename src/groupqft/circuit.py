@@ -20,9 +20,13 @@ gate's `u`: diagonal gates only scale, and a run of diag(1, z) gates on
 one target is fused into one broadcast multiply of the target-1 half.
 A mixing gate walks the two target halves of its block in cache-sized
 pieces: X swaps them, the Hadamard is a butterfly, and any other u is a
-product formula.  `to_matrix` stays unfused, so it remains the oracle.
-They read the same gate data but share no evaluation code; tests play
-one against the other.
+product formula.  On wide states, each run of two or more consecutive
+gates confined to the low window (every qubit below `_WINDOW`) becomes
+one small dense matrix, which the state kernel builds for itself on
+2 * `_WINDOW` qubits and applies to the state's rows a block at a time.
+`to_matrix` stays unfused, so it remains the oracle.  They read the
+same gate data but share no evaluation code; tests play one against
+the other.
 
 `cost` sums the fixed per-gate weights of `gate_cost`.
 """
@@ -219,6 +223,16 @@ _PHASE_CAP = 1 << 10
 # two blocks and their temporaries, at most 1 MiB, stay in cache.
 _BLOCK = 1 << 14
 
+# Qubits below _WINDOW form the low window.  On a state of at least
+# _FUSE_MIN_WIDTH qubits, each run of two or more consecutive gates acting
+# only there is applied as one 2^_WINDOW x 2^_WINDOW matrix.  Both values
+# are measured (CHANGES.md): whole width-21 circuits ran as fast with a
+# window of 6 qubits as with 7, and fusing broke even at width 13 and
+# saved 9-12% at 14.  The threshold must exceed 2 * _WINDOW, the width a
+# run's matrix is built on, or that build would fuse again.
+_WINDOW = 6
+_FUSE_MIN_WIDTH = 14
+
 
 def _halves(psi: np.ndarray, top: int, g: Gate) -> tuple[np.ndarray, np.ndarray]:
     """Views of the target-0 and target-1 halves of the control-matched
@@ -349,6 +363,58 @@ def _apply_phase_run(psi: np.ndarray, top: int, run: list[Gate]) -> None:
     half *= phase
 
 
+def _in_window(g: Gate) -> bool:
+    """True for a 2x2 gate whose target and controls all lie below
+    `_WINDOW`; a qubit permutation spans every qubit, so never."""
+    return not isinstance(g, QubitPerm) and max(_gate_qubits(g)) < _WINDOW
+
+
+def _low_window_runs(gates: tuple[Gate, ...],
+                     fuse: bool) -> Iterator[Gate | list[Gate]]:
+    """The gates in order, with each maximal run of two or more
+    consecutive low-window gates gathered into one list when `fuse` is
+    set.  A lone low-window gate stays on its own: at width 21 its own
+    kernel takes 3-23 ms, one fused matrix 18 ms."""
+    window: list[Gate] = []
+    for g in gates:
+        if fuse and _in_window(g):
+            window.append(g)
+            continue
+        if len(window) > 1:
+            yield window
+        else:
+            yield from window
+        window = []
+        yield g
+    if len(window) > 1:
+        yield window
+    else:
+        yield from window
+
+
+def _apply_window(psi: np.ndarray, run: list[Gate]) -> None:
+    """Apply consecutive low-window gates as one 2^k x 2^k matrix U.
+
+    U^T comes from this kernel, not from `to_matrix`: on 2k qubits, the
+    flattened identity holds basis state e_r of the low k qubits in row r
+    of the high k, so running the gates there leaves U e_r in row r.  The
+    state, viewed as rows of 2^k amplitudes indexed by the low qubits, is
+    then multiplied by U^T a block of rows at a time into a buffer of at
+    most `_BLOCK` entries, and each block is copied back in place.
+    """
+    dim = 1 << _WINDOW
+    sub = embed(Circuit(_WINDOW, tuple(run)), 2 * _WINDOW)
+    ut = _run(sub, np.eye(dim, dtype=np.complex128).reshape(-1))
+    ut = ut.reshape(dim, dim)
+    rows = psi.reshape(-1, dim)
+    step = min(_BLOCK // dim, rows.shape[0])
+    buf = np.empty((step, dim), dtype=np.complex128)
+    for r in range(0, rows.shape[0], step):
+        block = rows[r:r + step]
+        np.matmul(block, ut, out=buf)
+        block[...] = buf
+
+
 def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit on a state vector of length 2**width.
 
@@ -356,6 +422,13 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     as a (2,)*width tensor whose axis width-1-q holds qubit q, and every
     gate updates it in place:
 
+    - on `_FUSE_MIN_WIDTH` or more qubits, a run of two or more
+      consecutive gates whose target and controls all lie below
+      `_WINDOW` = k is fused into one 2^k x 2^k matrix U.  This kernel
+      builds U^T on 2k qubits, below the threshold, and the state's rows
+      of 2^k amplitudes are multiplied by it a block at a time through a
+      buffer of at most `_BLOCK` entries (`_apply_window`).  A pending
+      phase run is applied first;
     - a run of two or more consecutive diag(1, z) gates on one target is
       fused: each gate contributes a small factor over its control axes,
       and the product scales the target-1 half in one broadcast multiply,
@@ -370,19 +443,38 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
 
     Scaling and phase runs need no blocking: each is one in-place
     multiply per half and builds no state-sized temporary, whereas the
-    swap, the butterfly and the product each keep a temporary of the
-    piece they update.
+    swap, the butterfly, the product and the window matrix each keep a
+    temporary of the piece they update.
 
-    `to_matrix` applies every gate on its own and is the oracle for this.
+    `to_matrix` applies every gate on its own, with neither kind of
+    fusion, and is the oracle for this.
     """
     psi = np.array(state, dtype=np.complex128, order="C")
     if psi.shape != (1 << c.width,):
         raise ValueError(
             f"state has shape {psi.shape}, expected ({1 << c.width},)")
+    return _run(c, psi)
+
+
+def _run(c: Circuit, psi: np.ndarray) -> np.ndarray:
+    """Apply the gates of `c` to the contiguous flat state `psi`.
+
+    Updates `psi` in place until a qubit permutation moves the state into
+    a new array, and returns the result, flat.  `_apply_window` builds U
+    here rather than through `apply_to_state`, so that qftbench, which
+    traces `apply_to_state` calls and counts their gates, sees only the
+    circuits it was given.
+    """
     top = c.width - 1
     psi = psi.reshape((2,) * c.width)
     run: list[Gate] = []   # pending diag(1, z) gates on one target
-    for g in c.gates:
+    for g in _low_window_runs(c.gates, c.width >= _FUSE_MIN_WIDTH):
+        if isinstance(g, list):
+            if run:
+                _apply_phase_run(psi, top, run)
+                run = []
+            _apply_window(psi, g)
+            continue
         u = None if isinstance(g, QubitPerm) else g.u
         fusable = (u is not None and u[0, 0] == 1 and u[0, 1] == 0
                    and u[1, 0] == 0 and 1 << len(g.controls) <= _PHASE_CAP)

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,6 +417,170 @@ def test_mixing_gates_match_reference_across_blocks(branch, block,
             assert np.max(np.abs(got - want)) < 1e-12, g
             # amplitudes whose controls do not match pass through bit for bit
             assert np.array_equal(got[~fires], state[~fires]), g
+
+
+# Low-window fusion: runs of two or more gates below qubit _WINDOW = k are
+# applied as one 2^k x 2^k matrix on states of _FUSE_MIN_WIDTH qubits or
+# more.
+
+def _window_gates(rng, width, k):
+    """Low-window runs broken at the window edge: by a gate targeting
+    qubit k, by CNOTs and controls on k, by a phase run whose controls
+    reach past k and whose target a window run then mixes, by a
+    permutation, and by the top qubit.  The runs mix Hadamards, random
+    locals, CNOTs, negative controls and diag(1, z) runs."""
+    def window_run(n):
+        gates = []
+        for _ in range(n):
+            kind = int(rng.integers(0, 5))
+            q = [int(x) for x in rng.choice(k, size=3, replace=False)]
+            if kind == 0:
+                gates.append(Local(H_MATRIX, q[0]))
+            elif kind == 1:
+                gates.append(Local(random_unitary(rng, 2), q[0]))
+            elif kind == 2:
+                gates.append(CNot(q[0], q[1]))
+            elif kind == 3:
+                gates.append(MultiControlled(random_unitary(rng, 2),
+                                             ((q[0], False), (q[1], True)),
+                                             q[2]))
+            else:
+                gates.extend(_phase_gate(rng, ((c, True),), q[0])
+                             for c in q[1:])
+        return gates
+
+    t = int(rng.integers(0, k))
+    return [
+        *window_run(5),
+        Local(random_unitary(rng, 2), k),
+        *window_run(4),
+        CNot(k, int(rng.integers(0, k))),
+        *window_run(3),
+        # pending when the next window run starts on its target
+        *(_phase_gate(rng, ((q, True),), t) for q in (k, width - 1)),
+        Local(H_MATRIX, t),
+        *window_run(3),
+        MultiControlled(random_unitary(rng, 2), ((0, True), (k, False)),
+                        k - 1),
+        Local(random_unitary(rng, 2), 0),   # a lone window gate
+        QubitPerm(tuple(int(s) for s in rng.permutation(width))),
+        *(_phase_gate(rng, ((q, True),), k - 1) for q in range(k - 1)),
+        *window_run(4),
+        Local(random_unitary(rng, 2), width - 1),
+        *window_run(2),
+    ]
+
+
+def _expected_windows(gates, k):
+    """Runs of two or more consecutive gates with every qubit below k."""
+    count = length = 0
+    for g in gates:
+        if not isinstance(g, QubitPerm) and all(
+                q < k for q in (g.target, *(q for q, _ in g.controls))):
+            length += 1
+        else:
+            count += length > 1
+            length = 0
+    return count + (length > 1)
+
+
+def _window_spy(monkeypatch):
+    """Count the fused runs apply_to_state applies."""
+    calls = []
+    inner = circuit_module._apply_window
+
+    def spy(psi, run):
+        calls.append(len(run))
+        inner(psi, run)
+    monkeypatch.setattr(circuit_module, "_apply_window", spy)
+    return calls
+
+
+def _reference_chain(gates, state):
+    for g in gates:
+        state, _ = reference_apply(g, state)
+    return state
+
+
+def _random_state(rng, width):
+    dim = 1 << width
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fused_runs_match_references_with_a_small_window(seed, monkeypatch):
+    # a 3-qubit window fused from width 7 keeps to_matrix affordable; at
+    # width 6 nothing fuses
+    monkeypatch.setattr(circuit_module, "_WINDOW", 3)
+    monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
+    calls = _window_spy(monkeypatch)
+    rng = np.random.default_rng(1200 + seed)
+    width = 6 + seed % 3
+    c = Circuit(width, tuple(_window_gates(rng, width, 3)))
+    state = _random_state(rng, width)
+    got = apply_to_state(c, state)
+    assert len(calls) == (_expected_windows(c.gates, 3) if width >= 7 else 0)
+    assert np.max(np.abs(got - to_matrix(c) @ state)) < 1e-12
+    assert np.max(np.abs(got - _reference_chain(c.gates, state))) < 1e-12
+
+
+@pytest.mark.parametrize("offset", [0, -1])
+def test_fused_runs_at_the_width_threshold(offset, monkeypatch):
+    k = circuit_module._WINDOW
+    width = circuit_module._FUSE_MIN_WIDTH + offset
+    calls = _window_spy(monkeypatch)
+    rng = np.random.default_rng(1210)
+    c = Circuit(width, tuple(_window_gates(rng, width, k)))
+    state = _random_state(rng, width)
+    got = apply_to_state(c, state)
+    assert len(calls) == (_expected_windows(c.gates, k) if offset == 0 else 0)
+    assert len(calls) == 0 or min(calls) >= 2
+    assert np.max(np.abs(got - _reference_chain(c.gates, state))) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_window_matches_to_matrix_of_its_run(seed, monkeypatch):
+    # an all-window circuit at the threshold acts on every row of 2^k
+    # amplitudes by to_matrix of its width-k run
+    k = circuit_module._WINDOW
+    width = circuit_module._FUSE_MIN_WIDTH
+    calls = _window_spy(monkeypatch)
+    rng = np.random.default_rng(1220 + seed)
+    cascade = qft_cyclic_circuit(k).gates[:-1]
+    run = [*cascade, *random_circuit(rng, k, 12).gates]
+    run = [g for g in run if not isinstance(g, QubitPerm)]
+    state = _random_state(rng, width)
+    got = apply_to_state(Circuit(width, tuple(run)), state)
+    assert calls == [len(run)]
+    u = to_matrix(Circuit(k, tuple(run)))
+    want = (state.reshape(-1, 1 << k) @ u.T).reshape(-1)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_fusion_threshold_clears_the_build_and_the_sweep_widths(monkeypatch):
+    # a run's matrix is built on 2 * _WINDOW qubits, which must not fuse
+    # again, and the gate_sweep benchmark simulates only below the
+    # threshold, so it never pays for a build
+    path = Path(__file__).resolve().parents[1] / "qftbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("qftbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the module executes
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert circuit_module._FUSE_MIN_WIDTH > 2 * circuit_module._WINDOW
+    assert circuit_module._FUSE_MIN_WIDTH > workloads.SIM_MAX_WIDTH
+
+
+def test_fused_window_memory_peak(monkeypatch):
+    # the state copy plus a row-block buffer and a 2^(2k)-entry build:
+    # neither grows with the state
+    width = 18
+    k = circuit_module._WINDOW
+    calls = _window_spy(monkeypatch)
+    c = Circuit(width, qft_cyclic_circuit(k).gates[:-1])
+    v = np.random.default_rng(1230).standard_normal(1 << width) + 0j
+    assert _traced_peak(c, v) <= 1.25 * v.nbytes
+    assert calls == [len(c.gates)]
 
 
 # Reference dense gate matrix: a pure-Python loop over the rows, with the
