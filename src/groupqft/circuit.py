@@ -228,7 +228,7 @@ _BLOCK = 1 << 14
 # only there is applied as one 2^_WINDOW x 2^_WINDOW matrix.  Both values
 # are measured (CHANGES.md): whole width-21 circuits ran as fast with a
 # window of 6 qubits as with 7, and fusing broke even at width 13 and
-# saved 9-12% at 14.  The threshold must exceed 2 * _WINDOW, the width a
+# gained from 14 up.  The threshold must exceed 2 * _WINDOW, the width a
 # run's matrix is built on, or that build would fuse again.
 _WINDOW = 6
 _FUSE_MIN_WIDTH = 14
@@ -374,7 +374,7 @@ def _low_window_runs(gates: tuple[Gate, ...],
     """The gates in order, with each maximal run of two or more
     consecutive low-window gates gathered into one list when `fuse` is
     set.  A lone low-window gate stays on its own: at width 21 its own
-    kernel takes 3-23 ms, one fused matrix 18 ms."""
+    kernel takes 3-23 ms, one fused matrix 17-19 ms."""
     window: list[Gate] = []
     for g in gates:
         if fuse and _in_window(g):
@@ -403,7 +403,7 @@ def _apply_window(psi: np.ndarray, run: list[Gate]) -> None:
     most `_BLOCK` entries, and each block is copied back in place.
     """
     dim = 1 << _WINDOW
-    sub = embed(Circuit(_WINDOW, tuple(run)), 2 * _WINDOW)
+    sub = Circuit(2 * _WINDOW, tuple(run))
     ut = _run(sub, np.eye(dim, dtype=np.complex128).reshape(-1))
     ut = ut.reshape(dim, dim)
     rows = psi.reshape(-1, dim)
