@@ -79,7 +79,7 @@ def format_circuit(c: Circuit) -> str:
 
 
 class _Fields(dict):
-    """key=value tokens of one line; a missing key is a ValueError."""
+    """key=value tokens; a missing or repeated key is a ValueError."""
 
     def __missing__(self, key: str) -> str:
         raise ValueError(f"missing {key}=")
@@ -91,6 +91,8 @@ def _fields(tokens: list[str]) -> _Fields:
         key, eq, value = t.partition("=")
         if not eq:
             raise ValueError(f"expected key=value, got {t!r}")
+        if key in out:
+            raise ValueError(f"repeated key {key}=")
         out[key] = value
     return out
 
@@ -118,10 +120,10 @@ def _numbered_lines(text: str, header: str) -> list[tuple[int, str]]:
 
 def _parse_controls(token: str) -> tuple[tuple[int, bool], ...]:
     out = []
-    for part in token.split(","):
-        q, pol = part.rsplit(":", 1)
-        if pol not in ("+", "-"):
-            raise ValueError(f"bad control polarity in {part!r}")
+    for ctl in token.split(","):
+        q, colon, pol = ctl.rpartition(":")
+        if not colon or pol not in ("+", "-"):
+            raise ValueError(f"control must look like Q:+ or Q:-, got {ctl!r}")
         out.append((int(q), pol == "+"))
     return tuple(out)
 

@@ -29,6 +29,7 @@ __all__ = [
     "GroupElement",
     "GroupSpec",
     "Representation",
+    "regular_permutations",
     "regular_representation",
     "cyclic_irreps",
     "inner_conjugate",
@@ -116,26 +117,25 @@ class GroupSpec:
         """x, then y for the non-abelian families."""
         return (self.x(),) if self.is_abelian else (self.x(), self.y())
 
-    def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        """(x^a1 y^b1)(x^a2 y^b2) in normal form.
+    def _product(self, a1, b1, a2, b2):
+        """Normal form (a, b) of (x^a1 y^b1)(x^a2 y^b2), branch-free for
+        Python ints and numpy integer arrays alike: y^b1 x^a2 = x^(a2 r^b1)
+        y^b1 with r^b1 = 1 + (r - 1) b1 (r = 1 for the cyclic family), and
+        y^b1 y^b2 leaves x^(q b1 b2)."""
+        r, q = ((1, 0) if self.is_abelian
+                else (self.conj_exponent, self.y_square_exponent))
+        a = a2 * (1 + (r - 1) * b1) + q * b1 * b2 + a1
+        a &= self.cyclic_order - 1  # mod 2^n, and in place on arrays
+        return a, (b1 + b2) & 1
 
-        Moving x^a2 through y uses y x = x^r y (valid because r^2 = 1), and
-        y^2 collapses to x^q.
-        """
-        m = self.cyclic_order
-        if g.b == 0:
-            return GroupElement((g.a + h.a) % m, h.b)
-        a = (g.a + h.a * self.conj_exponent) % m
-        if h.b == 1:
-            return GroupElement((a + self.y_square_exponent) % m, 0)
-        return GroupElement(a, 1)
+    def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
+        """(x^a1 y^b1)(x^a2 y^b2) in normal form."""
+        return GroupElement(*self._product(g.a, g.b, h.a, h.b))
 
     def inverse(self, g: GroupElement) -> GroupElement:
-        m = self.cyclic_order
-        if g.b == 0:
-            return GroupElement(-g.a % m, 0)
-        r, q = self.conj_exponent, self.y_square_exponent
-        return GroupElement((q - g.a * r) % m, 1)
+        """y^-b x^-a, where y^-1 = x^-q y."""
+        return GroupElement(*self._product(
+            -self.y_square_exponent * g.b, g.b, -g.a, 0))
 
     def conjugate(self, g: GroupElement, t: GroupElement) -> GroupElement:
         """t g t^-1."""
@@ -144,10 +144,8 @@ class GroupSpec:
     def all_elements(self) -> tuple[GroupElement, ...]:
         """Fixed enumeration order: x^0..x^(2^n - 1), then their y-coset."""
         m = self.cyclic_order
-        out = [GroupElement(a, 0) for a in range(m)]
-        if not self.is_abelian:
-            out += [GroupElement(a, 1) for a in range(m)]
-        return tuple(out)
+        return tuple(GroupElement(a, b)
+                     for b in range(self.order // m) for a in range(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,23 +195,27 @@ class Representation:
         return float(np.max(np.abs(residues)))
 
 
+def regular_permutations(G: GroupSpec) -> dict[str, np.ndarray]:
+    """phi as one index array per generator name: sigma[u] is the
+    all_elements index of L[u] g, where x^a y^b sits at a + b 2^n, so
+    phi(g) @ v == v[sigma]."""
+    m = G.cyclic_order
+    # every element times every generator in one call, on a grid with axes
+    # (generator, y-exponent, x-exponent)
+    a2, b2 = np.array([(g.a, g.b) for g in G.generators()]).T[..., None, None]
+    a, b = G._product(np.arange(m), np.arange(G.order // m)[:, None], a2, b2)
+    a += b * m
+    return dict(zip("xy", a.reshape(len(a2), G.order)))
+
+
 def regular_representation(G: GroupSpec) -> Representation:
     """Right regular representation in the all_elements basis.
 
     phi(g)[u, v] = 1 iff L[u] g = L[v]; with the perm_matrix convention
-    this makes phi a homomorphism, phi(g) phi(h) = phi(g h).
-    """
-    L = G.all_elements()
-    index = {h: i for i, h in enumerate(L)}
-
-    def image(g: GroupElement) -> Matrix:
-        m = np.zeros((len(L), len(L)), dtype=np.complex128)
-        for u, h in enumerate(L):
-            m[u, index[G.multiply(h, g)]] = 1.0
-        return m
-
-    images = {name: image(g) for name, g in zip("xy", G.generators())}
-    return Representation(group=G, degree=len(L), images=images)
+    this makes phi a homomorphism, phi(g) phi(h) = phi(g h)."""
+    eye = np.eye(G.order, dtype=np.complex128)
+    images = {k: eye[s] for k, s in regular_permutations(G).items()}
+    return Representation(group=G, degree=G.order, images=images)
 
 
 def cyclic_irreps(n: int) -> list[Representation]:
@@ -306,14 +308,18 @@ def induce(rho: Representation, G: GroupSpec,
     return Representation(group=G, degree=p * d, images=images)
 
 
+def _extendables(G: GroupSpec) -> np.ndarray:
+    """extendable_indices in increasing order, as an array."""
+    if G.is_abelian:
+        raise ValueError("extendability is about the non-abelian families")
+    m = G.cyclic_order
+    return np.arange(0, m, 2 if G.family is Family.QP else m // 2)
+
+
 def extendable_indices(G: GroupSpec) -> frozenset[int]:
     """Indices i with rho_i invariant under conjugation by y, i r = i mod 2^n.
 
     Dihedral, quaternion and qd share {0, 2^(n-1)}; for qp every even i
     extends.
     """
-    if G.is_abelian:
-        raise ValueError("extendability is about the non-abelian families")
-    m = G.cyclic_order
-    r = G.conj_exponent
-    return frozenset(i for i in range(m) if (i * r) % m == i)
+    return frozenset(_extendables(G).tolist())

@@ -28,7 +28,7 @@ import numpy as np
 # induce and kron are unused here but stay module attributes: qftbench's
 # tracer wraps synthesis.induce and synthesis.kron by name.
 from .groups import (  # noqa: F401
-    Family, GroupSpec, extendable_indices, induce)
+    Family, GroupSpec, _extendables, induce)
 from .linalg import Matrix, dft, is_unitary, kron, perm_matrix  # noqa: F401
 
 __all__ = [
@@ -49,6 +49,24 @@ class DecompositionResult:
     b: Matrix
 
 
+def _sequence(G: GroupSpec) -> np.ndarray:
+    """reorder_sequence as an array."""
+    if G.is_abelian:
+        raise ValueError("nothing to reorder for the cyclic family")
+    m = G.cyclic_order
+    if G.family is Family.QP:
+        # the lowest and highest index bits are the outer axes of this view
+        return np.arange(m).reshape(2, -1, 2).transpose(2, 1, 0).ravel()
+    # decimation: row k holds the pair (k, -k), and row 0 the extendables
+    k = np.arange(m // 2)
+    seq = np.stack([k, m - k], axis=1)
+    seq[0, 1] = m // 2
+    if G.family is Family.QD:
+        # row k holds odd characters exactly when k is odd
+        seq[1::2] = (seq[1::2] - m // 4) % m
+    return seq.ravel()
+
+
 def reorder_sequence(G: GroupSpec) -> tuple[int, ...]:
     """Target character order: position k of the reordered direct sum
     holds rho_{seq[k]}.
@@ -62,27 +80,7 @@ def reorder_sequence(G: GroupSpec) -> tuple[int, ...]:
       qd: the dihedral order pulled back through v -> v + 2^(n-2)*(v odd),
           which conjugates y-conjugation into plain negation
     """
-    if G.is_abelian:
-        raise ValueError("nothing to reorder for the cyclic family")
-    m = G.cyclic_order
-    half = m // 2
-    if G.family in (Family.DIHEDRAL, Family.QUATERNION):
-        seq = [0, half]
-        for k in range(1, half):
-            seq += [k, m - k]
-        return tuple(seq)
-    if G.family is Family.QP:
-        top = G.n - 1
-        out = []
-        for j in range(m):
-            low, high = j & 1, (j >> top) & 1
-            s = (j & ~(1 | (1 << top))) | high | (low << top)
-            out.append(s)
-        return tuple(out)
-    # qd
-    quarter = m // 4
-    base = reorder_sequence(GroupSpec(Family.DIHEDRAL, G.n))
-    return tuple((v - quarter) % m if v & 1 else v for v in base)
+    return tuple(_sequence(G).tolist())
 
 
 def reorder_permutation(G: GroupSpec) -> Matrix:
@@ -97,8 +95,8 @@ def _pairs(G: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     two apart (reorder_sequence's contract), and q is 0 or 2^(n-1), so the
     sign is exactly 1, or (-1)^i for the quaternion family."""
     m = G.cyclic_order
-    seq = np.array(reorder_sequence(G))
-    pos = np.arange(len(extendable_indices(G)), m, 2)
+    seq = _sequence(G)
+    pos = np.arange(len(_extendables(G)), m, 2)
     sign = np.where(seq[pos] * G.y_square_exponent % m == 0, 1.0, -1.0)
     return pos, sign
 
@@ -146,7 +144,7 @@ def assemble(G: GroupSpec) -> DecompositionResult:
         if G.n < 1:
             raise ValueError("the synthesis entry point needs n >= 1")
         return DecompositionResult(b=dft(m))
-    seq = np.array(reorder_sequence(G))
+    seq = _sequence(G)
     pos, sign = _pairs(G)
     swapped = seq.copy()
     swapped[pos], swapped[pos + 1] = seq[pos + 1], seq[pos]

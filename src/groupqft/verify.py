@@ -1,9 +1,10 @@
 """Independent checks of the transform and its circuits.
 
 Everything here is built to distrust `synthesis`: the regular
-representation comes from group multiplication alone, the census from
-the closed-form count table, and block positions from that census.  The
-only synthesis artifact a check touches is the matrix under test.
+representation comes from the group product alone, as one index array per
+generator (phi(g) @ v == v[sigma]), the census from the closed-form count
+table, and block positions from that census.  The only synthesis artifact
+a check touches is the matrix under test.
 `check_decomposition` grades the predicted blocks as two stacked arrays,
 1-dim and 2-dim summands, with whole-array operations.
 """
@@ -17,7 +18,9 @@ import numpy as np
 
 from .circuit import Circuit, cost, to_matrix
 from .circuit_library import qft_circuit
-from .groups import Family, GroupSpec, regular_representation
+from .groups import Family, GroupSpec, regular_permutations
+# unused here, but qftbench's tracer wraps verify.regular_representation
+from .groups import regular_representation  # noqa: F401
 from .linalg import Matrix
 from .synthesis import assemble
 
@@ -73,15 +76,6 @@ def census(G: GroupSpec) -> tuple[tuple[int, int], ...]:
     return ((1, 4), (2, (1 << (G.n - 1)) - 1))
 
 
-def _row_permutation(m: Matrix) -> np.ndarray:
-    """sigma with m @ b == b[sigma]; raises unless m is a permutation."""
-    sigma = np.argmax(np.abs(m), axis=1)
-    if not (np.count_nonzero(m) == len(m) and np.unique(sigma).size == len(m)
-            and np.all(m[np.arange(len(m)), sigma] == 1)):
-        raise AssertionError("phi(g) is not a permutation matrix")
-    return sigma
-
-
 def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
     """Conjugate the regular representation by b and grade the result
     against the predicted block structure.
@@ -94,10 +88,10 @@ def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
     b = np.asarray(b, dtype=np.complex128)
     if b.shape != (G.order, G.order):
         raise ValueError(f"matrix shape {b.shape} does not match |G| = {G.order}")
-    # phi's images (x, then y if non-abelian) are permutation matrices, so
-    # phi(g) b gathers b's rows; only the index arrays are kept.
-    perms = [_row_permutation(m)
-             for m in regular_representation(G).images.values()]
+    # phi(g) b gathers b's rows, for x and then y if non-abelian
+    perms = list(regular_permutations(G).values())
+    if not all(np.array_equal(np.sort(s), np.arange(G.order)) for s in perms):
+        raise AssertionError("phi(g) is not a permutation of range(|G|)")
     bh = b.conj().T
     conjugated = np.empty((len(perms), G.order, G.order), dtype=np.complex128)
     for m, sigma in zip(conjugated, perms):

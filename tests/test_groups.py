@@ -12,11 +12,43 @@ from groupqft.groups import (
     extendable_indices,
     induce,
     inner_conjugate,
+    regular_permutations,
     regular_representation,
 )
 from groupqft.linalg import dft
 
 NONABELIAN = [Family.DIHEDRAL, Family.QUATERNION, Family.QP, Family.QD]
+
+
+def _multiply_reference(G, g, h):
+    """The branching product that GroupSpec.multiply's one normal-form rule
+    replaced: moving x^a2 through y uses y x = x^r y (valid because
+    r^2 = 1), and y^2 collapses to x^q."""
+    m = G.cyclic_order
+    if g.b == 0:
+        return GroupElement((g.a + h.a) % m, h.b)
+    a = (g.a + h.a * G.conj_exponent) % m
+    if h.b == 1:
+        return GroupElement((a + G.y_square_exponent) % m, 0)
+    return GroupElement(a, 1)
+
+
+def _inverse_reference(G, g):
+    """The branching inverse that GroupSpec.inverse replaced."""
+    m = G.cyclic_order
+    if g.b == 0:
+        return GroupElement(-g.a % m, 0)
+    return GroupElement((G.y_square_exponent - g.a * G.conj_exponent) % m, 1)
+
+
+def _groups(n_max):
+    """Every family at every admitted n from its least up to n_max."""
+    return [GroupSpec(f, n) for f in Family
+            for n in range(1 if f is Family.CYCLIC else 3, n_max + 1)]
+
+
+def _ids(G):
+    return f"{G.family.value}-{G.n}"
 
 
 def test_spec_validation():
@@ -101,6 +133,73 @@ def test_defining_relations():
         assert G.multiply(y, y) == GroupElement(G.y_square_exponent, 0)
         conj = G.multiply(G.multiply(G.inverse(y), x), y)
         assert conj == GroupElement(G.conj_exponent % m, 0)
+
+
+@pytest.mark.parametrize("G", _groups(7), ids=_ids)
+def test_multiply_and_inverse_match_references_exhaustively(G):
+    elems = G.all_elements()
+    for g in elems:
+        assert G.inverse(g) == _inverse_reference(G, g)
+        for h in elems:
+            assert G.multiply(g, h) == _multiply_reference(G, g, h)
+
+
+@pytest.mark.parametrize("G", _groups(12), ids=_ids)
+def test_regular_permutations_match_reference_products(G):
+    # x^a y^b sits at index a + b 2^n of all_elements
+    m = G.cyclic_order
+    sigma = regular_permutations(G)
+    assert "".join(sigma) == "xy"[:len(G.generators())]
+    for name, g in zip("xy", G.generators()):
+        want = [h.a + h.b * m for h in (_multiply_reference(G, u, g)
+                                         for u in G.all_elements())]
+        assert sigma[name].tolist() == want
+
+
+@pytest.mark.parametrize("G", _groups(9), ids=_ids)
+def test_regular_representation_matches_reference_images(G):
+    # the dense images against a per-element loop over the reference
+    # product; at n = 9 each image is 1024 x 1024 (16 MiB), and past it
+    # they grow fourfold per step, so larger n check the index arrays only
+    L = G.all_elements()
+    index = {h: i for i, h in enumerate(L)}
+    phi = regular_representation(G)
+    for name, g in zip("xy", G.generators()):
+        want = np.zeros((len(L), len(L)), dtype=np.complex128)
+        for u, h in enumerate(L):
+            want[u, index[_multiply_reference(G, h, g)]] = 1.0
+        assert np.array_equal(phi.images[name], want)
+
+
+def _power(sigma, k):
+    """The index array sigma composed with itself k times."""
+    out = np.arange(len(sigma))
+    while k:
+        if k & 1:
+            out = sigma[out]
+        sigma = sigma[sigma]
+        k >>= 1
+    return out
+
+
+@pytest.mark.parametrize("family", NONABELIAN)
+@pytest.mark.parametrize("n", [3, 8, 16, 20])
+def test_regular_permutations_satisfy_relators(family, n):
+    # phi(g) @ v == v[sigma_g], so phi(g h) reads sigma_h[sigma_g]; this
+    # needs no |G| x |G| matrix, so it runs past the dense ceiling
+    G = GroupSpec(family, n)
+    m, r, q = G.cyclic_order, G.conj_exponent, G.y_square_exponent
+    sx, sy = regular_permutations(G).values()
+    identity = np.arange(G.order)
+    for sigma in (sx, sy):
+        assert np.array_equal(np.sort(sigma), identity)
+    # x has order exactly 2^n
+    half = _power(sx, m // 2)
+    assert not np.array_equal(half, identity)
+    assert np.array_equal(half[half], identity)
+    assert np.array_equal(sy[sy], _power(sx, q))
+    # y^-1 x y = x^r, written as x y = y x^r
+    assert np.array_equal(sy[sx], _power(sx, r)[sy])
 
 
 def test_all_elements_ordering():
@@ -242,3 +341,12 @@ def test_extendable_indices_per_family():
     assert len(extendable_indices(GroupSpec(Family.QP, 5))) == 16
     with pytest.raises(ValueError):
         extendable_indices(GroupSpec(Family.CYCLIC, 3))
+
+
+@pytest.mark.parametrize("family", NONABELIAN)
+@pytest.mark.parametrize("n", range(3, 13))
+def test_extendable_indices_match_invariance_loop(family, n):
+    G = GroupSpec(family, n)
+    m, r = G.cyclic_order, G.conj_exponent
+    want = frozenset(i for i in range(m) if (i * r) % m == i)
+    assert extendable_indices(G) == want

@@ -26,6 +26,33 @@ X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 XM = np.array([[0, 1], [-1, 0]], dtype=np.complex128)
 
 
+def _reorder_reference(G):
+    """The per-element loops that reorder_sequence's closed form replaced."""
+    m = G.cyclic_order
+    half = m // 2
+    if G.family in (Family.DIHEDRAL, Family.QUATERNION):
+        seq = [0, half]
+        for k in range(1, half):
+            seq += [k, m - k]
+        return tuple(seq)
+    if G.family is Family.QP:
+        top = G.n - 1
+        out = []
+        for j in range(m):
+            low, high = j & 1, (j >> top) & 1
+            out.append((j & ~(1 | (1 << top))) | high | (low << top))
+        return tuple(out)
+    base = _reorder_reference(GroupSpec(Family.DIHEDRAL, G.n))
+    return tuple((v - m // 4) % m if v & 1 else v for v in base)
+
+
+@pytest.mark.parametrize("family", NONABELIAN)
+@pytest.mark.parametrize("n", range(3, 13))
+def test_reorder_sequence_matches_loop_reference(family, n):
+    G = GroupSpec(family, n)
+    assert reorder_sequence(G) == _reorder_reference(G)
+
+
 def test_reorder_sequences_n3():
     assert reorder_sequence(GroupSpec(Family.DIHEDRAL, 3)) == (0, 4, 1, 7, 2, 6, 3, 5)
     assert reorder_sequence(GroupSpec(Family.QUATERNION, 3)) == (0, 4, 1, 7, 2, 6, 3, 5)
@@ -34,7 +61,7 @@ def test_reorder_sequences_n3():
 
 
 @pytest.mark.parametrize("family", NONABELIAN)
-@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize("n", [*range(3, 13), 16, 20])
 def test_reorder_sequence_structure(family, n):
     # extendables first, then conjugate pairs adjacent; synthesis reads the
     # pair positions off this contract
@@ -81,7 +108,7 @@ def test_twiddle_blocks_n3():
 
 
 @pytest.mark.parametrize("family", NONABELIAN)
-@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize("n", [*range(3, 13), 16, 20])
 def test_extendables_have_trivial_y_square_character(family, n):
     # the extension scalar of an extendable rho_i squares to
     # rho_i(y^2) = omega^(i q), so twiddle's epsilon = 1 needs i q = 0 mod 2^n

@@ -142,3 +142,29 @@ def test_mutated_text_raises_only_value_error(parse, source, data):
         parse(text)
     except ValueError:
         pass
+
+
+U_ID = "u=1,0,0,0,0,0,1,0"
+
+
+@pytest.mark.parametrize("controls, bad", [
+    ("0", "0"), ("", ""), ("0:+,", ""), ("0:+,1", "1"), ("+", "+"),
+    ("0:x", "0:x"), ("0;+", "0;+"),
+])
+def test_control_without_polarity_is_explained(controls, bad):
+    text = f"circuit width=3 gates=1\nmcu controls={controls} t=2 {U_ID}"
+    with pytest.raises(ValueError) as exc:
+        parse_circuit(text)
+    assert str(exc.value).startswith(
+        f"line 2: control must look like Q:+ or Q:-, got {bad!r}")
+
+
+@pytest.mark.parametrize("text, where", [
+    (f"circuit width=2 gates=1\nlocal q=0 q=1 {U_ID}", "line 2: repeated key q="),
+    ("circuit width=2 gates=1\ncnot c=0 t=1 c=1", "line 2: repeated key c="),
+    ("circuit width=2 width=3 gates=0", "line 1: repeated key width="),
+])
+def test_repeated_key_is_rejected(text, where):
+    with pytest.raises(ValueError) as exc:
+        parse_circuit(text)
+    assert str(exc.value).startswith(where)

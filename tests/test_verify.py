@@ -8,12 +8,12 @@ from conftest import random_unitary
 
 from groupqft.circuit import Circuit, cost
 from groupqft.circuit_library import qft_circuit, qft_cyclic_circuit
-from groupqft import verify
+from groupqft import groups, verify
 from groupqft.groups import (
     Family,
     GroupSpec,
-    Representation,
     extendable_indices,
+    regular_permutations,
     regular_representation,
 )
 from groupqft.linalg import dft
@@ -92,24 +92,36 @@ def test_check_decomposition_gather_matches_dense_conjugation(family):
         np.max(np.abs(b @ b.conj().T - np.eye(g.order))), abs=1e-15)
 
 
-@pytest.mark.parametrize("bad", ["scaled", "two_per_row", "repeated_column"])
+@pytest.mark.parametrize("bad", ["repeated_index", "out_of_range",
+                                 "wrong_length"])
 def test_check_decomposition_rejects_non_permutation_phi(monkeypatch, bad):
-    # the row gather is only valid for permutation images, so a faulty
-    # regular representation must fail loudly, not be graded
+    # the row gather is only valid when each index array is a bijection on
+    # range(|G|), so a faulty phi must fail loudly, not be graded
     g = GroupSpec(Family.DIHEDRAL, 3)
-    good = regular_representation(g)
-    x = np.array(good.images["x"])
-    if bad == "scaled":
-        x[0] *= 2.0
-    elif bad == "two_per_row":
-        x[0, (np.argmax(x[0]) + 1) % g.order] = 1.0
-    else:
+    good = regular_permutations(g)
+    x = good["x"].copy()
+    if bad == "repeated_index":
         x[1] = x[0]
-    faulty = Representation(group=g, degree=g.order,
-                            images={"x": x, "y": good.images["y"]})
-    monkeypatch.setattr(verify, "regular_representation", lambda G: faulty)
+    elif bad == "out_of_range":
+        # numpy would wrap this negative index back to the same row
+        x[0] -= g.order
+    else:
+        x = x[:-1]
+    monkeypatch.setattr(verify, "regular_permutations",
+                        lambda G: {"x": x, "y": good["y"]})
     with pytest.raises(AssertionError, match="not a permutation"):
         check_decomposition(assemble(g).b, g)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_check_decomposition_builds_no_dense_phi(monkeypatch, family):
+    def refuse(G):
+        raise AssertionError("dense regular representation requested")
+
+    monkeypatch.setattr(groups, "regular_representation", refuse)
+    monkeypatch.setattr(verify, "regular_representation", refuse)
+    g = GroupSpec(family, 3)
+    assert check_decomposition(assemble(g).b, g).passed()
 
 
 def test_check_decomposition_cyclic_dft():
@@ -281,7 +293,9 @@ def reference_check(b, g):
     iteration per summand, and rounded tuples as distinctness keys."""
     b = np.asarray(b, dtype=np.complex128)
     bh = b.conj().T
-    conjugated = [bh @ b[verify._row_permutation(m)]
+    # phi(g) @ b first: a permutation matrix times b is b's rows exactly,
+    # so the conjugate rounds as check_decomposition's row gather does
+    conjugated = [bh @ (m @ b)
                   for m in regular_representation(g).images.values()]
     unitarity = float(np.max(np.abs(b @ bh - np.eye(g.order))))
 
