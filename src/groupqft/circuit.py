@@ -24,9 +24,12 @@ product formula.  On wide states, each run of two or more consecutive
 gates confined to the low window (every qubit below `_WINDOW`) becomes
 one small dense matrix, which the state kernel builds for itself on
 2 * `_WINDOW` qubits and applies to the state's rows a block at a time.
-`to_matrix` stays unfused, so it remains the oracle.  They read the
-same gate data but share no evaluation code; tests play one against
-the other.
+`apply_to_state` also takes a (k, 2^width) batch of states and runs it
+as one state on the idle high qubits of a wider register; the window
+matrix is built that way, and `verify` reads a circuit's matrix as the
+batch run on the rows of the identity.  `to_matrix` stays unfused, so
+it remains the oracle.  They read the same gate data but share no
+evaluation code; tests play one against the other.
 
 `cost` sums the fixed per-gate weights of `gate_cost`.
 """
@@ -395,17 +398,14 @@ def _low_window_runs(gates: tuple[Gate, ...],
 def _apply_window(psi: np.ndarray, run: list[Gate]) -> None:
     """Apply consecutive low-window gates as one 2^k x 2^k matrix U.
 
-    U^T comes from this kernel, not from `to_matrix`: on 2k qubits, the
-    flattened identity holds basis state e_r of the low k qubits in row r
-    of the high k, so running the gates there leaves U e_r in row r.  The
+    U^T comes from this kernel, not from `to_matrix`: run on the rows of
+    the identity (`_run_rows`), the gates leave U e_r in row r.  The
     state, viewed as rows of 2^k amplitudes indexed by the low qubits, is
     then multiplied by U^T a block of rows at a time into a buffer of at
     most `_BLOCK` entries, and each block is copied back in place.
     """
     dim = 1 << _WINDOW
-    sub = Circuit(2 * _WINDOW, tuple(run))
-    ut = _run(sub, np.eye(dim, dtype=np.complex128).reshape(-1))
-    ut = ut.reshape(dim, dim)
+    ut = _run_rows(Circuit(_WINDOW, tuple(run)), np.eye(dim))
     rows = psi.reshape(-1, dim)
     step = min(_BLOCK // dim, rows.shape[0])
     buf = np.empty((step, dim), dtype=np.complex128)
@@ -416,11 +416,17 @@ def _apply_window(psi: np.ndarray, run: list[Gate]) -> None:
 
 
 def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
-    """Run the circuit on a state vector of length 2**width.
+    """Run the circuit on a state vector of length 2**width, or on each
+    row of a (k, 2**width) batch of states, k >= 1.
 
-    Returns a new array and never writes to `state`.  The copy is viewed
-    as a (2,)*width tensor whose axis width-1-q holds qubit q, and every
-    gate updates it in place:
+    Returns a new array of the same shape and never writes to `state`.
+    A batch runs as one state on width + m qubits, m = ceil(log2 k), with
+    row r on the idle high qubits that `embed` adds (`_run_rows`); rows
+    are zero-padded to 2^m only when k is not a power of two.  Run on the
+    identity, row r of the result is U e_r, so the result is U^T.
+
+    The copy is viewed as a (2,)*width tensor whose axis width-1-q holds
+    qubit q, and every gate updates it in place:
 
     - on `_FUSE_MIN_WIDTH` or more qubits, a run of two or more
       consecutive gates whose target and controls all lie below
@@ -449,11 +455,37 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     `to_matrix` applies every gate on its own, with neither kind of
     fusion, and is the oracle for this.
     """
-    psi = np.array(state, dtype=np.complex128, order="C")
-    if psi.shape != (1 << c.width,):
-        raise ValueError(
-            f"state has shape {psi.shape}, expected ({1 << c.width},)")
-    return _run(c, psi)
+    states = np.asarray(state)
+    dim = 1 << c.width
+    if states.ndim not in (1, 2) or states.shape[-1] != dim \
+            or states.size == 0:
+        raise ValueError(f"state has shape {states.shape}, expected "
+                         f"({dim},) or (k, {dim}) with k >= 1")
+    if states.ndim == 1:
+        return _run(c, np.array(states, dtype=np.complex128, order="C"))
+    return _run_rows(c, states)
+
+
+def _run_rows(c: Circuit, states: np.ndarray) -> np.ndarray:
+    """Apply the gates of `c` to each row of the (k, 2^width) array
+    `states`, as one state on width + m qubits, m = ceil(log2 k): row r
+    sits on the idle high qubits of `embed(c, width + m)`.
+
+    Returns a new (k, 2^width) array and never writes to `states`.  The
+    copy is handed to `_run` with no other reference, so a permutation
+    frees it as it does a single state's.
+    """
+    k, dim = states.shape
+    m = (k - 1).bit_length()
+    out = _run(embed(c, c.width + m), _padded_copy(states, 1 << m))
+    return out.reshape(1 << m, dim)[:k]
+
+
+def _padded_copy(states: np.ndarray, rows: int) -> np.ndarray:
+    """Flat complex copy of `states`, zero-padded to `rows` rows."""
+    out = np.zeros((rows, states.shape[1]), dtype=np.complex128)
+    out[:len(states)] = states
+    return out.reshape(-1)
 
 
 def _run(c: Circuit, psi: np.ndarray) -> np.ndarray:
@@ -461,9 +493,9 @@ def _run(c: Circuit, psi: np.ndarray) -> np.ndarray:
 
     Updates `psi` in place until a qubit permutation moves the state into
     a new array, and returns the result, flat.  `_apply_window` builds U
-    here rather than through `apply_to_state`, so that qftbench, which
-    traces `apply_to_state` calls and counts their gates, sees only the
-    circuits it was given.
+    through `_run_rows`, which calls this rather than `apply_to_state`, so
+    that qftbench, which traces `apply_to_state` calls and counts their
+    gates, sees only the circuits it was given.
     """
     top = c.width - 1
     psi = psi.reshape((2,) * c.width)

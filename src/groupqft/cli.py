@@ -31,7 +31,7 @@ from .circuit_library import qft_circuit, qft_factors
 from .groups import Family, GroupSpec
 from .linalg import Matrix
 from .synthesis import assemble
-from .verify import full_report
+from .verify import check_tolerance, full_report
 
 FAMILIES = {f.value: f for f in Family}
 
@@ -249,6 +249,7 @@ def _run_synth(args) -> int:
 
 def _run_verify(args) -> int:
     G = _check_n(FAMILIES[args.family], args.n, MATRIX_LEVEL_MAX)
+    check_tolerance(args.tol)
     rep = full_report(G)
     passed = rep.passed(args.tol)
     (n, total), = rep.cost_by_n

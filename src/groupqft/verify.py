@@ -16,7 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import Circuit, cost, to_matrix
+from .circuit import Circuit, apply_to_state, cost
+# unused here, but qftbench's tracer wraps verify.to_matrix
+from .circuit import to_matrix  # noqa: F401
 from .circuit_library import qft_circuit
 from .groups import Family, GroupSpec, regular_permutations
 # unused here, but qftbench's tracer wraps verify.regular_representation
@@ -28,6 +30,7 @@ __all__ = [
     "VerificationReport",
     "census",
     "check_decomposition",
+    "check_tolerance",
     "circuit_matches",
     "scaling_fit",
     "full_report",
@@ -58,13 +61,18 @@ class VerificationReport:
     cost_by_n: tuple[tuple[int, float], ...] = ()
 
     def passed(self, tol: float = 1e-10) -> bool:
-        if not (math.isfinite(tol) and tol > 0):
-            raise ValueError(f"tolerance must be finite and positive, got {tol}")
+        check_tolerance(tol)
         defects = [self.unitarity_defect, self.max_offblock,
                    self.equal_summands_defect]
         if not math.isnan(self.circuit_matrix_defect):
             defects.append(self.circuit_matrix_defect)
         return self.census_ok and all(d < tol for d in defects)
+
+
+def check_tolerance(tol: float) -> None:
+    """Raise ValueError unless tol is finite and positive."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
 
 def census(G: GroupSpec) -> tuple[tuple[int, int], ...]:
@@ -141,12 +149,21 @@ def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
 
 
 def circuit_matches(c: Circuit, b: Matrix) -> float:
-    """Max entrywise deviation of the circuit's matrix from b."""
+    """Max entrywise deviation of the circuit's matrix U from b.
+
+    The state kernel runs the circuit on the batch of basis states, the
+    rows of the identity, and row r of the result is U e_r: the result is
+    U^T, compared with b^T in place.  `to_matrix` is not called; it is
+    the tests' oracle for this.
+    """
     b = np.asarray(b, dtype=np.complex128)
-    if b.shape != (1 << c.width, 1 << c.width):
+    dim = 1 << c.width
+    if b.shape != (dim, dim):
         raise ValueError(
             f"matrix shape {b.shape} does not match circuit width {c.width}")
-    return float(np.max(np.abs(to_matrix(c) - b)))
+    ut = apply_to_state(c, np.eye(dim))
+    ut -= b.T
+    return float(np.max(np.abs(ut)))
 
 
 def scaling_fit(G: GroupSpec, ns: list[int]) -> float:

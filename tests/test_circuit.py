@@ -161,11 +161,15 @@ def test_apply_to_state_leaves_input_unchanged(real):
     state = rng.standard_normal(16)
     if not real:
         state = state + 1j * rng.standard_normal(16)
-    before = state.copy()
+    batch = np.stack([state, state[::-1], 2 * state])
+    before = state.copy(), batch.copy()
     for c in (Circuit(4), random_circuit(rng, 4, 20)):
-        out = apply_to_state(c, state)
-        assert not np.shares_memory(out, state)
-        assert np.array_equal(state, before)
+        for x in (state, batch):
+            out = apply_to_state(c, x)
+            assert out.shape == x.shape and out.dtype == np.complex128
+            assert not np.shares_memory(out, x)
+        assert np.array_equal(state, before[0])
+        assert np.array_equal(batch, before[1])
 
 
 # Reference simulator: pure-Python bit-mask loops over basis-state indices,
@@ -581,6 +585,65 @@ def test_fused_window_memory_peak(monkeypatch):
     v = np.random.default_rng(1230).standard_normal(1 << width) + 0j
     assert _traced_peak(c, v) <= 1.25 * v.nbytes
     assert calls == [len(c.gates)]
+
+
+# Batches: a (k, 2^w) array of rows runs as one state on w + ceil(log2 k)
+# qubits, so a wide enough batch of narrow states takes the fused path.
+
+def _batch_circuit(rng, width):
+    """Random gates with permutations, then a run confined to the low
+    window, then more random gates."""
+    head = random_circuit(rng, width, 10).gates
+    run = qft_cyclic_circuit(min(width, circuit_module._WINDOW)).gates[:-1]
+    tail = random_circuit(rng, width, 10).gates
+    perm = QubitPerm(tuple(int(s) for s in rng.permutation(width)))
+    return Circuit(width, (*head, perm, *run, *tail))
+
+
+@pytest.mark.parametrize("rows", ["1", "3", "4", "2^w"])
+@pytest.mark.parametrize("width", [3, 6, 7, 8])
+def test_batch_matches_rows_and_to_matrix(width, rows, monkeypatch):
+    # w + m reaches _FUSE_MIN_WIDTH only for 2^w rows at widths 7 and 8
+    calls = _window_spy(monkeypatch)
+    rng = np.random.default_rng(1300 + width)
+    c = _batch_circuit(rng, width)
+    k = 1 << width if rows == "2^w" else int(rows)
+    dim = 1 << width
+    states = rng.standard_normal((k, dim)) + 1j * rng.standard_normal((k, dim))
+    before = states.copy()
+    got = apply_to_state(c, states)
+    wide = width + (k - 1).bit_length()
+    assert (len(calls) > 0) == (wide >= circuit_module._FUSE_MIN_WIDTH)
+    assert got.shape == (k, dim)
+    assert np.array_equal(states, before)
+    assert not np.shares_memory(got, states)
+    per_row = np.stack([apply_to_state(c, v) for v in states])
+    assert np.max(np.abs(got - per_row)) < 1e-12
+    assert np.max(np.abs(got - states @ to_matrix(c).T)) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(0, 8), (2, 9), (2, 2, 8), ()])
+def test_apply_to_state_rejects_malformed_batches(shape):
+    with pytest.raises(ValueError, match="expected"):
+        apply_to_state(Circuit(3), np.zeros(shape))
+
+
+def test_window_build_runs_no_public_entry(monkeypatch):
+    # qftbench counts the gates of apply_to_state calls; a fused run's
+    # matrix must be built below it
+    seen = []
+    inner = circuit_module.apply_to_state
+
+    def spy(c, state):
+        seen.append(len(c.gates))
+        return inner(c, state)
+    monkeypatch.setattr(circuit_module, "apply_to_state", spy)
+    calls = _window_spy(monkeypatch)
+    c = Circuit(circuit_module._FUSE_MIN_WIDTH,
+                qft_cyclic_circuit(circuit_module._WINDOW).gates[:-1])
+    circuit_module.apply_to_state(c, np.eye(2, 1 << c.width))
+    assert calls == [len(c.gates)]
+    assert seen == [len(c.gates)]
 
 
 # Reference dense gate matrix: a pure-Python loop over the rows, with the

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import groupqft
+from groupqft import cli
 from groupqft.circuit import to_matrix
 from groupqft.circuit_library import qft_circuit
 from groupqft.cli import (
@@ -92,6 +93,16 @@ def test_verify_rejects_bad_tolerance(capsys, tol):
     captured = capsys.readouterr()
     assert "tolerance must be finite and positive" in captured.err
     assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_verify_rejects_bad_tolerance_before_the_report(monkeypatch, capsys,
+                                                        tol):
+    def fail(G):
+        raise AssertionError("full_report ran before --tol was checked")
+    monkeypatch.setattr(cli, "full_report", fail)
+    assert main(["verify", "--family", "qd", "--n", "8", "--tol", tol]) == 2
+    assert "tolerance must be finite and positive" in capsys.readouterr().err
 
 
 def test_count_qp_reorder_twiddle_equalizer_constant(capsys):

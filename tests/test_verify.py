@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import random_unitary
 
-from groupqft.circuit import Circuit, cost
-from groupqft.circuit_library import qft_circuit, qft_cyclic_circuit
+from groupqft.circuit import H_MATRIX, Circuit, Local, cost, to_matrix
+from groupqft.circuit_library import qft_circuit, qft_cyclic_circuit, qft_factors
 from groupqft import groups, verify
 from groupqft.groups import (
     Family,
@@ -141,6 +142,70 @@ def test_circuit_matches_identity():
     assert circuit_matches(Circuit(3), np.eye(8)) == 0.0
     with pytest.raises(ValueError):
         circuit_matches(Circuit(2), np.eye(8))
+
+
+# circuit_matches runs the circuit on the identity's rows through the state
+# kernel; to_matrix is the independent route it must agree with.
+
+ORACLE_GROUPS = [GroupSpec(f, n) for f in Family
+                 for n in range(1 if f is Family.CYCLIC else 3, 9)]
+
+
+def _to_matrix_defect(c, b):
+    return float(np.max(np.abs(to_matrix(c) - b)))
+
+
+@pytest.mark.parametrize("g", ORACLE_GROUPS,
+                         ids=lambda g: f"{g.family.value}-{g.n}")
+def test_circuit_matches_agrees_with_to_matrix(g):
+    b = assemble(g).b
+    c = qft_circuit(g)
+    assert abs(circuit_matches(c, b) - _to_matrix_defect(c, b)) < 1e-13
+
+
+def _drop_one_cyclic_hadamard(g):
+    """qft_circuit(g) without the first Hadamard of its cyclic factor."""
+    gates = []
+    for name, f in qft_factors(g):
+        run = list(f.gates)
+        if name == "cyclic":
+            k = next(i for i, h in enumerate(run) if isinstance(h, Local)
+                     and np.array_equal(h.u, H_MATRIX))
+            del run[k]
+        gates += run
+    return Circuit(qft_circuit(g).width, tuple(gates))
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_planted_gate_change_reads_on_both_routes(family):
+    g = GroupSpec(family, 4)
+    b = assemble(g).b
+    c = _drop_one_cyclic_hadamard(g)
+    assert len(c) == len(qft_circuit(g)) - 1
+    defect = circuit_matches(c, b)
+    assert defect > 1e-3
+    assert abs(defect - _to_matrix_defect(c, b)) < 1e-13
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_full_report_memory_peak():
+    # the dense check_decomposition sets full_report's peak, 22.14 MiB or
+    # 5.534 b.nbytes at qd n = 8, as it did when to_matrix read the
+    # circuit; the batch through the state kernel holds the real identity,
+    # its complex copy and one permutation's new array, 2.5 b.nbytes
+    g = GroupSpec(Family.QD, 8)
+    b = assemble(g).b
+    c = qft_circuit(g)
+    assert _traced_peak(lambda: full_report(g)) <= 5.54 * b.nbytes
+    assert _traced_peak(lambda: circuit_matches(c, b)) <= 4 * b.nbytes
 
 
 def test_scaling_fit_cyclic_closed_form():
