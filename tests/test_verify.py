@@ -198,9 +198,9 @@ def _traced_peak(fn):
 
 def test_full_report_memory_peak():
     # the dense check_decomposition sets full_report's peak, 22.14 MiB or
-    # 5.534 b.nbytes at qd n = 8, as it did when to_matrix read the
-    # circuit; the batch through the state kernel holds the real identity,
-    # its complex copy and one permutation's new array, 2.5 b.nbytes
+    # 5.534 b.nbytes at qd n = 8; the batch through the state kernel holds
+    # the real identity, its complex copy and one permutation's new array,
+    # 2.5 b.nbytes
     g = GroupSpec(Family.QD, 8)
     b = assemble(g).b
     c = qft_circuit(g)
