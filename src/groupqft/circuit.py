@@ -15,29 +15,28 @@ Two independent evaluation routes are kept deliberately separate:
 `to_matrix` multiplies each gate's action, one gate at a time, into the
 running product row pair by row pair, on flat basis indices selected by
 bit masks, while `apply_to_state` updates a `(2,)*width` tensor view of
-the state in place, one axis per qubit.  The state kernel reads each
-gate's `u`: diagonal gates only scale, and a run of diag(1, z) gates on
-one target is fused into one broadcast multiply of the target-1 half.
-A mixing gate walks the two target halves of its block in cache-sized
-pieces: X swaps them, the Hadamard is a butterfly, and any other u is a
-product formula.  On wide states, each run of two or more consecutive
-gates confined to the low window (every qubit below `_WINDOW`) becomes
-one small dense matrix, which the state kernel builds for itself on
-2 * `_WINDOW` qubits and applies to the state's rows a block at a time.
-`apply_to_state` also takes a (k, 2^width) batch of states and runs it
-as one state on the idle high qubits of a wider register; the window
-matrix is built that way, and `verify` reads a circuit's matrix as the
-batch run on the rows of the identity.  `to_matrix` stays unfused, so
-it remains the oracle.  They read the same gate data but share no
-evaluation code; tests play one against the other.
+the state in place, one axis per qubit.  They read the same gate data
+but share no evaluation code; tests play one against the other.
+`to_matrix` stays unfused, so it remains the oracle.
+
+The state kernel groups the gates in one pass (`_segments`), by one key
+per gate.  On a state of at least `_FUSE_MIN_WIDTH` qubits, a gate whose
+target and controls all lie below `_WINDOW` (the low window) has the
+window key.  Otherwise a diag(1, z) gate with at most log2(`_PHASE_CAP`)
+controls has its target as phase key, and any other gate has none.  Each
+run of two or more consecutive gates with one key is applied at once, a
+window run as one small dense matrix and a phase run as one broadcast
+multiply; every other gate, a lone one with a key included, runs on its
+own.  `apply_to_state` describes each kernel.
 
 `cost` sums the fixed per-gate weights of `gate_cost`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -341,17 +340,15 @@ def _apply_2x2(a0: np.ndarray, a1: np.ndarray, u: Matrix) -> None:
             b1 += t
 
 
-def _apply_phase_run(psi: np.ndarray, top: int, run: list[Gate]) -> None:
-    """Apply consecutive diag(1, z) gates that share one target.
+def _apply_phase_run(psi: np.ndarray, run: list[Gate]) -> None:
+    """Apply consecutive diag(1, z) gates that share one target, on a
+    tensor whose axis top-q holds qubit q.
 
-    A lone gate is scaled on its own block like any diagonal gate.  A
-    longer run multiplies the target-1 half by the product of the gates'
-    factors, applied early whenever the product could pass `_PHASE_CAP`
-    entries, so no temporary near the size of the state is built.
+    The target-1 half is multiplied by the product of the gates' factors,
+    applied early whenever the product could pass `_PHASE_CAP` entries,
+    so no temporary near the size of the state is built.
     """
-    if len(run) == 1:
-        _apply_2x2(*_halves(psi, top, run[0]), run[0].u)
-        return
+    top = psi.ndim - 1
     idx = [slice(None)] * (top + 1)
     idx[top - run[0].target] = _BIT[1]
     half = psi[tuple(idx)]
@@ -364,35 +361,6 @@ def _apply_phase_run(psi: np.ndarray, top: int, run: list[Gate]) -> None:
         else:
             phase = phase * f
     half *= phase
-
-
-def _in_window(g: Gate) -> bool:
-    """True for a 2x2 gate whose target and controls all lie below
-    `_WINDOW`; a qubit permutation spans every qubit, so never."""
-    return not isinstance(g, QubitPerm) and max(_gate_qubits(g)) < _WINDOW
-
-
-def _low_window_runs(gates: tuple[Gate, ...],
-                     fuse: bool) -> Iterator[Gate | list[Gate]]:
-    """The gates in order, with each maximal run of two or more
-    consecutive low-window gates gathered into one list when `fuse` is
-    set.  A lone low-window gate stays on its own: at width 21 its own
-    kernel takes 3-23 ms, one fused matrix 17-19 ms."""
-    window: list[Gate] = []
-    for g in gates:
-        if fuse and _in_window(g):
-            window.append(g)
-            continue
-        if len(window) > 1:
-            yield window
-        else:
-            yield from window
-        window = []
-        yield g
-    if len(window) > 1:
-        yield window
-    else:
-        yield from window
 
 
 def _apply_window(psi: np.ndarray, run: list[Gate]) -> None:
@@ -415,37 +383,70 @@ def _apply_window(psi: np.ndarray, run: list[Gate]) -> None:
         block[...] = buf
 
 
+def _segments(gates: tuple[Gate, ...], fuse: bool
+              ) -> Iterator[tuple[Callable | None, Gate | list[Gate]]]:
+    """The gates in order, grouped by the rule of the module docstring.
+
+    Each run of two or more consecutive gates with one key comes as
+    (`_apply_window` or `_apply_phase_run`, the run), and every other
+    gate as (None, gate).  Both functions are read from the module when a
+    run is found, so a test may replace them.  A window gate has no phase
+    key, so a lone one runs on its own: at width 21 its own kernel takes
+    3-23 ms, one fused matrix 17-19 ms.
+    """
+    def key(g: Gate) -> str | int | None:
+        if isinstance(g, QubitPerm):
+            return None
+        if fuse and max(_gate_qubits(g)) < _WINDOW:
+            return "window"
+        u = g.u
+        if (u[0, 0] == 1 and u[0, 1] == 0 and u[1, 0] == 0
+                and 1 << len(g.controls) <= _PHASE_CAP):
+            return g.target
+        return None
+
+    for k, group in groupby(gates, key):
+        run = list(group)
+        if k is None or len(run) == 1:
+            for g in run:
+                yield None, g
+        else:
+            yield (_apply_window if k == "window" else _apply_phase_run), run
+
+
 def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit on a state vector of length 2**width, or on each
     row of a (k, 2**width) batch of states, k >= 1.
 
     Returns a new array of the same shape and never writes to `state`.
-    A batch runs as one state on width + m qubits, m = ceil(log2 k), with
-    row r on the idle high qubits that `embed` adds (`_run_rows`); rows
-    are zero-padded to 2^m only when k is not a power of two.  Run on the
-    identity, row r of the result is U e_r, so the result is U^T.
+    A single state runs as a batch of one row.  A batch runs as one state
+    on width + m qubits, m = ceil(log2 k), with row r on the idle high
+    qubits that `embed` adds (`_run_rows`); rows are zero-padded to 2^m
+    only when k is not a power of two.  Run on the identity, row r of the
+    result is U e_r, so the result is U^T.
 
     The copy is viewed as a (2,)*width tensor whose axis width-1-q holds
-    qubit q, and every gate updates it in place:
+    qubit q, and is updated in place, its gates grouped as the module
+    docstring states:
 
-    - on `_FUSE_MIN_WIDTH` or more qubits, a run of two or more
+    - on `_FUSE_MIN_WIDTH` or more qubits, a window run (two or more
       consecutive gates whose target and controls all lie below
-      `_WINDOW` = k is fused into one 2^k x 2^k matrix U.  This kernel
-      builds U^T on 2k qubits, below the threshold, and the state's rows
-      of 2^k amplitudes are multiplied by it a block at a time through a
-      buffer of at most `_BLOCK` entries (`_apply_window`).  A pending
-      phase run is applied first;
-    - a run of two or more consecutive diag(1, z) gates on one target is
-      fused: each gate contributes a small factor over its control axes,
-      and the product scales the target-1 half in one broadcast multiply,
-      applied early whenever it could pass `_PHASE_CAP` entries;
-    - any other diagonal gate, a lone diag(1, z) among them, scales the
-      halves of its control-selected block whose entry is not 1;
-    - any other 2x2 gate mixes the two target-axis halves of its block
-      in paired pieces of at most `_BLOCK` entries: an anti-diagonal u
-      swaps them, a real multiple of [[1, 1], [1, -1]] (the Hadamard) is
-      a butterfly, and any other u a product formula (`_apply_2x2`);
-    - a qubit permutation is an axis transpose.
+      `_WINDOW` = k) is one 2^k x 2^k matrix U.  This kernel builds U^T
+      on 2k qubits, below the threshold, and the state's rows of 2^k
+      amplitudes are multiplied by it a block at a time through a buffer
+      of at most `_BLOCK` entries (`_apply_window`);
+    - a phase run (two or more consecutive diag(1, z) gates on one
+      target, outside a window run) scales the target-1 half by the
+      product of each gate's small factor over its control axes, in one
+      broadcast multiply, applied early whenever it could pass
+      `_PHASE_CAP` entries (`_apply_phase_run`);
+    - every other gate runs on its own.  A diagonal gate scales the
+      halves of its control-selected block whose entry is not 1.  Any
+      other 2x2 gate mixes the two target-axis halves of its block in
+      paired pieces of at most `_BLOCK` entries: an anti-diagonal u swaps
+      them, a real multiple of [[1, 1], [1, -1]] (the Hadamard) is a
+      butterfly, and any other u a product formula (`_apply_2x2`).  A
+      qubit permutation is an axis transpose.
 
     Scaling and phase runs need no blocking: each is one in-place
     multiply per half and builds no state-sized temporary, whereas the
@@ -461,9 +462,7 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
             or states.size == 0:
         raise ValueError(f"state has shape {states.shape}, expected "
                          f"({dim},) or (k, {dim}) with k >= 1")
-    if states.ndim == 1:
-        return _run(c, np.array(states, dtype=np.complex128, order="C"))
-    return _run_rows(c, states)
+    return _run_rows(c, states.reshape(-1, dim)).reshape(states.shape)
 
 
 def _run_rows(c: Circuit, states: np.ndarray) -> np.ndarray:
@@ -473,11 +472,12 @@ def _run_rows(c: Circuit, states: np.ndarray) -> np.ndarray:
 
     Returns a new (k, 2^width) array and never writes to `states`.  The
     copy is handed to `_run` with no other reference, so a permutation
-    frees it as it does a single state's.
+    can free it when it moves the state into a new array.
     """
     k, dim = states.shape
     m = (k - 1).bit_length()
-    out = _run(embed(c, c.width + m), _padded_copy(states, 1 << m))
+    out = _run(embed(c, c.width + m) if m else c,
+               _padded_copy(states, 1 << m))
     return out.reshape(1 << m, dim)[:k]
 
 
@@ -499,31 +499,16 @@ def _run(c: Circuit, psi: np.ndarray) -> np.ndarray:
     """
     top = c.width - 1
     psi = psi.reshape((2,) * c.width)
-    run: list[Gate] = []   # pending diag(1, z) gates on one target
-    for g in _low_window_runs(c.gates, c.width >= _FUSE_MIN_WIDTH):
-        if isinstance(g, list):
-            if run:
-                _apply_phase_run(psi, top, run)
-                run = []
-            _apply_window(psi, g)
-            continue
-        u = None if isinstance(g, QubitPerm) else g.u
-        fusable = (u is not None and u[0, 0] == 1 and u[0, 1] == 0
-                   and u[1, 0] == 0 and 1 << len(g.controls) <= _PHASE_CAP)
-        if run and not (fusable and g.target == run[0].target):
-            _apply_phase_run(psi, top, run)
-            run = []
-        if u is None:
+    for apply, g in _segments(c.gates, c.width >= _FUSE_MIN_WIDTH):
+        if apply is not None:
+            apply(psi, g)
+        elif isinstance(g, QubitPerm):
             axes = [0] * c.width
             for q, s in enumerate(g.sigma):
                 axes[top - s] = top - q
             psi = np.ascontiguousarray(psi.transpose(axes))
-        elif fusable:
-            run.append(g)
         else:
-            _apply_2x2(*_halves(psi, top, g), u)
-    if run:
-        _apply_phase_run(psi, top, run)
+            _apply_2x2(*_halves(psi, top, g), g.u)
     return psi.reshape(-1)
 
 

@@ -252,23 +252,22 @@ def _run_verify(args) -> int:
     check_tolerance(args.tol)
     rep = full_report(G)
     passed = rep.passed(args.tol)
-    (n, total), = rep.cost_by_n
     if args.format == "structured":
-        print(f"verify family={args.family} n={n} "
+        print(f"verify family={args.family} n={G.n} "
               f"unitarity={rep.unitarity_defect:.3e} "
               f"offblock={rep.max_offblock:.3e} "
               f"equal={rep.equal_summands_defect:.3e} "
               f"census={int(rep.census_ok)} "
               f"circuit={rep.circuit_matrix_defect:.3e} "
-              f"cost={total:g} pass={int(passed)}")
+              f"cost={rep.cost:g} pass={int(passed)}")
     else:
-        print(f"family={args.family} n={n} |G|={G.order}")
+        print(f"family={args.family} n={G.n} |G|={G.order}")
         print(f"unitarity_defect       {rep.unitarity_defect:.3e}")
         print(f"max_offblock           {rep.max_offblock:.3e}")
         print(f"equal_summands_defect  {rep.equal_summands_defect:.3e}")
         print(f"census_ok              {'yes' if rep.census_ok else 'NO'}")
         print(f"circuit_matrix_defect  {rep.circuit_matrix_defect:.3e}")
-        print(f"total_cost             {total:g}")
+        print(f"total_cost             {rep.cost:g}")
         print(f"result                 "
               f"{'PASS' if passed else 'FAIL'} (tol={args.tol:g})")
     return 0 if passed else 3

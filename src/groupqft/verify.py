@@ -50,6 +50,8 @@ class VerificationReport:
     census_ok covers the structural claims: block counts by distinctness
     match the census, 1-dim blocks are unit-modulus characters, and 2-dim
     blocks are irreducible (non-commuting generator images).
+    circuit_matrix_defect and cost, the circuit's total `cost`, are NaN
+    on a report that checked no circuit.
     """
 
     group: GroupSpec
@@ -58,7 +60,7 @@ class VerificationReport:
     equal_summands_defect: float
     census_ok: bool
     circuit_matrix_defect: float = math.nan
-    cost_by_n: tuple[tuple[int, float], ...] = ()
+    cost: float = math.nan
 
     def passed(self, tol: float = 1e-10) -> bool:
         check_tolerance(tol)
@@ -190,5 +192,5 @@ def full_report(G: GroupSpec) -> VerificationReport:
     return replace(
         report,
         circuit_matrix_defect=circuit_matches(c, b),
-        cost_by_n=((G.n, cost(c)),),
+        cost=cost(c),
     )

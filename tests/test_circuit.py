@@ -619,6 +619,8 @@ def test_batch_matches_rows_and_to_matrix(width, rows, monkeypatch):
     assert not np.shares_memory(got, states)
     per_row = np.stack([apply_to_state(c, v) for v in states])
     assert np.max(np.abs(got - per_row)) < 1e-12
+    # a single state runs as the one-row batch
+    assert np.array_equal(apply_to_state(c, states[:1])[0], per_row[0])
     assert np.max(np.abs(got - states @ to_matrix(c).T)) < 1e-12
 
 
@@ -644,6 +646,79 @@ def test_window_build_runs_no_public_entry(monkeypatch):
     circuit_module.apply_to_state(c, np.eye(2, 1 << c.width))
     assert calls == [len(c.gates)]
     assert seen == [len(c.gates)]
+
+
+# Grouping: one key per gate, and each run of two or more consecutive
+# gates with one key goes to _apply_window or _apply_phase_run.
+
+def _phase_spy(monkeypatch):
+    """Record (target, length) of each phase run apply_to_state fuses."""
+    calls = []
+    inner = circuit_module._apply_phase_run
+
+    def spy(psi, run):
+        calls.append((run[0].target, len(run)))
+        inner(psi, run)
+    monkeypatch.setattr(circuit_module, "_apply_phase_run", spy)
+    return calls
+
+
+@pytest.mark.parametrize("width", [12, 16])
+def test_cyclic_cascade_fuses_one_phase_run_per_target(width, monkeypatch):
+    # target j carries j phase gates; the lone one on qubit 1 runs on its
+    # own, and at width 16 targets 5..0 are one window run whose 12-qubit
+    # build fuses the phase runs of targets 5..2
+    calls = _phase_spy(monkeypatch)
+    windows = _window_spy(monkeypatch)
+    apply_to_state(qft_cyclic_circuit(width), np.ones(1 << width))
+    assert calls == [(t, t) for t in range(width - 1, 1, -1)]
+    assert len(windows) == (width >= circuit_module._FUSE_MIN_WIDTH)
+
+
+def test_phase_runs_break_on_every_other_key(monkeypatch):
+    # another target, a mixing gate on the same target, a permutation and
+    # an eleven-control phase gate (2**11 entries, past _PHASE_CAP) each
+    # end a run; a lone phase gate is not a run
+    calls = _phase_spy(monkeypatch)
+    rng = np.random.default_rng(1400)
+    ph = functools.partial(_phase_gate, rng)
+    width = 13
+    gates = [
+        ph(((0, True),), 12), ph(((1, False),), 12),
+        ph(((2, True),), 11), ph(((3, True),), 11),
+        ph(((4, True),), 12), ph(((5, True),), 12),
+        Local(random_unitary(rng, 2), 12),
+        ph(((6, True),), 12), ph(((7, False),), 12), ph(((8, True),), 12),
+        QubitPerm(tuple(int(s) for s in rng.permutation(width))),
+        ph(((0, True),), 12), ph(((9, True),), 12),
+        ph(tuple((k, k % 2 == 0) for k in range(11)), 12),
+        ph(((10, True),), 12), ph(((11, True),), 12),
+        ph(((0, True),), 5),
+    ]
+    state = _random_state(rng, width)
+    got = apply_to_state(Circuit(width, tuple(gates)), state)
+    assert calls == [(12, 2), (11, 2), (12, 2), (12, 3), (12, 2), (12, 2)]
+    assert np.max(np.abs(got - _reference_chain(gates, state))) < 1e-12
+
+
+def test_lone_window_phase_gate_splits_a_phase_run(monkeypatch):
+    # the window key comes first: a lone low-window phase gate between
+    # phase gates on its target whose controls leave the window runs on
+    # its own, and the phase run around it falls into two
+    calls = _phase_spy(monkeypatch)
+    windows = _window_spy(monkeypatch)
+    rng = np.random.default_rng(1410)
+    ph = functools.partial(_phase_gate, rng)
+    width = circuit_module._FUSE_MIN_WIDTH
+    k = circuit_module._WINDOW
+    gates = [ph(((k + 1, True),), 2), ph(((width - 1, False),), 2),
+             ph(((0, True),), 2),
+             ph(((k, True),), 2), ph(((k + 2, True),), 2)]
+    state = _random_state(rng, width)
+    got = apply_to_state(Circuit(width, tuple(gates)), state)
+    assert calls == [(2, 2), (2, 2)]
+    assert windows == []
+    assert np.max(np.abs(got - _reference_chain(gates, state))) < 1e-12
 
 
 # Reference dense gate matrix: a pure-Python loop over the rows, with the

@@ -252,9 +252,8 @@ def test_full_report(family):
     report = full_report(g)
     assert report.passed()
     assert report.circuit_matrix_defect < 1e-10
-    ((n, c),) = report.cost_by_n
-    assert n == 3
-    assert c == cost(qft_circuit(g))
+    assert report.group == g
+    assert report.cost == cost(qft_circuit(g))
 
 
 def test_quaternion_n8_offblock_is_at_rounding_level():
