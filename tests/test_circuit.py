@@ -678,7 +678,8 @@ def test_cyclic_cascade_fuses_one_phase_run_per_target(width, monkeypatch):
 def test_phase_runs_break_on_every_other_key(monkeypatch):
     # another target, a mixing gate on the same target, a permutation and
     # an eleven-control phase gate (2**11 entries, past _PHASE_CAP) each
-    # end a run; a lone phase gate is not a run
+    # end a run, while a ten-control one joins it; a lone phase gate is
+    # not a run
     calls = _phase_spy(monkeypatch)
     rng = np.random.default_rng(1400)
     ph = functools.partial(_phase_gate, rng)
@@ -690,14 +691,16 @@ def test_phase_runs_break_on_every_other_key(monkeypatch):
         Local(random_unitary(rng, 2), 12),
         ph(((6, True),), 12), ph(((7, False),), 12), ph(((8, True),), 12),
         QubitPerm(tuple(int(s) for s in rng.permutation(width))),
-        ph(((0, True),), 12), ph(((9, True),), 12),
+        ph(((0, True),), 12),
+        ph(tuple((k, k % 2 == 1) for k in range(10)), 12),
+        ph(((9, True),), 12),
         ph(tuple((k, k % 2 == 0) for k in range(11)), 12),
         ph(((10, True),), 12), ph(((11, True),), 12),
         ph(((0, True),), 5),
     ]
     state = _random_state(rng, width)
     got = apply_to_state(Circuit(width, tuple(gates)), state)
-    assert calls == [(12, 2), (11, 2), (12, 2), (12, 3), (12, 2), (12, 2)]
+    assert calls == [(12, 2), (11, 2), (12, 2), (12, 3), (12, 3), (12, 2)]
     assert np.max(np.abs(got - _reference_chain(gates, state))) < 1e-12
 
 
