@@ -34,6 +34,7 @@ own.  `apply_to_state` describes each kernel.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import groupby
@@ -42,7 +43,7 @@ import numpy as np
 
 # kron is unused here but stays a module attribute: qftbench's tracer
 # wraps circuit.kron by name.
-from .linalg import Matrix, is_unitary, kron  # noqa: F401
+from .linalg import Matrix, kron  # noqa: F401
 
 GATE_EPS = 1e-12
 
@@ -52,9 +53,29 @@ H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.
 
 
 def _check_2x2_unitary(u: Matrix) -> None:
+    """Raise ValueError unless `u` is a 2x2 unitary within GATE_EPS.
+
+    The check is closed form on Python scalars.  With rows (a, b) and
+    (c, d), every entry of u u^H - I must be below GATE_EPS in magnitude:
+    the row norms |a|^2 + |b|^2 - 1 and |c|^2 + |d|^2 - 1, and the
+    off-diagonal a c* + b d* (the other off-diagonal entry is its
+    conjugate).  Each defect is compared on its own, so a NaN or an
+    infinity in any entry fails the check.  The tests hold it to
+    `linalg.is_unitary(u, GATE_EPS)`, which forms the same product with
+    numpy and costs several numpy calls per gate.
+    """
     if u.shape != (2, 2):
         raise ValueError(f"gate unitary must be 2x2, got {u.shape}")
-    if not is_unitary(u, GATE_EPS):
+    (a, b), (c, d) = u.tolist()
+    off = a * c.conjugate() + b * d.conjugate()
+    defects = (
+        (a * a.conjugate() + b * b.conjugate()).real - 1.0,
+        (c * c.conjugate() + d * d.conjugate()).real - 1.0,
+        # math.hypot, not abs(off): abs of a large finite complex raises
+        # OverflowError
+        math.hypot(off.real, off.imag),
+    )
+    if not all(abs(x) < GATE_EPS for x in defects):
         raise ValueError("gate matrix is not unitary")
 
 

@@ -43,7 +43,8 @@ __all__ = [
 
 def _phase(k: int) -> np.ndarray:
     """diag(1, exp(2 pi i / 2**k))."""
-    return np.diag([1.0, np.exp(2j * np.pi / (1 << k))]).astype(np.complex128)
+    return np.array([[1.0, 0.0], [0.0, np.exp(2j * np.pi / (1 << k))]],
+                    dtype=np.complex128)
 
 
 def qft_cyclic_circuit(n: int) -> Circuit:

@@ -40,15 +40,15 @@ GATE_LEVEL_MAX = 16
 MATRIX_LEVEL_MAX = 8
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _re_im(z: complex) -> str:
+    """re,im of one entry, each with 17 significant digits."""
+    return f"{format(z.real, '.17g')},{format(z.imag, '.17g')}"
 
 
 def _fmt_u(u: Matrix) -> str:
-    parts = []
-    for v in np.asarray(u).ravel():
-        parts += [_fmt(v.real), _fmt(v.imag)]
-    return ",".join(parts)
+    # tolist() gives Python complex entries: formatting them skips a
+    # numpy scalar and a float() conversion per part
+    return ",".join(map(_re_im, u.ravel().tolist()))
 
 
 def _parse_u(token: str) -> np.ndarray:
@@ -165,7 +165,7 @@ def format_matrix(m: Matrix) -> str:
     m = np.asarray(m, dtype=np.complex128)
     lines = [f"matrix rows={m.shape[0]} cols={m.shape[1]}"]
     for row in m:
-        lines.append(" ".join(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in row))
+        lines.append(" ".join(map(_re_im, row.tolist())))
     return "\n".join(lines)
 
 

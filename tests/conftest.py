@@ -3,8 +3,34 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
-from groupqft.circuit import Circuit, CNot, Local, MultiControlled, QubitPerm
+from groupqft.circuit import (
+    H_MATRIX,
+    X_MATRIX,
+    Z_MATRIX,
+    Circuit,
+    CNot,
+    Local,
+    MultiControlled,
+    QubitPerm,
+)
+
+angles = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@st.composite
+def unitaries(draw) -> np.ndarray:
+    """Exact X/Z/H, or e^{i delta} times the general SU(2)-style form."""
+    fixed = draw(st.sampled_from((None, X_MATRIX, Z_MATRIX, H_MATRIX)))
+    if fixed is not None:
+        return fixed
+    theta, phi, lam, delta = (draw(angles) for _ in range(4))
+    cos, sin = np.cos(theta), np.sin(theta)
+    return np.exp(1j * delta) * np.array([
+        [cos, -np.exp(1j * lam) * sin],
+        [np.exp(1j * phi) * sin, np.exp(1j * (phi + lam)) * cos],
+    ])
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_circuit, random_phase_circuit, random_unitary
+from conftest import random_circuit, random_phase_circuit, random_unitary, unitaries
 from groupqft import circuit as circuit_module
 from groupqft.circuit import (
+    GATE_EPS,
     Circuit,
     CNot,
     H_MATRIX,
@@ -35,7 +37,7 @@ from groupqft.circuit_library import (
 )
 from groupqft.cli import format_circuit
 from groupqft.groups import Family, GroupSpec
-from groupqft.linalg import dft, direct_sum, kron
+from groupqft.linalg import dft, direct_sum, is_unitary, kron
 from groupqft.synthesis import assemble
 
 
@@ -54,6 +56,61 @@ def test_gate_validation():
         MultiControlled(X_MATRIX, ((0, True),), 0)
     with pytest.raises(ValueError):
         QubitPerm((0, 0, 1))
+
+
+def _gate_check_agrees_with_is_unitary(u) -> bool:
+    """Local and MultiControlled both accept u exactly when the dense
+    `is_unitary(u, GATE_EPS)` does; returns that verdict."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = is_unitary(np.asarray(u, dtype=np.complex128), GATE_EPS)
+    for make in (lambda m: Local(m, 0),
+                 lambda m: MultiControlled(m, ((1, False),), 0)):
+        try:
+            make(u)
+        except ValueError as exc:
+            assert str(exc) == "gate matrix is not unitary"
+            assert not want, u
+        else:
+            assert want, u
+    return want
+
+
+# (1 + delta) u has row-norm defects of about 2 delta, so the verdict
+# flips between |delta| = 4e-13 and 6e-13, on either side of GATE_EPS
+SCALES = {0.0: True, 1e-13: True, -1e-13: True, 4e-13: True, -4e-13: True,
+          6e-13: False, -6e-13: False, 1e-9: False, -1e-9: False}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(unitaries())
+def test_gate_check_straddles_the_threshold_like_is_unitary(u):
+    for delta, accepted in SCALES.items():
+        assert _gate_check_agrees_with_is_unitary((1 + delta) * u) == accepted
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", [0, 1], ids=["re", "im"])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_gate_check_rejects_non_finite_entries(entry, part, value):
+    u = np.eye(2, dtype=np.complex128)
+    u.view(np.float64).reshape(2, 2, 2)[entry + (part,)] = value
+    assert not _gate_check_agrees_with_is_unitary(u)
+
+
+@pytest.mark.parametrize("u, accepted", [
+    (np.array([[0, 1], [1, 0]]), True),
+    (np.array([[1, 0], [0, 2]]), False),
+    (np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), True),
+    (np.array([[1.0, 0.0], [0.0, 1.5]]), False),
+    ([[0, 1j], [1j, 0]], True),
+    ([[1, 0], [0, 1 + 1e-12]], False),
+    (np.diag([1.0, 2.0]), False),            # only the second row's norm
+    ([[1, 1], [0, 1]], False),
+    ([[1, 0], [1, 0]], False),               # only the off-diagonal term
+], ids=["int-x", "int-diag", "real-h", "real-diag", "list-iy", "list-edge",
+        "diag12", "shear", "equal-rows"])
+def test_gate_check_on_integer_real_and_list_inputs(u, accepted):
+    assert _gate_check_agrees_with_is_unitary(u) == accepted
 
 
 def test_circuit_validation():

@@ -12,36 +12,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupqft.circuit import (
-    H_MATRIX,
-    X_MATRIX,
-    Z_MATRIX,
-    Circuit,
-    CNot,
-    Local,
-    MultiControlled,
-    QubitPerm,
+from conftest import unitaries
+from groupqft.circuit import Circuit, CNot, Local, MultiControlled, QubitPerm
+from groupqft.cli import (
+    _fmt_u,
+    format_circuit,
+    format_matrix,
+    parse_circuit,
+    parse_matrix,
 )
-from groupqft.cli import format_circuit, format_matrix, parse_circuit, parse_matrix
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300,
                     deadline=None)
-
-angles = st.floats(-4.0, 4.0, allow_nan=False)
-
-
-@st.composite
-def unitaries(draw) -> np.ndarray:
-    """Exact X/Z/H, or e^{i delta} times the general SU(2)-style form."""
-    fixed = draw(st.sampled_from((None, X_MATRIX, Z_MATRIX, H_MATRIX)))
-    if fixed is not None:
-        return fixed
-    theta, phi, lam, delta = (draw(angles) for _ in range(4))
-    cos, sin = np.cos(theta), np.sin(theta)
-    return np.exp(1j * delta) * np.array([
-        [cos, -np.exp(1j * lam) * sin],
-        [np.exp(1j * phi) * sin, np.exp(1j * (phi + lam)) * cos],
-    ])
 
 
 @st.composite
@@ -168,3 +150,44 @@ def test_repeated_key_is_rejected(text, where):
     with pytest.raises(ValueError) as exc:
         parse_circuit(text)
     assert str(exc.value).startswith(where)
+
+
+# -0.0, subnormals, huge, non-finite and ordinary values, as every re,im
+# pair: a 10 x 10 complex matrix
+SPECIAL = (-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, float("nan"),
+           float("inf"), float("-inf"), 1 / 3)
+SPECIAL_MATRIX = np.array(
+    [x for re in SPECIAL for im in SPECIAL for x in (re, im)],
+    dtype=np.float64).view(np.complex128).reshape(10, 10)
+
+
+def _scalar_parts(m: np.ndarray) -> list[str]:
+    """re,im of each entry, one numpy scalar at a time through float()."""
+    return [f"{format(float(v.real), '.17g')},{format(float(v.imag), '.17g')}"
+            for v in m.ravel()]
+
+
+def test_format_matrix_matches_scalar_reference():
+    m = SPECIAL_MATRIX
+    want = [f"matrix rows={m.shape[0]} cols={m.shape[1]}"]
+    want += [" ".join(_scalar_parts(row)) for row in m]
+    assert format_matrix(m) == "\n".join(want)
+    assert "-0,-0" in want[1] and "nan,inf" in want[7]
+
+
+def test_gate_text_matches_scalar_reference():
+    for u in SPECIAL_MATRIX.reshape(25, 2, 2):
+        assert _fmt_u(u) == ",".join(_scalar_parts(u))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gate", ["local q=1", "mcu controls=0:- t=1"])
+@pytest.mark.parametrize("u", ["nan,0,0,0,0,0,1,0", "inf,0,0,0,0,0,1,0",
+                               "1,0,0,0,0,0,2,0"],
+                         ids=["nan", "inf", "diag(1,2)"])
+def test_non_unitary_gate_text_names_its_line(gate, u):
+    line = f"{gate} u={u}"
+    text = f"circuit width=2 gates=2\ncnot c=0 t=1\n{line}"
+    with pytest.raises(ValueError) as exc:
+        parse_circuit(text)
+    assert str(exc.value) == f"line 3: gate matrix is not unitary in {line!r}"
