@@ -19,15 +19,25 @@ the state in place, one axis per qubit.  They read the same gate data
 but share no evaluation code; tests play one against the other.
 `to_matrix` stays unfused, so it remains the oracle.
 
-The state kernel groups the gates in one pass (`_segments`), by one key
-per gate.  On a state of at least `_FUSE_MIN_WIDTH` qubits, a gate whose
-target and controls all lie below `_WINDOW` (the low window) has the
-window key.  Otherwise a diag(1, z) gate with at most log2(`_PHASE_CAP`)
-controls has its target as phase key, and any other gate has none.  Each
-run of two or more consecutive gates with one key is applied at once, a
-window run as one small dense matrix and a phase run as one broadcast
-multiply; every other gate, a lone one with a key included, runs on its
-own.  `apply_to_state` describes each kernel.
+The state kernel schedules the gates in one pass (`_segments`), from the
+gate data alone.  On a state of at least `_FUSE_MIN_WIDTH` qubits the
+qubits are split into windows of at most `_WINDOW`, counted from the top
+down ([15, 21), [9, 15), [3, 9), [0, 3) at width 21); on a narrower state
+the whole register is one window.  A stage collects the gates that lie
+inside the window of its first gate.  A diagonal gate that reaches
+outside that window is deferred instead: it commutes with every diagonal
+gate and with every gate whose target is not among its qubits, so it may
+pass those.  A mixing gate outside the window ends the stage and starts
+the next one, or runs on its own when no window holds it.  The stage and
+all pending diagonal gates are applied before a permutation, before a
+mixing gate whose target a pending gate touches, and at the end.  On the
+wide states, a stage with two or more uncontrolled mixing gates runs as
+one dense matrix on the span of its qubits.  Any other stage runs gate
+by gate, with each run of two or more consecutive diag(1, z) gates on one
+target and at most log2(`_PHASE_CAP`) controls as one broadcast
+multiply.  Three or more pending diagonal gates are applied as one
+product of broadcast factors.  On a narrow state nothing is deferred, and
+its one stage runs gate by gate.  `apply_to_state` describes each kernel.
 
 `cost` sums the fixed per-gate weights of `gate_cost`.
 """
@@ -52,8 +62,9 @@ Z_MATRIX = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
-def _check_2x2_unitary(u: Matrix) -> None:
-    """Raise ValueError unless `u` is a 2x2 unitary within GATE_EPS.
+def _check_2x2_unitary(u: Matrix) -> tuple[bool, bool]:
+    """Raise ValueError unless `u` is a 2x2 unitary within GATE_EPS, and
+    return its diagonal kind: (u is diagonal, u is diag(1, z)).
 
     The check is closed form on Python scalars.  With rows (a, b) and
     (c, d), every entry of u u^H - I must be below GATE_EPS in magnitude:
@@ -62,7 +73,9 @@ def _check_2x2_unitary(u: Matrix) -> None:
     conjugate).  Each defect is compared on its own, so a NaN or an
     infinity in any entry fails the check.  The tests hold it to
     `linalg.is_unitary(u, GATE_EPS)`, which forms the same product with
-    numpy and costs several numpy calls per gate.
+    numpy and costs several numpy calls per gate.  The kind is read from
+    the same scalars, so the state kernel never reads numpy scalars to
+    group the gates.
     """
     if u.shape != (2, 2):
         raise ValueError(f"gate unitary must be 2x2, got {u.shape}")
@@ -77,6 +90,17 @@ def _check_2x2_unitary(u: Matrix) -> None:
     )
     if not all(abs(x) < GATE_EPS for x in defects):
         raise ValueError("gate matrix is not unitary")
+    diagonal = b == 0 and c == 0
+    return diagonal, diagonal and a == 1
+
+
+def _set_kind(g: Gate) -> None:
+    """Check g.u and store its diagonal kind on g as `diagonal` and
+    `phase`: attributes, not fields, so equality, hashing and the text
+    format see the same fields as before."""
+    diagonal, phase = _check_2x2_unitary(g.u)
+    object.__setattr__(g, "diagonal", diagonal)
+    object.__setattr__(g, "phase", phase)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +115,7 @@ class Local:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=np.complex128))
-        _check_2x2_unitary(self.u)
+        _set_kind(self)
 
 
 @dataclass(frozen=True)
@@ -104,6 +128,7 @@ class CNot:
     # class attributes, not fields: equality, hashing and the text format
     # see only control and target
     u = X_MATRIX
+    diagonal = phase = False
 
     @property
     def controls(self) -> tuple[tuple[int, bool], ...]:
@@ -129,7 +154,7 @@ class MultiControlled:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=np.complex128))
         object.__setattr__(self, "controls", tuple(
             (int(q), bool(p)) for q, p in self.controls))
-        _check_2x2_unitary(self.u)
+        _set_kind(self)
         if not self.controls:
             raise ValueError("need at least one control; use Local instead")
         qubits = [q for q, _ in self.controls]
@@ -238,21 +263,23 @@ def to_matrix(c: Circuit) -> Matrix:
 # length-1 slices selecting bit 0 / bit 1 of one tensor axis
 _BIT = (slice(0, 1), slice(1, 2))
 
-# Entries a fused phase tensor may reach before its run is applied early,
-# so that fusion never builds a temporary near the size of the state.
+# Entries a product of diagonal factors may reach before it is applied
+# early, so that neither a phase run nor a release of deferred diagonal
+# gates builds a temporary near the size of the state.
 _PHASE_CAP = 1 << 10
 
-# Entries in each of the paired sub-views a mixing gate updates at a time:
-# two blocks and their temporaries, at most 1 MiB, stay in cache.
+# Entries in each of the paired sub-views a mixing gate updates at a time,
+# and in a window stage's matmul buffer: two blocks and their temporaries,
+# at most 1 MiB, stay in cache.
 _BLOCK = 1 << 14
 
-# Qubits below _WINDOW form the low window.  On a state of at least
-# _FUSE_MIN_WIDTH qubits, each run of two or more consecutive gates acting
-# only there is applied as one 2^_WINDOW x 2^_WINDOW matrix.  Both values
-# are measured (CHANGES.md): whole width-21 circuits ran as fast with a
-# window of 6 qubits as with 7, and fusing broke even at width 13 and
-# gained from 14 up.  The threshold must exceed 2 * _WINDOW, the width a
-# run's matrix is built on, or that build would fuse again.
+# On a state of at least _FUSE_MIN_WIDTH qubits, the qubits are split into
+# windows of at most _WINDOW qubits, counted from the top down, and a stage
+# of gates inside one window may run as one dense matrix on the span of its
+# qubits.  Both values are measured (CHANGES.md): whole width-21 circuits
+# ran as fast with a window of 6 qubits as with 7, and fusing broke even at
+# width 13 and gained from 14 up.  The threshold must exceed 2 * _WINDOW,
+# the width a stage's matrix is built on, or that build would fuse again.
 _WINDOW = 6
 _FUSE_MIN_WIDTH = 14
 
@@ -273,17 +300,20 @@ def _halves(psi: np.ndarray, top: int, g: Gate) -> tuple[np.ndarray, np.ndarray]
     return a0, psi[tuple(idx)]
 
 
-def _phase_factor(top: int, g: Gate) -> np.ndarray:
-    """diag(1, z) gate as a factor on the target-1 half: z where the
-    controls match, 1 elsewhere, with a length-2 axis per control and
-    length 1 on every other axis, so it broadcasts over the half."""
+def _diagonal_factor(top: int, g: Gate) -> np.ndarray:
+    """Diagonal gate as a broadcast factor on a tensor whose axis top-q
+    holds qubit q: length 2 on the target axis and on each control axis,
+    length 1 on every other axis; u00 and u11 along the target axis where
+    the controls match, 1 elsewhere."""
     shape = [1] * (top + 1)
-    corner = [0] * (top + 1)
+    corner: list[int | slice] = [0] * (top + 1)
     for q, p in g.controls:
         shape[top - q] = 2
         corner[top - q] = int(p)
+    shape[top - g.target] = 2
+    corner[top - g.target] = slice(None)
     f = np.ones(shape, dtype=np.complex128)
-    f[tuple(corner)] = g.u[1, 1]
+    f[tuple(corner)] = g.u.diagonal()
     return f
 
 
@@ -365,9 +395,10 @@ def _apply_phase_run(psi: np.ndarray, run: list[Gate]) -> None:
     """Apply consecutive diag(1, z) gates that share one target, on a
     tensor whose axis top-q holds qubit q.
 
-    The target-1 half is multiplied by the product of the gates' factors,
-    applied early whenever the product could pass `_PHASE_CAP` entries,
-    so no temporary near the size of the state is built.
+    The target-1 half is multiplied by the product of the target-1 halves
+    of the gates' factors, applied early whenever the product could pass
+    `_PHASE_CAP` entries, so no temporary near the size of the state is
+    built.
     """
     top = psi.ndim - 1
     idx = [slice(None)] * (top + 1)
@@ -375,7 +406,7 @@ def _apply_phase_run(psi: np.ndarray, run: list[Gate]) -> None:
     half = psi[tuple(idx)]
     phase = np.ones((1,) * (top + 1), dtype=np.complex128)
     for g in run:
-        f = _phase_factor(top, g)
+        f = _diagonal_factor(top, g)[tuple(idx)]
         if phase.size * f.size > _PHASE_CAP:
             half *= phase
             phase = f
@@ -384,45 +415,92 @@ def _apply_phase_run(psi: np.ndarray, run: list[Gate]) -> None:
     half *= phase
 
 
+def _apply_diagonals(psi: np.ndarray, gates: list[Gate]) -> None:
+    """Apply diagonal gates on any targets as one product of their
+    factors, on a tensor whose axis top-q holds qubit q.
+
+    The gates are taken by lowest qubit, so that factors sharing low axes
+    meet in one product, and the product scales the whole state in one
+    in-place pass whenever the next factor would take it past
+    `_PHASE_CAP` entries.  Every factor fits under the cap on its own.
+    """
+    top = psi.ndim - 1
+    product = np.ones((1,) * (top + 1), dtype=np.complex128)
+    for g in sorted(gates, key=lambda g: min(_gate_qubits(g))):
+        f = _diagonal_factor(top, g)
+        if math.prod(np.broadcast_shapes(product.shape, f.shape)) > _PHASE_CAP:
+            psi *= product
+            product = f
+        else:
+            product = product * f
+    psi *= product
+
+
+def _lowered(g: Gate, lo: int) -> Gate:
+    """The 2x2 gate g with every qubit moved down by lo."""
+    if isinstance(g, CNot):
+        return CNot(g.control - lo, g.target - lo)
+    controls = tuple((q - lo, p) for q, p in g.controls)
+    if controls:
+        return MultiControlled(g.u, controls, g.target - lo)
+    return Local(g.u, g.target - lo)
+
+
 def _apply_window(psi: np.ndarray, run: list[Gate]) -> None:
-    """Apply consecutive low-window gates as one 2^k x 2^k matrix U.
+    """Apply a stage of gates as one 2^k x 2^k matrix U on the span
+    lo..hi-1 of their qubits, k = hi - lo.
 
     U^T comes from this kernel, not from `to_matrix`: run on the rows of
-    the identity (`_run_rows`), the gates leave U e_r in row r.  The
-    state, viewed as rows of 2^k amplitudes indexed by the low qubits, is
-    then multiplied by U^T a block of rows at a time into a buffer of at
-    most `_BLOCK` entries, and each block is copied back in place.
+    the identity (`_run_rows`), the gates, moved down by lo, leave U e_r
+    in row r.  The state is viewed as (2^(w-hi), 2^k, 2^lo), transposed
+    to (1, 2^k, 2^(w-k)) when lo = 0, and U multiplies its middle axis one
+    block of at most `_BLOCK` entries at a time, each product going
+    through a buffer and back in place.  A block is a slice of the last
+    axis when one outer slice holds more than `_BLOCK` entries.
+    Otherwise it is several outer slices, first gathered into one
+    contiguous 2^k-row matrix, so that no matmul call is small: at width
+    21, one call per outer slice, on 2^lo columns, ran 1.3-1.8x slower
+    at lo = 1 and 3.
     """
-    dim = 1 << _WINDOW
-    ut = _run_rows(Circuit(_WINDOW, tuple(run)), np.eye(dim))
-    rows = psi.reshape(-1, dim)
-    step = min(_BLOCK // dim, rows.shape[0])
-    buf = np.empty((step, dim), dtype=np.complex128)
-    for r in range(0, rows.shape[0], step):
-        block = rows[r:r + step]
-        np.matmul(block, ut, out=buf)
-        block[...] = buf
+    qubits = [q for g in run for q in _gate_qubits(g)]
+    lo, hi = min(qubits), max(qubits) + 1
+    dim = 1 << (hi - lo)
+    u = _run_rows(Circuit(hi - lo, tuple(_lowered(g, lo) for g in run)),
+                  np.eye(dim)).T
+    if lo == 0:
+        view = psi.reshape(1, -1, dim).transpose(0, 2, 1)
+    else:
+        view = psi.reshape(-1, dim, 1 << lo)
+    outer, _, inner = view.shape
+    cols = min(inner, _BLOCK // dim)
+    slices = min(outer, _BLOCK // (dim * cols))
+    gathered = np.empty((dim, slices, cols), dtype=np.complex128)
+    buf = np.empty((dim, slices * cols), dtype=np.complex128)
+    for a in range(0, outer, slices):
+        for b in range(0, inner, cols):
+            block = view[a:a + slices, :, b:b + cols].transpose(1, 0, 2)
+            if slices > 1:
+                gathered[...] = block
+                block_in = gathered
+            else:
+                block_in = block
+            np.matmul(u, block_in.reshape(dim, -1), out=buf)
+            block[...] = buf.reshape(block.shape)
 
 
-def _segments(gates: tuple[Gate, ...], fuse: bool
-              ) -> Iterator[tuple[Callable | None, Gate | list[Gate]]]:
-    """The gates in order, grouped by the rule of the module docstring.
+def _stage(gates: list[Gate], fuse: bool
+           ) -> Iterator[tuple[Callable | None, Gate | list[Gate]]]:
+    """One window stage: a single matrix (`_apply_window`) when fusing and
+    it holds two or more uncontrolled mixing gates, otherwise its gates in
+    order, each run of two or more consecutive diag(1, z) gates on one
+    target with at most log2(`_PHASE_CAP`) controls as one phase run
+    (`_apply_phase_run`) and every other gate on its own."""
+    if fuse and sum(not g.controls and not g.diagonal for g in gates) >= 2:
+        yield _apply_window, gates
+        return
 
-    Each run of two or more consecutive gates with one key comes as
-    (`_apply_window` or `_apply_phase_run`, the run), and every other
-    gate as (None, gate).  Both functions are read from the module when a
-    run is found, so a test may replace them.  A window gate has no phase
-    key, so a lone one runs on its own: at width 21 its own kernel takes
-    3-23 ms, one fused matrix 17-19 ms.
-    """
-    def key(g: Gate) -> str | int | None:
-        if isinstance(g, QubitPerm):
-            return None
-        if fuse and max(_gate_qubits(g)) < _WINDOW:
-            return "window"
-        u = g.u
-        if (u[0, 0] == 1 and u[0, 1] == 0 and u[1, 0] == 0
-                and 1 << len(g.controls) <= _PHASE_CAP):
+    def key(g: Gate) -> int | None:
+        if g.phase and 1 << len(g.controls) <= _PHASE_CAP:
             return g.target
         return None
 
@@ -432,7 +510,69 @@ def _segments(gates: tuple[Gate, ...], fuse: bool
             for g in run:
                 yield None, g
         else:
-            yield (_apply_window if k == "window" else _apply_phase_run), run
+            yield _apply_phase_run, run
+
+
+def _release(gates: list[Gate]
+             ) -> Iterator[tuple[Callable | None, Gate | list[Gate]]]:
+    """Deferred diagonal gates: three or more whose factors fit under
+    `_PHASE_CAP` as one product (`_apply_diagonals`); one or two, and any
+    larger one, on their own, where each touches only its control-selected
+    block."""
+    small = [g for g in gates if 2 << len(g.controls) <= _PHASE_CAP]
+    if len(small) > 2:
+        yield _apply_diagonals, small
+        gates = [g for g in gates if 2 << len(g.controls) > _PHASE_CAP]
+    for g in gates:
+        yield None, g
+
+
+def _segments(gates: tuple[Gate, ...], width: int, fuse: bool
+              ) -> Iterator[tuple[Callable | None, Gate | list[Gate]]]:
+    """The gates in order, scheduled in one pass by the rule of the module
+    docstring.
+
+    Yields (kernel, gates) for a fused stage (`_apply_window`), a phase
+    run (`_apply_phase_run`) or a release of deferred diagonal gates
+    (`_apply_diagonals`), and (None, gate) for a gate that runs on its
+    own.  The kernels are read from the module when a group is found, so
+    a test may replace them.  Without fusion there is one window, the
+    whole register, so no gate is deferred and every gate joins one stage
+    that runs gate by gate.
+    """
+    stage: list[Gate] = []
+    window = None           # the stage's window, numbered from the top
+    pending: list[Gate] = []
+    touched: set[int] = set()   # every qubit of a pending gate
+    for g in gates:
+        perm = isinstance(g, QubitPerm)
+        if perm or (not g.diagonal and g.target in touched):
+            # g must not pass a pending gate
+            yield from _stage(stage, fuse)
+            yield from _release(pending)
+            stage, window, pending, touched = [], None, [], set()
+            if perm:
+                yield None, g
+                continue
+        if not fuse:
+            stage.append(g)
+            continue
+        qubits = _gate_qubits(g)
+        here = (width - 1 - min(qubits)) // _WINDOW
+        inside = here == (width - 1 - max(qubits)) // _WINDOW
+        if inside and window in (None, here):
+            stage.append(g)
+            window = here
+        elif g.diagonal:
+            pending.append(g)
+            touched.update(qubits)
+        else:
+            yield from _stage(stage, fuse)
+            stage, window = ([g], here) if inside else ([], None)
+            if not inside:
+                yield None, g
+    yield from _stage(stage, fuse)
+    yield from _release(pending)
 
 
 def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
@@ -447,35 +587,42 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     result is U e_r, so the result is U^T.
 
     The copy is viewed as a (2,)*width tensor whose axis width-1-q holds
-    qubit q, and is updated in place, its gates grouped as the module
+    qubit q, and is updated in place, its gates scheduled as the module
     docstring states:
 
-    - on `_FUSE_MIN_WIDTH` or more qubits, a window run (two or more
-      consecutive gates whose target and controls all lie below
-      `_WINDOW` = k) is one 2^k x 2^k matrix U.  This kernel builds U^T
-      on 2k qubits, below the threshold, and the state's rows of 2^k
-      amplitudes are multiplied by it a block at a time through a buffer
-      of at most `_BLOCK` entries (`_apply_window`);
+    - on `_FUSE_MIN_WIDTH` or more qubits, a fused stage, on the span
+      [lo, hi) of its gates' qubits, k = hi - lo <= `_WINDOW`, is one
+      2^k x 2^k matrix U.  This kernel builds U^T on 2k qubits, below the
+      threshold, and U multiplies the middle axis of the state viewed as
+      (2^(w-hi), 2^k, 2^lo), a block at a time through a buffer of at
+      most `_BLOCK` entries (`_apply_window`);
+    - deferred diagonal gates scale the whole state by the product of
+      their factors, each u00 and u11 on its target axis where its
+      controls match, taken by lowest qubit and applied early whenever
+      the product could pass `_PHASE_CAP` entries (`_apply_diagonals`);
     - a phase run (two or more consecutive diag(1, z) gates on one
-      target, outside a window run) scales the target-1 half by the
-      product of each gate's small factor over its control axes, in one
-      broadcast multiply, applied early whenever it could pass
-      `_PHASE_CAP` entries (`_apply_phase_run`);
-    - every other gate runs on its own.  A diagonal gate scales the
-      halves of its control-selected block whose entry is not 1.  Any
-      other 2x2 gate mixes the two target-axis halves of its block in
-      paired pieces of at most `_BLOCK` entries: an anti-diagonal u swaps
-      them, a real multiple of [[1, 1], [1, -1]] (the Hadamard) is a
-      butterfly, and any other u a product formula (`_apply_2x2`).  A
-      qubit permutation is an axis transpose.
+      target, in a stage that runs gate by gate) scales the target-1
+      half by the product of each gate's small factor over its control
+      axes, in one broadcast multiply, applied early the same way
+      (`_apply_phase_run`);
+    - every other gate runs on its own, among them one or two deferred
+      gates and a deferred gate whose factor alone would pass the cap.
+      A diagonal gate scales the halves of its control-selected block
+      whose entry is not 1.  Any other 2x2 gate mixes the two target-axis
+      halves of its block in paired pieces of at most `_BLOCK` entries:
+      an anti-diagonal u swaps them, a real multiple of [[1, 1],
+      [1, -1]] (the Hadamard) is a butterfly, and any other u a product
+      formula (`_apply_2x2`).  A qubit permutation is an axis transpose.
 
-    Scaling and phase runs need no blocking: each is one in-place
-    multiply per half and builds no state-sized temporary, whereas the
-    swap, the butterfly, the product and the window matrix each keep a
-    temporary of the piece they update.
+    Diagonal products need no blocking: each is one in-place multiply and
+    builds no state-sized temporary, whereas the swap, the butterfly, the
+    product formula and the window matrix each keep a temporary of the
+    piece they update.  Below the threshold every gate runs by the last
+    two rules, in order, so results there do not depend on windows or
+    deferral.
 
-    `to_matrix` applies every gate on its own, with neither kind of
-    fusion, and is the oracle for this.
+    `to_matrix` applies every gate on its own, with no fusion and no
+    deferral, and is the oracle for this.
     """
     states = np.asarray(state)
     dim = 1 << c.width
@@ -520,7 +667,8 @@ def _run(c: Circuit, psi: np.ndarray) -> np.ndarray:
     """
     top = c.width - 1
     psi = psi.reshape((2,) * c.width)
-    for apply, g in _segments(c.gates, c.width >= _FUSE_MIN_WIDTH):
+    for apply, g in _segments(c.gates, c.width,
+                               c.width >= _FUSE_MIN_WIDTH):
         if apply is not None:
             apply(psi, g)
         elif isinstance(g, QubitPerm):

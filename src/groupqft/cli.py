@@ -55,10 +55,11 @@ def _parse_u(token: str) -> np.ndarray:
     vals = [float(v) for v in token.split(",")]
     if len(vals) != 8:
         raise ValueError(f"expected 8 reals for a 2x2 unitary, got {len(vals)}")
-    # re,im pairs are the memory layout of complex128; arithmetic such as
-    # re + 1j * im would turn a -0.0 imaginary part into +0.0.  The copy
-    # owns its data, so a parsed gate does not also keep the float array.
-    return np.array(vals).view(np.complex128).reshape(2, 2).copy()
+    # complex(re, im) keeps a -0.0 imaginary part, which arithmetic such
+    # as re + 1j * im would turn into +0.0; one numpy call per gate
+    r0, i0, r1, i1, r2, i2, r3, i3 = vals
+    return np.array([[complex(r0, i0), complex(r1, i1)],
+                     [complex(r2, i2), complex(r3, i3)]])
 
 
 def format_gate(g: Gate) -> str:

@@ -80,3 +80,35 @@ def random_phase_circuit(rng: np.random.Generator, width: int,
                          else Local(u, t))
         gates.extend(random_circuit(rng, width, 1).gates)
     return Circuit(width, tuple(gates))
+
+
+def random_diagonal_circuit(rng: np.random.Generator, width: int,
+                            n_steps: int) -> Circuit:
+    """Runs of diagonal gates among Hadamards and `random_circuit` gates.
+
+    Half of the steps are a run of one to three diagonal gates on one
+    target, each with up to three controls of random polarity, and half
+    of those gates are a general diag(a, b) with a != 1, which is not a
+    phase gate.  A quarter are Hadamards, so that windows hold mixing
+    gates to fuse, and the rest one `random_circuit` gate (dense 2x2,
+    CNOT, multi-controlled or a permutation)."""
+    gates = []
+    for _ in range(n_steps):
+        kind = int(rng.integers(0, 4))
+        if kind < 2:
+            t = int(rng.integers(0, width))
+            others = [q for q in range(width) if q != t]
+            for _ in range(int(rng.integers(1, 4))):
+                k = int(rng.integers(0, min(3, width - 1) + 1))
+                controls = tuple((int(q), bool(rng.integers(0, 2)))
+                                 for q in rng.permutation(others)[:k])
+                a = np.exp(2j * np.pi * rng.random()) if rng.random() < 0.5 \
+                    else 1.0
+                u = np.diag([a, np.exp(2j * np.pi * rng.random())])
+                gates.append(MultiControlled(u, controls, t) if controls
+                             else Local(u, t))
+        elif kind == 2:
+            gates.append(Local(H_MATRIX, int(rng.integers(0, width))))
+        else:
+            gates.extend(random_circuit(rng, width, 1).gates)
+    return Circuit(width, tuple(gates))

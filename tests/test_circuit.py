@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import random_circuit, random_phase_circuit, random_unitary, unitaries
+from conftest import (
+    random_circuit,
+    random_diagonal_circuit,
+    random_phase_circuit,
+    random_unitary,
+    unitaries,
+)
 from groupqft import circuit as circuit_module
 from groupqft.circuit import (
     GATE_EPS,
@@ -35,7 +41,7 @@ from groupqft.circuit_library import (
     qft_circuit,
     qft_cyclic_circuit,
 )
-from groupqft.cli import format_circuit
+from groupqft.cli import format_circuit, parse_circuit
 from groupqft.groups import Family, GroupSpec
 from groupqft.linalg import dft, direct_sum, is_unitary, kron
 from groupqft.synthesis import assemble
@@ -480,9 +486,10 @@ def test_mixing_gates_match_reference_across_blocks(branch, block,
             assert np.array_equal(got[~fires], state[~fires]), g
 
 
-# Low-window fusion: runs of two or more gates below qubit _WINDOW = k are
-# applied as one 2^k x 2^k matrix on states of _FUSE_MIN_WIDTH qubits or
-# more.
+# Window stages: on states of _FUSE_MIN_WIDTH qubits or more, the qubits
+# are split from the top down into windows of _WINDOW = k qubits, and a
+# stage of gates inside one window with two or more uncontrolled mixing
+# gates is applied as one dense matrix on the span of its qubits.
 
 def _window_gates(rng, width, k):
     """Low-window runs broken at the window edge: by a gate targeting
@@ -532,17 +539,43 @@ def _window_gates(rng, width, k):
     ]
 
 
-def _expected_windows(gates, k):
-    """Runs of two or more consecutive gates with every qubit below k."""
-    count = length = 0
+def _expected_windows(gates, width, k):
+    """Lengths of the stages the schedule fuses, read from the gates'
+    matrices.
+
+    Windows hold k qubits each, from the top.  A stage takes the gates
+    inside the window of its first gate and sets aside every diagonal gate
+    that reaches outside it.  It ends at a permutation, at a mixing gate
+    outside its window, and at a mixing gate whose target a set-aside
+    gate touches, which also clears those.  It fuses when it holds two or
+    more uncontrolled mixing gates."""
+    fused, stage, window, touched = [], [], None, set()
+
+    def close():
+        if sum(isinstance(g, Local) and not _is_diagonal(g)
+               for g in stage) >= 2:
+            fused.append(len(stage))
+
     for g in gates:
-        if not isinstance(g, QubitPerm) and all(
-                q < k for q in (g.target, *(q for q, _ in g.controls))):
-            length += 1
+        perm = isinstance(g, QubitPerm)
+        if perm or (not _is_diagonal(g) and g.target in touched):
+            close()
+            stage, window, touched = [], None, set()
+            if perm:
+                continue
+        qubits = (g.target, *(q for q, _ in g.controls))
+        windows = {(width - 1 - q) // k for q in qubits}
+        if len(windows) == 1 and window in (None, *windows):
+            stage.append(g)
+            window = windows.pop()
+        elif _is_diagonal(g):
+            touched.update(qubits)
         else:
-            count += length > 1
-            length = 0
-    return count + (length > 1)
+            close()
+            stage, window = (([g], windows.pop()) if len(windows) == 1
+                             else ([], None))
+    close()
+    return fused
 
 
 def _window_spy(monkeypatch):
@@ -580,7 +613,7 @@ def test_fused_runs_match_references_with_a_small_window(seed, monkeypatch):
     c = Circuit(width, tuple(_window_gates(rng, width, 3)))
     state = _random_state(rng, width)
     got = apply_to_state(c, state)
-    assert len(calls) == (_expected_windows(c.gates, 3) if width >= 7 else 0)
+    assert calls == (_expected_windows(c.gates, width, 3) if width >= 7 else [])
     assert np.max(np.abs(got - to_matrix(c) @ state)) < 1e-12
     assert np.max(np.abs(got - _reference_chain(c.gates, state))) < 1e-12
 
@@ -594,27 +627,32 @@ def test_fused_runs_at_the_width_threshold(offset, monkeypatch):
     c = Circuit(width, tuple(_window_gates(rng, width, k)))
     state = _random_state(rng, width)
     got = apply_to_state(c, state)
-    assert len(calls) == (_expected_windows(c.gates, k) if offset == 0 else 0)
+    assert calls == (_expected_windows(c.gates, width, k) if offset == 0
+                     else [])
     assert len(calls) == 0 or min(calls) >= 2
     assert np.max(np.abs(got - _reference_chain(c.gates, state))) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_fused_window_matches_to_matrix_of_its_run(seed, monkeypatch):
-    # an all-window circuit at the threshold acts on every row of 2^k
-    # amplitudes by to_matrix of its width-k run
+    # a circuit inside one window [lo, lo + k) acts on the middle axis of
+    # the (2^(w-lo-k), 2^k, 2^lo) view by to_matrix of its width-k run:
+    # the top and the middle window at the threshold, and the bottom one
+    # at width 3k
     k = circuit_module._WINDOW
-    width = circuit_module._FUSE_MIN_WIDTH
+    top = circuit_module._FUSE_MIN_WIDTH
+    width, lo = [(top, top - k), (top, top - 2 * k), (3 * k, 0)][seed]
     calls = _window_spy(monkeypatch)
     rng = np.random.default_rng(1220 + seed)
     cascade = qft_cyclic_circuit(k).gates[:-1]
     run = [*cascade, *random_circuit(rng, k, 12).gates]
     run = [g for g in run if not isinstance(g, QubitPerm)]
+    raised = tuple(circuit_module._lowered(g, -lo) for g in run)
     state = _random_state(rng, width)
-    got = apply_to_state(Circuit(width, tuple(run)), state)
+    got = apply_to_state(Circuit(width, raised), state)
     assert calls == [len(run)]
     u = to_matrix(Circuit(k, tuple(run)))
-    want = (state.reshape(-1, 1 << k) @ u.T).reshape(-1)
+    want = np.matmul(u, state.reshape(-1, 1 << k, 1 << lo)).reshape(-1)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -701,12 +739,16 @@ def test_window_build_runs_no_public_entry(monkeypatch):
     c = Circuit(circuit_module._FUSE_MIN_WIDTH,
                 qft_cyclic_circuit(circuit_module._WINDOW).gates[:-1])
     circuit_module.apply_to_state(c, np.eye(2, 1 << c.width))
-    assert calls == [len(c.gates)]
+    # two rows add a qubit: at width 15 the cascade on qubits 0..5 meets
+    # windows [3, 9) and [0, 3), two stages of 6 gates, and the 9 phases
+    # between them are deferred
+    assert calls == [6, 6]
     assert seen == [len(c.gates)]
 
 
-# Grouping: one key per gate, and each run of two or more consecutive
-# gates with one key goes to _apply_window or _apply_phase_run.
+# Grouping: window stages go to _apply_window, deferred diagonal gates to
+# _apply_diagonals, and in a stage that runs gate by gate each run of two
+# or more consecutive diag(1, z) gates on one target to _apply_phase_run.
 
 def _phase_spy(monkeypatch):
     """Record (target, length) of each phase run apply_to_state fuses."""
@@ -720,16 +762,40 @@ def _phase_spy(monkeypatch):
     return calls
 
 
+def _diagonal_spy(monkeypatch):
+    """Record the number of gates of each release of deferred diagonals."""
+    calls = []
+    inner = circuit_module._apply_diagonals
+
+    def spy(psi, gates):
+        calls.append(len(gates))
+        inner(psi, gates)
+    monkeypatch.setattr(circuit_module, "_apply_diagonals", spy)
+    return calls
+
+
 @pytest.mark.parametrize("width", [12, 16])
 def test_cyclic_cascade_fuses_one_phase_run_per_target(width, monkeypatch):
-    # target j carries j phase gates; the lone one on qubit 1 runs on its
-    # own, and at width 16 targets 5..0 are one window run whose 12-qubit
-    # build fuses the phase runs of targets 5..2
+    # target j carries j phase gates, and the lone one on qubit 1 runs on
+    # its own.  At width 12 each target's gates are one phase run.  At
+    # width 16 the windows [10, 16), [4, 10) and [0, 4) are one stage each,
+    # whose build, on the stage's targets moved down to 5..0 (3..0 for the
+    # last), fuses the phase runs of its targets 5..2 (3..2); the phases
+    # that reach below a window, 60 and 24, are deferred and released as
+    # one product each
     calls = _phase_spy(monkeypatch)
     windows = _window_spy(monkeypatch)
+    diagonals = _diagonal_spy(monkeypatch)
     apply_to_state(qft_cyclic_circuit(width), np.ones(1 << width))
-    assert calls == [(t, t) for t in range(width - 1, 1, -1)]
-    assert len(windows) == (width >= circuit_module._FUSE_MIN_WIDTH)
+    if width < circuit_module._FUSE_MIN_WIDTH:
+        assert calls == [(t, t) for t in range(width - 1, 1, -1)]
+        assert windows == diagonals == []
+    else:
+        k = circuit_module._WINDOW
+        assert calls == [(t, t) for t in (*range(k - 1, 1, -1),
+                                          *range(k - 1, 1, -1), 3, 2)]
+        assert windows == [21, 21, 10]
+        assert diagonals == [60, 24]
 
 
 def test_phase_runs_break_on_every_other_key(monkeypatch):
@@ -762,11 +828,14 @@ def test_phase_runs_break_on_every_other_key(monkeypatch):
 
 
 def test_lone_window_phase_gate_splits_a_phase_run(monkeypatch):
-    # the window key comes first: a lone low-window phase gate between
-    # phase gates on its target whose controls leave the window runs on
-    # its own, and the phase run around it falls into two
+    # the phase gates on target 2 whose controls stay in its window
+    # [2, 8) (qubits 7 and 6) form a stage, which has no mixing gate and
+    # so runs gate by gate, as one phase run; the other three (controls
+    # 13, 0 and 8) reach outside it, and the run falls into that phase run
+    # and one release of the three deferred gates
     calls = _phase_spy(monkeypatch)
     windows = _window_spy(monkeypatch)
+    diagonals = _diagonal_spy(monkeypatch)
     rng = np.random.default_rng(1410)
     ph = functools.partial(_phase_gate, rng)
     width = circuit_module._FUSE_MIN_WIDTH
@@ -776,9 +845,82 @@ def test_lone_window_phase_gate_splits_a_phase_run(monkeypatch):
              ph(((k, True),), 2), ph(((k + 2, True),), 2)]
     state = _random_state(rng, width)
     got = apply_to_state(Circuit(width, tuple(gates)), state)
-    assert calls == [(2, 2), (2, 2)]
+    assert calls == [(2, 2)]
     assert windows == []
+    assert diagonals == [3]
     assert np.max(np.abs(got - _reference_chain(gates, state))) < 1e-12
+
+
+# The schedule on random circuits whose diagonal gates include diag(a, b)
+# with a != 1, which must never reach a phase run, and negative controls.
+
+@pytest.mark.parametrize("seed", range(8))
+def test_scheduled_kernel_matches_to_matrix_with_a_small_window(
+        seed, monkeypatch):
+    # 3-qubit windows from width 7 keep to_matrix affordable; at width 6
+    # the one pass runs without windows
+    monkeypatch.setattr(circuit_module, "_WINDOW", 3)
+    monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
+    windows = _window_spy(monkeypatch)
+    diagonals = _diagonal_spy(monkeypatch)
+    rng = np.random.default_rng(1500 + seed)
+    width = 6 + seed % 3
+    c = random_diagonal_circuit(rng, width, 60)
+    state = _random_state(rng, width)
+    got = apply_to_state(c, state)
+    assert np.max(np.abs(got - to_matrix(c) @ state)) < 1e-12
+    if width < 7:
+        assert windows == diagonals == []
+    else:
+        assert windows == _expected_windows(c.gates, width, 3)
+        assert windows and diagonals
+
+
+@pytest.mark.parametrize("width", [14, 15, 16])
+def test_scheduled_kernel_matches_reference_at_full_size(width, monkeypatch):
+    windows = _window_spy(monkeypatch)
+    diagonals = _diagonal_spy(monkeypatch)
+    rng = np.random.default_rng(1510 + width)
+    c = random_diagonal_circuit(rng, width, 40)
+    state = _random_state(rng, width)
+    got = apply_to_state(c, state)
+    assert np.max(np.abs(got - _reference_chain(c.gates, state))) < 1e-12
+    assert windows == _expected_windows(c.gates, width,
+                                        circuit_module._WINDOW)
+    assert windows and diagonals
+
+
+def test_scheduled_qft_circuits_memory_peak(monkeypatch):
+    # the state copy plus window buffers, builds and diagonal products of
+    # at most 2^14 entries; the permutations, which move the state into a
+    # new array, are left out
+    windows = _window_spy(monkeypatch)
+    diagonals = _diagonal_spy(monkeypatch)
+    width = 18
+    v = np.random.default_rng(1520).standard_normal(1 << width) + 0j
+    for full in (qft_cyclic_circuit(width),
+                 qft_circuit(GroupSpec(Family.QD, width - 1))):
+        c = Circuit(width, tuple(g for g in full.gates
+                                 if not isinstance(g, QubitPerm)))
+        assert _traced_peak(c, v) <= 1.25 * v.nbytes
+    assert windows and diagonals
+
+
+def test_diagonal_kind_is_read_at_construction():
+    rng = np.random.default_rng(1530)
+    us = [X_MATRIX, Z_MATRIX, H_MATRIX, np.eye(2), _diag(-1, 1j),
+          _diag(1, np.exp(0.3j)), random_unitary(rng, 2),
+          np.array([[1j, -0.0], [-0.0j, -1]])]
+    text = format_circuit(Circuit(3, tuple(
+        g for u in us for g in (Local(u, 0),
+                                MultiControlled(u, ((2, False),), 1)))))
+    gates = [*parse_circuit(text).gates, CNot(0, 1)]
+    for g in gates:
+        u = g.u
+        diagonal = u[0, 1] == 0 and u[1, 0] == 0
+        assert (g.diagonal, g.phase) == (diagonal, diagonal and u[0, 0] == 1), g
+    assert [g.phase for g in gates[:12:2]] == [False, True, False, True,
+                                               False, True]
 
 
 # Reference dense gate matrix: a pure-Python loop over the rows, with the
