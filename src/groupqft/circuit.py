@@ -28,16 +28,19 @@ inside the window of its first gate.  A diagonal gate that reaches
 outside that window is deferred instead: it commutes with every diagonal
 gate and with every gate whose target is not among its qubits, so it may
 pass those.  A mixing gate outside the window ends the stage and starts
-the next one, or runs on its own when no window holds it.  The stage and
-all pending diagonal gates are applied before a permutation, before a
-mixing gate whose target a pending gate touches, and at the end.  On the
-wide states, a stage with two or more uncontrolled mixing gates runs as
-one dense matrix on the span of its qubits.  Any other stage runs gate
-by gate, with each run of two or more consecutive diag(1, z) gates on one
-target and at most log2(`_PHASE_CAP`) controls as one broadcast
-multiply.  Three or more pending diagonal gates are applied as one
-product of broadcast factors.  On a narrow state nothing is deferred, and
-its one stage runs gate by gate.  `apply_to_state` describes each kernel.
+the next one, or runs on its own when no window holds it.  So does a
+fan-out run: two or more consecutive X gates with one set of controls
+and distinct targets, whose qubits span windows, run as one step.  The
+stage and all pending diagonal gates are applied before a permutation,
+before a mixing gate or fan-out run with a target that a pending gate
+touches, and at the end.  On the wide states, a stage with two or more
+uncontrolled mixing gates runs as one dense matrix on the span of its
+qubits.  Any other stage runs gate by gate, with each run of two or more
+consecutive diag(1, z) gates on one target and at most log2(`_PHASE_CAP`)
+controls as one broadcast multiply.  Three or more pending diagonal gates
+are applied as one product of broadcast factors.  On a narrow state
+nothing is deferred or grouped into fan-out runs, and its one stage runs
+gate by gate.  `apply_to_state` describes each kernel.
 
 `cost` sums the fixed per-gate weights of `gate_cost`.
 """
@@ -62,9 +65,9 @@ Z_MATRIX = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
-def _check_2x2_unitary(u: Matrix) -> tuple[bool, bool]:
+def _check_2x2_unitary(u: Matrix) -> tuple[bool, bool, bool]:
     """Raise ValueError unless `u` is a 2x2 unitary within GATE_EPS, and
-    return its diagonal kind: (u is diagonal, u is diag(1, z)).
+    return its kind: (u is diagonal, u is diag(1, z), u is exactly X).
 
     The check is closed form on Python scalars.  With rows (a, b) and
     (c, d), every entry of u u^H - I must be below GATE_EPS in magnitude:
@@ -90,16 +93,18 @@ def _check_2x2_unitary(u: Matrix) -> tuple[bool, bool]:
             and math.hypot(off.real, off.imag) < GATE_EPS):
         raise ValueError("gate matrix is not unitary")
     diagonal = b == 0 and c == 0
-    return diagonal, diagonal and a == 1
+    return (diagonal, diagonal and a == 1,
+            a == 0 and d == 0 and b == 1 and c == 1)
 
 
 def _set_kind(g: Gate) -> None:
-    """Check g.u and store its diagonal kind on g as `diagonal` and
-    `phase`: attributes, not fields, so equality, hashing and the text
+    """Check g.u and store its kind on g as `diagonal`, `phase` and
+    `flip`: attributes, not fields, so equality, hashing and the text
     format see only the fields."""
-    diagonal, phase = _check_2x2_unitary(g.u)
+    diagonal, phase, flip = _check_2x2_unitary(g.u)
     object.__setattr__(g, "diagonal", diagonal)
     object.__setattr__(g, "phase", phase)
+    object.__setattr__(g, "flip", flip)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +133,7 @@ class CNot:
     # see only control and target
     u = X_MATRIX
     diagonal = phase = False
+    flip = True
 
     @property
     def controls(self) -> tuple[tuple[int, bool], ...]:
@@ -282,6 +288,11 @@ _BLOCK = 1 << 14
 _WINDOW = 6
 _FUSE_MIN_WIDTH = 14
 
+# Rows of the (2^h, 2^l) view of a permutation's moved span that the banded
+# route gathers at a time.  Measured (CHANGES.md): on width-21 bit
+# reversals, bands of 64 rows of 2^10 entries beat 16, 32, 128 and 256.
+_BAND = 64
+
 
 def _halves(psi: np.ndarray, top: int, g: Gate) -> tuple[np.ndarray, np.ndarray]:
     """Views of the target-0 and target-1 halves of the control-matched
@@ -351,8 +362,10 @@ def _apply_2x2(a0: np.ndarray, a1: np.ndarray, u: Matrix) -> None:
       a1 += t.
 
     The last three walk the halves in `_blocks`, so each temporary has at
-    most `_BLOCK` entries.  A function of its own, so the views of the
-    state are freed on return, before the next gate allocates.
+    most `_BLOCK` entries.  The halves need only have one shape: a
+    fan-out run passes a1 with some axes reversed (`_apply_fan_out`).  A
+    function of its own, so the views of the state are freed on return,
+    before the next gate allocates.
     """
     u00, u01, u10, u11 = u[0, 0], u[0, 1], u[1, 0], u[1, 1]
     if u01 == 0 and u10 == 0:
@@ -432,6 +445,81 @@ def _apply_diagonals(psi: np.ndarray, gates: list[Gate]) -> None:
         else:
             product = product * f
     psi *= product
+
+
+def _apply_fan_out(psi: np.ndarray, run: list[Gate]) -> None:
+    """Apply a fan-out run, X on every target of `run` inside the block its
+    shared controls select, on a tensor whose axis top-q holds qubit q.
+
+    Flipping every target bit pairs each amplitude whose first target
+    reads 0 with the one whose targets all read the opposite, so the step
+    is one swap (`_apply_2x2` with X) of the first target's halves, with
+    the other targets' axes of the target-1 half reversed.
+    """
+    top = psi.ndim - 1
+    a0, a1 = _halves(psi, top, run[0])
+    _apply_2x2(a0, np.flip(a1, [top - g.target for g in run[1:]]), X_MATRIX)
+
+
+def _permute(psi: np.ndarray, sigma: tuple[int, ...]) -> np.ndarray:
+    """A new contiguous tensor holding the state with qubit q routed to
+    position sigma[q], on a tensor whose axis top-q holds qubit q.
+
+    The top qubits that sigma fixes are a batch axis, and the others are
+    its moved span of s qubits, l = s // 2 low and h = s - l high.  When
+    the span holds more than `_BLOCK` entries and sigma sends the low l
+    qubits onto the top l positions of the span, as every bit reversal
+    does, the state is moved in bands (`_band_transpose`).  Any other
+    permutation, a rotation or a small span, is one axis transpose.
+    """
+    span = len(sigma)
+    while span and sigma[span - 1] == span - 1:
+        span -= 1
+    low = span // 2
+    if 1 << span > _BLOCK and all(s >= span - low for s in sigma[:low]):
+        return _band_transpose(psi, sigma, span)
+    top = psi.ndim - 1
+    axes = [0] * psi.ndim
+    for q, s in enumerate(sigma):
+        axes[top - s] = top - q
+    return np.ascontiguousarray(psi.transpose(axes))
+
+
+def _band_transpose(psi: np.ndarray, sigma: tuple[int, ...],
+                    span: int) -> np.ndarray:
+    """Move the state by sigma, which sends the low l = span // 2 qubits of
+    its moved span onto the span's top l positions and the high h ones
+    onto its low h positions.
+
+    On the (batch, 2^h, 2^l) view of the input, the entry at (b, rows[s],
+    c) goes to (b, dest[c], s) of the (batch, 2^l, 2^h) output; both maps
+    are read from sigma bit by bit.  The output is filled `_BAND` columns
+    at a time: gather the band's source rows by `rows` into a buffer, then
+    write the buffer's transpose into the output rows `dest`, so the band
+    and the output segments it writes stay in cache.
+    """
+    low = span // 2
+    high = span - low
+    s = np.arange(1 << high)
+    rows = np.zeros(1 << high, dtype=np.intp)
+    for q in range(low, span):
+        rows |= ((s >> sigma[q]) & 1) << (q - low)
+    c = np.arange(1 << low)
+    dest = np.zeros(1 << low, dtype=np.intp)
+    for q in range(low):
+        dest |= ((c >> q) & 1) << (sigma[q] - high)
+    src = psi.reshape(-1, 1 << high, 1 << low)
+    out = np.empty((len(src), 1 << low, 1 << high), dtype=psi.dtype)
+    band = min(_BAND, 1 << high)
+    gathered = np.empty((band, 1 << low), dtype=psi.dtype)
+    for b in range(len(src)):
+        for r in range(0, 1 << high, band):
+            # mode="clip" never clips, as every index is in range, but
+            # unlike the default it writes to `out` without a buffer
+            np.take(src[b], rows[r:r + band], axis=0, out=gathered,
+                    mode="clip")
+            out[b][dest, r:r + band] = gathered.T
+    return out.reshape(psi.shape)
 
 
 def _lowered(g: Gate, lo: int) -> Gate:
@@ -525,16 +613,56 @@ def _release(gates: list[Gate]
         yield None, g
 
 
+def _fan_outs(gates: tuple[Gate, ...],
+              width: int) -> Iterator[Gate | list[Gate]]:
+    """The gates in order, each fan-out run whose qubits span two or more
+    windows as one list.
+
+    A fan-out run is two or more consecutive gates whose u is exactly X,
+    with one set of controls and distinct targets; no target can be a
+    control, since every gate keeps its target out of its own controls.
+    A run inside one window is given back gate by gate, so that it joins
+    that window's stage.
+    """
+    def flush() -> Iterator[Gate | list[Gate]]:
+        qubits = [*targets, *(q for q, _ in controls)]
+        if len(run) > 1 and ((width - 1 - min(qubits)) // _WINDOW
+                             != (width - 1 - max(qubits)) // _WINDOW):
+            yield run
+        else:
+            yield from run
+
+    run: list[Gate] = []
+    targets: set[int] = set()
+    controls: set[tuple[int, bool]] = set()
+    for g in gates:
+        flip = not isinstance(g, QubitPerm) and g.flip
+        if flip and run and g.target not in targets \
+                and set(g.controls) == controls:
+            run.append(g)
+            targets.add(g.target)
+            continue
+        if run:
+            yield from flush()
+        if flip:
+            run, targets, controls = [g], {g.target}, set(g.controls)
+        else:
+            run = []
+            yield g
+    if run:
+        yield from flush()
+
+
 def _segments(gates: tuple[Gate, ...], width: int, fuse: bool
               ) -> Iterator[tuple[Callable | None, Gate | list[Gate]]]:
     """The gates in order, scheduled in one pass by the rule of the module
     docstring.
 
     Yields (kernel, gates) for a fused stage (`_apply_window`), a phase
-    run (`_apply_phase_run`) or a release of deferred diagonal gates
-    (`_apply_diagonals`), and (None, gate) for a gate that runs on its
-    own.  The kernels are read from the module when a group is found, so
-    a test may replace them.  Without fusion there is one window, the
+    run (`_apply_phase_run`), a release of deferred diagonal gates
+    (`_apply_diagonals`) or a fan-out run (`_apply_fan_out`), and
+    (None, gate) for a gate that runs on its own.  The kernels are read
+    from the module when a group is found, so a test may replace them.  Without fusion there is one window, the
     whole register, so no gate is deferred and every gate joins one stage
     that runs gate by gate.
     """
@@ -542,7 +670,17 @@ def _segments(gates: tuple[Gate, ...], width: int, fuse: bool
     window = None           # the stage's window, numbered from the top
     pending: list[Gate] = []
     touched: set[int] = set()   # every qubit of a pending gate
-    for g in gates:
+    for g in _fan_outs(gates, width) if fuse else gates:
+        if isinstance(g, list):
+            # a fan-out run ends the stage and runs on its own, after the
+            # pending gates when one touches a target
+            yield from _stage(stage, fuse)
+            stage, window = [], None
+            if touched.intersection(h.target for h in g):
+                yield from _release(pending)
+                pending, touched = [], set()
+            yield _apply_fan_out, g
+            continue
         perm = isinstance(g, QubitPerm)
         if perm or (not g.diagonal and g.target in touched):
             # g must not pass a pending gate
@@ -610,14 +748,24 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
       halves of its block in paired pieces of at most `_BLOCK` entries:
       an anti-diagonal u swaps them, a real multiple of [[1, 1],
       [1, -1]] (the Hadamard) is a butterfly, and any other u a product
-      formula (`_apply_2x2`).  A qubit permutation is an axis transpose.
+      formula (`_apply_2x2`);
+    - a fan-out run flips every target inside its control-selected block
+      as one swap, of the first target's halves with the other targets'
+      axes of one half reversed (`_apply_fan_out`);
+    - a qubit permutation moves the state into a new array.  A bit
+      reversal (the low half of its moved span sent onto the top half) of
+      a span above `_BLOCK` entries, the top fixed qubits a batch axis,
+      is moved `_BAND` rows at a time, each band gathered and written
+      transposed (`_band_transpose`); any other permutation is one axis
+      transpose (`_permute`).
 
     Diagonal products need no blocking: each is one in-place multiply and
     builds no state-sized temporary, whereas the swap, the butterfly, the
     product formula and the window matrix each keep a temporary of the
-    piece they update.  Below the threshold every gate runs by the last
-    two rules, in order, so results there do not depend on windows or
-    deferral.
+    piece they update.  Fan-out runs and permutations only move entries,
+    so their results are exact.  Below the threshold every gate runs on
+    its own or in a phase run, in order, so results there do not depend
+    on windows, deferral or fan-out runs.
 
     `to_matrix` applies every gate on its own, with no fusion and no
     deferral, and is the oracle for this.
@@ -670,10 +818,7 @@ def _run(c: Circuit, psi: np.ndarray) -> np.ndarray:
         if apply is not None:
             apply(psi, g)
         elif isinstance(g, QubitPerm):
-            axes = [0] * c.width
-            for q, s in enumerate(g.sigma):
-                axes[top - s] = top - q
-            psi = np.ascontiguousarray(psi.transpose(axes))
+            psi = _permute(psi, g.sigma)
         else:
             _apply_2x2(*_halves(psi, top, g), g.u)
     return psi.reshape(-1)

@@ -56,10 +56,14 @@ def _parse_u(token: str) -> np.ndarray:
     if len(vals) != 8:
         raise ValueError(f"expected 8 reals for a 2x2 unitary, got {len(vals)}")
     # complex(re, im) keeps a -0.0 imaginary part, which arithmetic such
-    # as re + 1j * im would turn into +0.0; one numpy call and a view
+    # as re + 1j * im would turn into +0.0; one numpy call, and the shape
+    # set in place, since a reshaped view would keep its 1-D base alive
+    # beside it in every parsed gate
     r0, i0, r1, i1, r2, i2, r3, i3 = vals
-    return np.array([complex(r0, i0), complex(r1, i1),
-                     complex(r2, i2), complex(r3, i3)]).reshape(2, 2)
+    u = np.array([complex(r0, i0), complex(r1, i1),
+                  complex(r2, i2), complex(r3, i3)])
+    u.shape = (2, 2)
+    return u
 
 
 def format_gate(g: Gate) -> str:

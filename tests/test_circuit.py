@@ -548,7 +548,9 @@ def _expected_windows(gates, width, k):
     that reaches outside it.  It ends at a permutation, at a mixing gate
     outside its window, and at a mixing gate whose target a set-aside
     gate touches, which also clears those.  It fuses when it holds two or
-    more uncontrolled mixing gates."""
+    more uncontrolled mixing gates.  A fan-out run whose qubits span
+    windows (`_model_fan_outs`) ends the stage, and clears the set-aside
+    gates when one touches a target."""
     fused, stage, window, touched = [], [], None, set()
 
     def close():
@@ -556,7 +558,13 @@ def _expected_windows(gates, width, k):
                for g in stage) >= 2:
             fused.append(len(stage))
 
-    for g in gates:
+    for g in _model_fan_outs(gates, width, k):
+        if isinstance(g, list):
+            close()
+            stage, window = [], None
+            if touched & {h.target for h in g}:
+                touched = set()
+            continue
         perm = isinstance(g, QubitPerm)
         if perm or (not _is_diagonal(g) and g.target in touched):
             close()
@@ -576,6 +584,38 @@ def _expected_windows(gates, width, k):
                              else ([], None))
     close()
     return fused
+
+
+def _model_fan_outs(gates, width, k):
+    """The gates, each fan-out run whose qubits span windows of k qubits
+    as one list, read from the gates' matrices: two or more consecutive X
+    gates with one set of (qubit, polarity) controls and distinct
+    targets."""
+    def key(g):
+        if isinstance(g, QubitPerm) or not np.array_equal(g.u, X_MATRIX):
+            return None
+        return frozenset(g.controls)
+
+    out, run = [], []
+    for g in [*gates, None]:
+        if (g is not None and run and key(g) is not None
+                and key(g) == key(run[0])
+                and g.target not in {h.target for h in run}):
+            run.append(g)
+            continue
+        qubits = {h.target for h in run}
+        if run:
+            qubits |= {q for q, _ in run[0].controls}
+        if len({(width - 1 - q) // k for q in qubits}) > 1 and len(run) > 1:
+            out.append(run)
+        else:
+            out.extend(run)
+        run = []
+        if g is not None and key(g) is not None:
+            run = [g]
+        elif g is not None:
+            out.append(g)
+    return out
 
 
 def _window_spy(monkeypatch):
@@ -906,6 +946,280 @@ def test_scheduled_qft_circuits_memory_peak(monkeypatch):
     assert windows and diagonals
 
 
+# Fan-out runs: two or more consecutive X gates with one set of controls
+# and distinct targets whose qubits span windows run as one flipped swap.
+
+def _fan_out_spy(monkeypatch, events=None):
+    """Record the targets of each fan-out run apply_to_state applies, and
+    append ("fan-out", targets) to `events` when given."""
+    calls = []
+    inner = circuit_module._apply_fan_out
+
+    def spy(psi, run):
+        calls.append([g.target for g in run])
+        if events is not None:
+            events.append(("fan-out", calls[-1]))
+        inner(psi, run)
+    monkeypatch.setattr(circuit_module, "_apply_fan_out", spy)
+    return calls
+
+
+def _x(controls, target):
+    """An X gate: a CNot for one positive control, else MultiControlled."""
+    if len(controls) == 1 and controls[0][1]:
+        return CNot(controls[0][0], target)
+    return MultiControlled(X_MATRIX, controls, target)
+
+
+def _fan_out_gates(rng, width):
+    """Runs of X gates on shared controls, each control set drawn with
+    random polarities and given in a random order per gate, with CNOTs and
+    multi-controlled X mixed, broken by a repeated target, by a gate that
+    targets a control, by a change of control set and by Hadamards,
+    diagonal gates and random gates between them."""
+    gates = []
+    for _ in range(8):
+        qubits = [int(q) for q in rng.permutation(width)]
+        k = int(rng.integers(1, 4))
+        controls = [(q, bool(rng.integers(0, 2))) for q in qubits[:k]]
+        if rng.random() < 0.5:
+            controls[0] = (controls[0][0], True)
+        targets = qubits[k:k + int(rng.integers(2, 6))]
+        for t in targets:
+            order = [controls[i] for i in rng.permutation(k)]
+            gates.append(_x(tuple(order), t))
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            gates.append(_x(tuple(controls), targets[0]))
+        elif kind == 1:
+            gates.append(_x(((targets[0], True),), controls[0][0]))
+        elif kind == 2:
+            gates.append(_x(tuple((q, not p) for q, p in controls),
+                            targets[-1]))
+        gates.append(Local(H_MATRIX, int(rng.integers(0, width))))
+        gates.extend(random_diagonal_circuit(rng, width, 3).gates)
+    return gates
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fan_out_runs_match_to_matrix_with_a_small_window(seed, monkeypatch):
+    # 3-qubit windows from width 7, as for the window tests above; at
+    # width 6 nothing is grouped
+    monkeypatch.setattr(circuit_module, "_WINDOW", 3)
+    monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
+    fan_outs = _fan_out_spy(monkeypatch)
+    windows = _window_spy(monkeypatch)
+    rng = np.random.default_rng(1600 + seed)
+    width = 6 + seed % 3
+    c = Circuit(width, tuple(_fan_out_gates(rng, width)))
+    state = _random_state(rng, width)
+    got = apply_to_state(c, state)
+    assert np.max(np.abs(got - to_matrix(c) @ state)) < 1e-12
+    want = [[g.target for g in run]
+            for run in _model_fan_outs(c.gates, width, 3)
+            if isinstance(run, list)]
+    assert fan_outs == (want if width >= 7 else [])
+    assert windows == (_expected_windows(c.gates, width, 3)
+                       if width >= 7 else [])
+    if width >= 7:
+        assert fan_outs
+
+
+def test_fan_out_run_ends_where_the_rule_says(monkeypatch):
+    # CNOTs and multi-controlled X with the same control, then a repeated
+    # target; mixed polarities in any order, then a gate that targets a
+    # control; a change of control set; a run inside one window is not
+    # grouped
+    fan_outs = _fan_out_spy(monkeypatch)
+    width = 16
+    gates = [CNot(15, 0), MultiControlled(X_MATRIX, ((15, True),), 9),
+             CNot(15, 14), CNot(15, 0),
+             MultiControlled(X_MATRIX, ((3, False), (12, True)), 5),
+             MultiControlled(X_MATRIX, ((12, True), (3, False)), 13),
+             MultiControlled(X_MATRIX, ((3, False), (12, True)), 1),
+             MultiControlled(X_MATRIX, ((5, True), (1, True)), 3),
+             MultiControlled(X_MATRIX, ((7, True), (11, True)), 0),
+             MultiControlled(X_MATRIX, ((7, True), (11, False)), 14),
+             MultiControlled(X_MATRIX, ((7, True), (11, False)), 15),
+             CNot(1, 2), CNot(1, 3), CNot(1, 0)]
+    rng = np.random.default_rng(1610)
+    state = _random_state(rng, width)
+    got = apply_to_state(Circuit(width, tuple(gates)), state)
+    assert fan_outs == [[0, 9, 14], [5, 13, 1], [14, 15]]
+    want = state
+    for g in gates:
+        want = apply_to_state(Circuit(width, (g,)), want)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_fan_out_runs_match_gates_one_by_one_at_full_size(seed, monkeypatch):
+    fan_outs = _fan_out_spy(monkeypatch)
+    rng = np.random.default_rng(1620 + seed)
+    width = 16
+    gates = _fan_out_gates(rng, width)
+    state = _random_state(rng, width)
+    got = apply_to_state(Circuit(width, tuple(gates)), state)
+    want = state
+    for g in gates:
+        want = apply_to_state(Circuit(width, (g,)), want)
+    assert fan_outs
+    assert np.max(np.abs(got - want)) < 1e-12
+    # X gates alone are exact swaps either way
+    xs = tuple(g for g in gates if not isinstance(g, QubitPerm) and g.flip)
+    got = apply_to_state(Circuit(width, xs), state)
+    want = state
+    for g in xs:
+        want = apply_to_state(Circuit(width, (g,)), want)
+    assert np.array_equal(got, want)
+
+
+def test_fan_out_run_releases_pending_gates_on_its_targets(monkeypatch):
+    # three diagonal gates reach across windows and are deferred; a run
+    # that targets one of their qubits releases them first, and a run
+    # that targets none of them runs while they stay pending
+    monkeypatch.setattr(circuit_module, "_WINDOW", 3)
+    monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
+    events = []
+    _fan_out_spy(monkeypatch, events)
+    inner = circuit_module._apply_diagonals
+
+    def spy(psi, gates):
+        events.append(("release", len(gates)))
+        inner(psi, gates)
+    monkeypatch.setattr(circuit_module, "_apply_diagonals", spy)
+    rng = np.random.default_rng(1630)
+    ph = functools.partial(_phase_gate, rng)
+    width = 8
+    gates = [ph(((7, True),), 0), ph(((6, False),), 0), ph(((5, True),), 0),
+             CNot(4, 3), CNot(4, 1),
+             CNot(2, 0), CNot(2, 4)]
+    state = _random_state(rng, width)
+    got = apply_to_state(Circuit(width, tuple(gates)), state)
+    assert events == [("fan-out", [3, 1]), ("release", 3),
+                      ("fan-out", [0, 4])]
+    assert np.max(np.abs(got - to_matrix(Circuit(width, tuple(gates)))
+                         @ state)) < 1e-12
+
+
+def test_qd_reorder_cnots_run_as_one_fan_out():
+    # qd n = 20 at width 21: CNot(19, j) for j = 0..18 is one step
+    c = qft_circuit(GroupSpec(Family.QD, 20))
+    runs = [g for apply, g in circuit_module._segments(c.gates, c.width, True)
+            if apply is circuit_module._apply_fan_out]
+    assert runs == [[CNot(19, j) for j in range(19)]]
+
+
+# Permutations: a bit reversal of a moved span above _BLOCK entries is
+# moved in bands; every other permutation is one axis transpose.
+
+def _transposed(psi, sigma):
+    """The state moved by sigma as one axis transpose."""
+    width = len(sigma)
+    top = width - 1
+    axes = [0] * width
+    for q, s in enumerate(sigma):
+        axes[top - s] = top - q
+    return np.ascontiguousarray(
+        psi.reshape((2,) * width).transpose(axes)).reshape(-1)
+
+
+def _band_spy(monkeypatch):
+    """Record the moved span of each banded permutation."""
+    calls = []
+    inner = circuit_module._band_transpose
+
+    def spy(psi, sigma, span):
+        calls.append(span)
+        return inner(psi, sigma, span)
+    monkeypatch.setattr(circuit_module, "_band_transpose", spy)
+    return calls
+
+
+def _banded_sigma(rng, width, span):
+    """A random sigma on the low `span` qubits, top ones fixed, that sends
+    the low span // 2 qubits onto the span's top positions."""
+    low = span // 2
+    high = span - low
+    sigma = [*(high + int(s) for s in rng.permutation(low)),
+             *(int(s) for s in rng.permutation(high))]
+    return tuple(sigma + list(range(span, width)))
+
+
+@pytest.mark.parametrize("width", [16, 21])
+def test_banded_permutation_equals_the_transpose(width, monkeypatch):
+    # full and partial bit reversals (the top qubits fixed, as in the
+    # batch that embed makes) and random sigma of that shape, odd and even
+    # spans; every span above _BLOCK entries takes the banded route
+    calls = _band_spy(monkeypatch)
+    rng = np.random.default_rng(1700 + width)
+    psi = _random_state(rng, width)
+    spans = range(circuit_module._BLOCK.bit_length(), width + 1)
+    sigmas = [tuple([*reversed(range(s)), *range(s, width)]) for s in spans]
+    sigmas += [_banded_sigma(rng, width, s) for s in (width - 1, width)]
+    for sigma in sigmas:
+        got = circuit_module._permute(psi.reshape((2,) * width), sigma)
+        assert got.shape == (2,) * width and got.flags.c_contiguous
+        assert np.array_equal(got.reshape(-1), _transposed(psi, sigma)), sigma
+    assert calls == [*spans, width - 1, width]
+
+
+def test_other_permutations_stay_on_the_transpose(monkeypatch):
+    # a rotation, a swap, and spans of at most _BLOCK entries
+    calls = _band_spy(monkeypatch)
+    width = 16
+    rng = np.random.default_rng(1710)
+    psi = _random_state(rng, width)
+    span = circuit_module._BLOCK.bit_length() - 1
+    sigmas = [(width - 1, *range(width - 1)),
+              (width - 1, *range(1, width - 1), 0),
+              (*reversed(range(span)), *range(span, width)),
+              tuple(int(s) for s in rng.permutation(width))]
+    for sigma in sigmas:
+        got = circuit_module._permute(psi.reshape((2,) * width), sigma)
+        assert np.array_equal(got.reshape(-1), _transposed(psi, sigma))
+    assert calls == []
+
+
+@pytest.mark.parametrize("width", range(3, 9))
+def test_banded_permutations_match_to_matrix_with_small_blocks(
+        width, monkeypatch):
+    # 4-entry blocks and 2-row bands send every bit reversal of 3 or more
+    # qubits through the banded route, band by band
+    monkeypatch.setattr(circuit_module, "_BLOCK", 4)
+    monkeypatch.setattr(circuit_module, "_BAND", 2)
+    calls = _band_spy(monkeypatch)
+    rng = np.random.default_rng(1720 + width)
+    perms = [QubitPerm(tuple(reversed(range(width)))),
+             QubitPerm((*reversed(range(width - 1)), width - 1)),
+             QubitPerm(_banded_sigma(rng, width, width)),
+             QubitPerm(tuple(int(s) for s in rng.permutation(width)))]
+    gates = [g for p in perms
+             for g in (p, *random_circuit(rng, width, 6).gates)
+             if g is p or not isinstance(g, QubitPerm)]
+    c = Circuit(width, tuple(gates))
+    state = _random_state(rng, width)
+    got = apply_to_state(c, state)
+    assert np.max(np.abs(got - to_matrix(c) @ state)) < 1e-12
+    # the random sigma may take the banded route too
+    want = [s for s in (width, width - 1, width) if s >= 3]
+    assert calls[:len(want)] == want
+
+
+def test_verify_batch_permutations_stay_on_the_transpose(monkeypatch):
+    # verify_n8 runs each width-9 circuit on a batch of 512 basis rows, a
+    # width-18 state whose permutations move at most 9 qubits
+    calls = _band_spy(monkeypatch)
+    fan_outs = _fan_out_spy(monkeypatch)
+    G = GroupSpec(Family.QD, 8)
+    c = qft_circuit(G)
+    assert any(isinstance(g, QubitPerm) for g in c.gates)
+    got = apply_to_state(c, np.eye(1 << c.width))
+    assert np.max(np.abs(got - assemble(G).b.T)) < 1e-12
+    assert calls == []
+    assert fan_outs == [list(range(7))]
+
+
 def test_diagonal_kind_is_read_at_construction():
     rng = np.random.default_rng(1530)
     us = [X_MATRIX, Z_MATRIX, H_MATRIX, np.eye(2), _diag(-1, 1j),
@@ -919,6 +1233,7 @@ def test_diagonal_kind_is_read_at_construction():
         u = g.u
         diagonal = u[0, 1] == 0 and u[1, 0] == 0
         assert (g.diagonal, g.phase) == (diagonal, diagonal and u[0, 0] == 1), g
+        assert g.flip == np.array_equal(u, X_MATRIX), g
     assert [g.phase for g in gates[:12:2]] == [False, True, False, True,
                                                False, True]
 
