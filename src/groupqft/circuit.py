@@ -662,9 +662,10 @@ def _segments(gates: tuple[Gate, ...], width: int, fuse: bool
     run (`_apply_phase_run`), a release of deferred diagonal gates
     (`_apply_diagonals`) or a fan-out run (`_apply_fan_out`), and
     (None, gate) for a gate that runs on its own.  The kernels are read
-    from the module when a group is found, so a test may replace them.  Without fusion there is one window, the
-    whole register, so no gate is deferred and every gate joins one stage
-    that runs gate by gate.
+    from the module when a group is found, so a test may replace them.
+    Without fusion there is one window, the whole register, so no gate is
+    deferred or grouped into a fan-out run, and every gate joins one
+    stage that runs gate by gate.
     """
     stage: list[Gate] = []
     window = None           # the stage's window, numbered from the top

@@ -597,24 +597,26 @@ def _model_fan_outs(gates, width, k):
         return frozenset(g.controls)
 
     out, run = [], []
-    for g in [*gates, None]:
-        if (g is not None and run and key(g) is not None
-                and key(g) == key(run[0])
-                and g.target not in {h.target for h in run}):
-            run.append(g)
-            continue
-        qubits = {h.target for h in run}
-        if run:
-            qubits |= {q for q, _ in run[0].controls}
-        if len({(width - 1 - q) // k for q in qubits}) > 1 and len(run) > 1:
+
+    def close():
+        qubits = {q for h in run
+                  for q in (h.target, *(c for c, _ in h.controls))}
+        if len(run) > 1 and len({(width - 1 - q) // k for q in qubits}) > 1:
             out.append(run)
         else:
             out.extend(run)
-        run = []
-        if g is not None and key(g) is not None:
-            run = [g]
-        elif g is not None:
+
+    for g in gates:
+        x = key(g)
+        if (x is not None and run and x == key(run[0])
+                and g.target not in {h.target for h in run}):
+            run.append(g)
+            continue
+        close()
+        run = [] if x is None else [g]
+        if x is None:
             out.append(g)
+    close()
     return out
 
 
