@@ -14,7 +14,11 @@ character of Z_{2^n} has degree 1, so M is the identity and is left out.
 
 Only A is dense: P is an index order, D a signed swap of each conjugate
 pair, and C a sign vector, so `assemble` gathers B from A's columns; the
-tests multiply out the factor matrices as its oracle.
+tests multiply out the factor matrices as its oracle.  B is a product of
+unitaries, so `assemble` checks the factor structure in O(|G|), not B B^H:
+that B B^H = I follows exactly once A is unitary, P is a permutation and
+D and C carry only signs.  `verify.check_decomposition` measures B's
+unitarity independently.
 
 The abelian base case returns B = DFT_{2^n} directly.
 """
@@ -29,7 +33,7 @@ import numpy as np
 # tracer wraps synthesis.induce and synthesis.kron by name.
 from .groups import (  # noqa: F401
     Family, GroupSpec, _extendables, induce)
-from .linalg import Matrix, dft, is_unitary, kron, perm_matrix  # noqa: F401
+from .linalg import Matrix, dft, kron, perm_matrix  # noqa: F401
 
 __all__ = [
     "DecompositionResult",
@@ -129,6 +133,12 @@ def equalizer(G: GroupSpec) -> Matrix:
     return np.diag(diag)
 
 
+def _is_permutation(idx: np.ndarray, m: int) -> bool:
+    """True when idx lists each of 0..m-1 exactly once, in O(m)."""
+    return (idx.shape == (m,) and idx.min() >= 0 and idx.max() < m
+            and bool(np.all(np.bincount(idx, minlength=m) == 1)))
+
+
 def assemble(G: GroupSpec) -> DecompositionResult:
     """Build the full transform for G.
 
@@ -138,6 +148,12 @@ def assemble(G: GroupSpec) -> DecompositionResult:
     y-half of D and c that of C: A P lists A's columns in reorder_sequence
     order, and A P T also swaps each pair's two columns and scales the
     first by rho_i(y^2).
+
+    The unitarity guard is exact and O(|G|): with top = A P and
+    bottom = A P T, b b^H = diag(2 top top^H, 2 bottom bottom^H) as c^2 = 1,
+    and each of these is A A^H = I / 2 when the column orders `seq` and
+    `swapped` are permutations and the scales s and c are all +-1.  So
+    those four conditions are checked instead of forming b b^H.
     """
     m = G.cyclic_order
     if G.is_abelian:
@@ -150,10 +166,20 @@ def assemble(G: GroupSpec) -> DecompositionResult:
     swapped[pos], swapped[pos + 1] = seq[pos + 1], seq[pos]
     s, c = np.ones(m), np.ones(m)
     s[pos], c[pos + 1] = sign, -1.0
-    a = dft(m) / np.sqrt(2)
-    top = a[:, seq]
-    bottom = a[:, swapped] * s
-    b = np.block([[top, top * c], [bottom, -bottom * c]])
-    if not is_unitary(b, 1e-10):
+    if not (_is_permutation(seq, m) and _is_permutation(swapped, m)
+            and np.all(np.abs(s) == 1) and np.all(np.abs(c) == 1)):
         raise AssertionError("assembled transform failed the unitarity check")
+    a = dft(m) / np.sqrt(2)
+    # the quadrants of b, filled in place, in the Fortran order that
+    # gathering A's columns gives
+    b = np.empty((2 * m, 2 * m), dtype=np.complex128, order="F")
+    top, top_c = b[:m, :m], b[:m, m:]
+    bottom, bottom_c = b[m:, :m], b[m:, m:]
+    np.take(a, seq, axis=1, out=top)
+    np.multiply(top, c, out=top_c)
+    np.take(a, swapped, axis=1, out=bottom)
+    np.multiply(bottom, s, out=bottom)
+    # -bottom * c in that order: bottom * -c gives some zeros the other sign
+    np.negative(bottom, out=bottom_c)
+    np.multiply(bottom_c, c, out=bottom_c)
     return DecompositionResult(b=b)

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from groupqft import synthesis
 
 from groupqft.groups import (
     Family,
@@ -189,6 +193,80 @@ def test_assemble_factors(family, n):
     assert is_unitary(b, 1e-10)
     recomposed = kron(np.eye(2), a @ p) @ d @ kron(dft(2), np.eye(m)) @ c
     assert np.max(np.abs(recomposed - b)) < 1e-14
+
+
+def _block_reference(G):
+    """b as four gathered quadrants joined by np.block, the formula the
+    in-place fill of assemble replaced."""
+    m = G.cyclic_order
+    seq = synthesis._sequence(G)
+    pos, sign = synthesis._pairs(G)
+    swapped = seq.copy()
+    swapped[pos], swapped[pos + 1] = seq[pos + 1], seq[pos]
+    s, c = np.ones(m), np.ones(m)
+    s[pos], c[pos + 1] = sign, -1.0
+    a = dft(m) / np.sqrt(2)
+    top = a[:, seq]
+    bottom = a[:, swapped] * s
+    return np.block([[top, top * c], [bottom, -bottom * c]])
+
+
+@pytest.mark.parametrize("family", NONABELIAN)
+@pytest.mark.parametrize("n", range(3, 11))
+def test_assemble_matches_block_formula_bitwise(family, n):
+    # the fill keeps every bit, signed zeros included, and the memory order
+    G = GroupSpec(family, n)
+    b, want = assemble(G).b, _block_reference(G)
+    assert b.tobytes() == want.tobytes()
+    assert b.flags["F_CONTIGUOUS"] == want.flags["F_CONTIGUOUS"]
+    if n >= 9:
+        # beyond test_assemble_factors' dense oracle
+        assert is_unitary(b, 1e-10)
+
+
+def test_assemble_guard_rejects_a_repeated_index(monkeypatch):
+    sequence = synthesis._sequence
+
+    def repeated(G):
+        seq = sequence(G)
+        seq[-1] = seq[0]
+        return seq
+
+    monkeypatch.setattr(synthesis, "_sequence", repeated)
+    with pytest.raises(AssertionError, match="unitarity check"):
+        assemble(GroupSpec(Family.QD, 5))
+
+
+@pytest.mark.parametrize("defect", ["overlapping", "unsigned"])
+def test_assemble_guard_rejects_planted_pairs(monkeypatch, defect):
+    pairs = synthesis._pairs
+
+    def planted(G):
+        pos, sign = pairs(G)
+        pos, sign = pos.copy(), sign.copy()
+        if defect == "overlapping":
+            pos[1] = pos[0] + 1
+        else:
+            sign[0] = 0.5
+        return pos, sign
+
+    monkeypatch.setattr(synthesis, "_pairs", planted)
+    with pytest.raises(AssertionError, match="unitarity check"):
+        assemble(GroupSpec(Family.DIHEDRAL, 5))
+
+
+def test_assemble_memory_peak():
+    # A scaled, b, and np.take's buffer for one quadrant: 1.5 b.nbytes at
+    # qd n = 8, where forming b b^H would add at least 2 more
+    g = GroupSpec(Family.QD, 8)
+    b = assemble(g).b
+    tracemalloc.start()
+    try:
+        assemble(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * b.nbytes
 
 
 def test_quaternion_differs_from_dihedral_only_in_twiddle():
