@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from groupqft import synthesis
-
 from groupqft.groups import (
     Family,
     GroupSpec,
@@ -196,8 +195,8 @@ def test_assemble_factors(family, n):
 
 
 def _block_reference(G):
-    """b as four gathered quadrants joined by np.block, the formula the
-    in-place fill of assemble replaced."""
+    """b as four gathered quadrants joined by np.block: the oracle for
+    assemble's in-place fill."""
     m = G.cyclic_order
     seq = synthesis._sequence(G)
     pos, sign = synthesis._pairs(G)
@@ -243,7 +242,6 @@ def test_assemble_guard_rejects_planted_pairs(monkeypatch, defect):
 
     def planted(G):
         pos, sign = pairs(G)
-        pos, sign = pos.copy(), sign.copy()
         if defect == "overlapping":
             pos[1] = pos[0] + 1
         else:
