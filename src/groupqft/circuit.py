@@ -9,7 +9,10 @@ Every gate other than a qubit permutation is a 2x2 unitary `u` on
 `target`, fired by `controls`, a tuple of (qubit, polarity) pairs: a
 Local gate has no controls and a CNOT is X with one positive control.
 Each gate class exposes these three attributes, so the code below reads
-them and never asks which kind a 2x2 gate is.
+them and never asks which kind a 2x2 gate is.  Every gate, a qubit
+permutation too, also stores `span`, its (lowest, highest) qubit, when it
+is built, and rejects a qubit index that is not an integer there; so
+`Circuit` checks a gate against its width in O(1).
 
 Two independent evaluation routes are kept deliberately separate:
 `to_matrix` multiplies each gate's action, one gate at a time, into the
@@ -48,6 +51,7 @@ gate by gate.  `apply_to_state` describes each kernel.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import groupby
@@ -60,9 +64,15 @@ from .linalg import Matrix, kron  # noqa: F401
 
 GATE_EPS = 1e-12
 
+# Read-only: every CNot's class-level u is X_MATRIX, and circuits share
+# these arrays between gates, so a write through one gate would rewrite
+# the others after their unitarity check and kind flags were set.
 X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 Z_MATRIX = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
+for _u in (X_MATRIX, Z_MATRIX, H_MATRIX):
+    _u.flags.writeable = False
+del _u
 
 
 def _check_2x2_unitary(u: Matrix) -> tuple[bool, bool, bool]:
@@ -97,17 +107,41 @@ def _check_2x2_unitary(u: Matrix) -> tuple[bool, bool, bool]:
             a == 0 and d == 0 and b == 1 and c == 1)
 
 
-def _set_kind(g: Gate) -> None:
-    """Check g.u and store its kind on g as `diagonal`, `phase` and
-    `flip`: attributes, not fields, so equality, hashing and the text
-    format see only the fields."""
-    diagonal, phase, flip = _check_2x2_unitary(g.u)
-    object.__setattr__(g, "diagonal", diagonal)
-    object.__setattr__(g, "phase", phase)
-    object.__setattr__(g, "flip", flip)
+def _qubit(q: object) -> int:
+    """q as a Python int.  Python and numpy integers pass; a float or any
+    other non-integer is a ValueError, never truncated."""
+    try:
+        return operator.index(q)
+    except TypeError:
+        raise ValueError(
+            f"qubit index must be an integer, got {q!r}") from None
 
 
-@dataclass(frozen=True, eq=False)
+# Frozen gates set their own attributes through object.__setattr__, one
+# at a time and always in the same order: instances then share one key
+# table, where an update of an empty __dict__ cost each gate about 190
+# bytes more.
+_set = object.__setattr__
+
+
+def _set_unitary(g: Gate, u: Matrix) -> None:
+    """Check `u`, then store it as complex128 on the frozen gate g with
+    its kind: `diagonal`, `phase` and `flip`.
+
+    The kind and `span` are attributes, not fields, so equality, hashing
+    and the text format see only the fields.  Local and MultiControlled
+    write their own __init__: the generated one would set each field once
+    before __post_init__ set it again, about 0.5 us a gate.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    diagonal, phase, flip = _check_2x2_unitary(u)
+    _set(g, "u", u)
+    _set(g, "diagonal", diagonal)
+    _set(g, "phase", phase)
+    _set(g, "flip", flip)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Local:
     """Single-qubit gate u on `target`."""
 
@@ -117,9 +151,11 @@ class Local:
     # a class attribute, not a field
     controls = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=np.complex128))
-        _set_kind(self)
+    def __init__(self, u: Matrix, target: int) -> None:
+        target = _qubit(target)
+        _set_unitary(self, u)
+        _set(self, "target", target)
+        _set(self, "span", (target, target))
 
 
 @dataclass(frozen=True)
@@ -140,11 +176,15 @@ class CNot:
         return ((self.control, True),)
 
     def __post_init__(self) -> None:
-        if self.control == self.target:
+        control, target = _qubit(self.control), _qubit(self.target)
+        if control == target:
             raise ValueError("control and target coincide")
+        _set(self, "control", control)
+        _set(self, "target", target)
+        _set(self, "span", (min(control, target), max(control, target)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MultiControlled:
     """u on `target`, applied when every control matches its polarity.
 
@@ -155,17 +195,26 @@ class MultiControlled:
     controls: tuple[tuple[int, bool], ...]
     target: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=np.complex128))
-        object.__setattr__(self, "controls", tuple(
-            (int(q), bool(p)) for q, p in self.controls))
-        _set_kind(self)
-        if not self.controls:
+    def __init__(self, u: Matrix, controls: tuple[tuple[int, bool], ...],
+                 target: int) -> None:
+        # one plain loop: a generator and a second pass over the controls
+        # cost each gate about 0.4 us more
+        pairs, qubits = [], []
+        for q, p in controls:
+            q = _qubit(q)
+            pairs.append((q, bool(p)))
+            qubits.append(q)
+        target = _qubit(target)
+        every = [target, *qubits]
+        _set_unitary(self, u)
+        _set(self, "controls", tuple(pairs))
+        _set(self, "target", target)
+        _set(self, "span", (min(every), max(every)))
+        if not pairs:
             raise ValueError("need at least one control; use Local instead")
-        qubits = [q for q, _ in self.controls]
         if len(set(qubits)) != len(qubits):
             raise ValueError("duplicate control qubits")
-        if self.target in qubits:
+        if target in qubits:
             raise ValueError("target cannot also be a control")
 
 
@@ -176,9 +225,11 @@ class QubitPerm:
     sigma: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", tuple(int(s) for s in self.sigma))
-        if sorted(self.sigma) != list(range(len(self.sigma))):
-            raise ValueError(f"not a permutation: {self.sigma}")
+        sigma = tuple(map(_qubit, self.sigma))
+        if sorted(sigma) != list(range(len(sigma))):
+            raise ValueError(f"not a permutation: {sigma}")
+        _set(self, "sigma", sigma)
+        _set(self, "span", (0, len(sigma) - 1))
 
 
 Gate = Local | CNot | MultiControlled | QubitPerm
@@ -187,8 +238,6 @@ Gate = Local | CNot | MultiControlled | QubitPerm
 def _gate_qubits(g: Gate) -> list[int]:
     if isinstance(g, QubitPerm):
         return list(range(len(g.sigma)))
-    # a plain loop: a generator here costs gate_sweep about 10%, since
-    # every Circuit, including each concatenation, checks every gate
     qubits = [g.target]
     for q, _ in g.controls:
         qubits.append(q)
@@ -202,14 +251,18 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
-        if self.width < 1:
+        width = self.width
+        if width < 1:
             raise ValueError("circuit needs at least one qubit")
+        # O(1) per gate from the span its constructor stored; only a gate
+        # that fails is walked, to name the same qubit as a full scan
         for g in self.gates:
-            if isinstance(g, QubitPerm) and len(g.sigma) != self.width:
+            lo, hi = g.span
+            if isinstance(g, QubitPerm) and len(g.sigma) != width:
                 raise ValueError("permutation length differs from width")
-            for q in _gate_qubits(g):
-                if not 0 <= q < self.width:
-                    raise ValueError(f"qubit {q} outside width {self.width}")
+            if lo < 0 or hi >= width:
+                q = next(q for q in _gate_qubits(g) if not 0 <= q < width)
+                raise ValueError(f"qubit {q} outside width {width}")
 
     def __add__(self, other: "Circuit") -> "Circuit":
         if self.width != other.width:
@@ -436,7 +489,7 @@ def _apply_diagonals(psi: np.ndarray, gates: list[Gate]) -> None:
     """
     top = psi.ndim - 1
     product = np.ones((1,) * (top + 1), dtype=np.complex128)
-    for g in sorted(gates, key=lambda g: min(_gate_qubits(g))):
+    for g in sorted(gates, key=lambda g: g.span[0]):
         f = np.concatenate([_phase_factor(top, g, z) for z in g.u.diagonal()],
                            axis=top - g.target)
         if math.prod(np.broadcast_shapes(product.shape, f.shape)) > _PHASE_CAP:
@@ -548,8 +601,8 @@ def _apply_window(psi: np.ndarray, run: list[Gate]) -> None:
     21, one call per outer slice, on 2^lo columns, ran 1.3-1.8x slower
     at lo = 1 and 3.
     """
-    qubits = [q for g in run for q in _gate_qubits(g)]
-    lo, hi = min(qubits), max(qubits) + 1
+    lo = min(g.span[0] for g in run)
+    hi = max(g.span[1] for g in run) + 1
     dim = 1 << (hi - lo)
     u = _run_rows(Circuit(hi - lo, tuple(_lowered(g, lo) for g in run)),
                   np.eye(dim)).T
@@ -694,15 +747,15 @@ def _segments(gates: tuple[Gate, ...], width: int, fuse: bool
         if not fuse:
             stage.append(g)
             continue
-        qubits = _gate_qubits(g)
-        here = (width - 1 - min(qubits)) // _WINDOW
-        inside = here == (width - 1 - max(qubits)) // _WINDOW
+        lo, hi = g.span
+        here = (width - 1 - lo) // _WINDOW
+        inside = here == (width - 1 - hi) // _WINDOW
         if inside and window in (None, here):
             stage.append(g)
             window = here
         elif g.diagonal:
             pending.append(g)
-            touched.update(qubits)
+            touched.update(_gate_qubits(g))
         else:
             yield from _stage(stage, fuse)
             stage, window = ([g], here) if inside else ([], None)

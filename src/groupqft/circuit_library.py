@@ -42,9 +42,11 @@ __all__ = [
 
 
 def _phase(k: int) -> np.ndarray:
-    """diag(1, exp(2 pi i / 2**k))."""
-    return np.array([[1.0, 0.0], [0.0, np.exp(2j * np.pi / (1 << k))]],
-                    dtype=np.complex128)
+    """diag(1, exp(2 pi i / 2**k)), read-only, since gates share it."""
+    u = np.array([[1.0, 0.0], [0.0, np.exp(2j * np.pi / (1 << k))]],
+                 dtype=np.complex128)
+    u.flags.writeable = False
+    return u
 
 
 def qft_cyclic_circuit(n: int) -> Circuit:
@@ -52,11 +54,13 @@ def qft_cyclic_circuit(n: int) -> Circuit:
     by a bit reversal."""
     if n < 1:
         raise ValueError("need n >= 1")
+    # one array per distinct phase, shared by its gates as H_MATRIX is
+    phases = {k: _phase(k) for k in range(2, n + 1)}
     gates: list = []
     for j in range(n - 1, -1, -1):
         gates.append(Local(H_MATRIX, j))
         for k in range(j - 1, -1, -1):
-            gates.append(MultiControlled(_phase(j - k + 1), ((k, True),), j))
+            gates.append(MultiControlled(phases[j - k + 1], ((k, True),), j))
     if n >= 2:
         gates.append(QubitPerm(tuple(reversed(range(n)))))
     return Circuit(n, tuple(gates))

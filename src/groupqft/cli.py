@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from contextlib import contextmanager
 
 import numpy as np
@@ -63,23 +64,39 @@ def _parse_u(token: str) -> np.ndarray:
     u = np.array([complex(r0, i0), complex(r1, i1),
                   complex(r2, i2), complex(r3, i3)])
     u.shape = (2, 2)
+    # read-only, since parse_circuit gives it to every gate naming the token
+    u.flags.writeable = False
     return u
 
 
 def format_gate(g: Gate) -> str:
+    return _format_gate(g, _fmt_u)
+
+
+def _format_gate(g: Gate, fmt_u: Callable[[Matrix], str]) -> str:
     if isinstance(g, Local):
-        return f"local q={g.target} u={_fmt_u(g.u)}"
+        return f"local q={g.target} u={fmt_u(g.u)}"
     if isinstance(g, CNot):
         return f"cnot c={g.control} t={g.target}"
     if isinstance(g, MultiControlled):
         ctrls = ",".join(f"{q}:{'+' if p else '-'}" for q, p in g.controls)
-        return f"mcu controls={ctrls} t={g.target} u={_fmt_u(g.u)}"
+        return f"mcu controls={ctrls} t={g.target} u={fmt_u(g.u)}"
     return "perm " + ",".join(str(s) for s in g.sigma)
 
 
 def format_circuit(c: Circuit) -> str:
+    # Each distinct matrix is formatted once per call.  The key is its
+    # bytes, not its value: -0.0 == 0.0 but prints differently.
+    texts: dict[bytes, str] = {}
+
+    def fmt_u(u: Matrix) -> str:
+        key = u.tobytes()
+        if key not in texts:
+            texts[key] = _fmt_u(u)
+        return texts[key]
+
     lines = [f"circuit width={c.width} gates={len(c.gates)}"]
-    lines += [format_gate(g) for g in c.gates]
+    lines += [_format_gate(g, fmt_u) for g in c.gates]
     return "\n".join(lines)
 
 
@@ -102,13 +119,18 @@ def _fields(tokens: list[str]) -> _Fields:
     return out
 
 
+def _line_error(no: int, line: str, exc: ValueError) -> ValueError:
+    """exc prefixed with the number and text of the line it came from."""
+    return ValueError(f"line {no}: {exc} in {line.strip()!r}")
+
+
 @contextmanager
 def _on_line(no: int, line: str):
     """Prefix a ValueError raised while parsing one line with that line."""
     try:
         yield
     except ValueError as exc:
-        raise ValueError(f"line {no}: {exc} in {line.strip()!r}") from None
+        raise _line_error(no, line, exc) from None
 
 
 def _numbered_lines(text: str, header: str) -> list[tuple[int, str]]:
@@ -133,21 +155,26 @@ def _parse_controls(token: str) -> tuple[tuple[int, bool], ...]:
     return tuple(out)
 
 
-def _parse_gate(line: str) -> Gate:
+def _parse_gate(line: str, matrices: dict[str, np.ndarray]) -> Gate:
+    """One gate line; `matrices` maps each u= token already parsed to its
+    array, so a token is parsed once and its array shared."""
     kind, *rest = line.split()
     if kind == "perm":
         if len(rest) != 1:
             raise ValueError("perm needs one comma-separated permutation")
         return QubitPerm(tuple(int(v) for v in rest[0].split(",")))
     f = _fields(rest)
-    if kind == "local":
-        return Local(_parse_u(f["u"]), int(f["q"]))
     if kind == "cnot":
         return CNot(int(f["c"]), int(f["t"]))
-    if kind == "mcu":
-        return MultiControlled(
-            _parse_u(f["u"]), _parse_controls(f["controls"]), int(f["t"]))
-    raise ValueError(f"unknown gate kind {kind!r}")
+    if kind not in ("local", "mcu"):
+        raise ValueError(f"unknown gate kind {kind!r}")
+    token = f["u"]
+    u = matrices.get(token)
+    if u is None:
+        u = matrices[token] = _parse_u(token)
+    if kind == "local":
+        return Local(u, int(f["q"]))
+    return MultiControlled(u, _parse_controls(f["controls"]), int(f["t"]))
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -157,10 +184,15 @@ def parse_circuit(text: str) -> Circuit:
         width, count = int(meta["width"]), int(meta["gates"])
         if len(body) != count:
             raise ValueError(f"header claims {count} gates, found {len(body)}")
+    # each distinct u= token is parsed once per call; every gate still
+    # checks its matrix when it is built
+    matrices: dict[str, np.ndarray] = {}
     gates: list[Gate] = []
-    for line_no, ln in body:
-        with _on_line(line_no, ln):
-            gates.append(_parse_gate(ln))
+    try:
+        for line_no, ln in body:
+            gates.append(_parse_gate(ln, matrices))
+    except ValueError as exc:
+        raise _line_error(line_no, ln, exc) from None
     # a bad width, or a gate qubit outside it, is charged to the header
     with _on_line(no, head):
         return Circuit(width, tuple(gates))

@@ -130,6 +130,130 @@ def test_circuit_validation():
         Circuit(2, ()) + Circuit(3, ())
 
 
+def test_shared_gate_matrices_are_read_only():
+    # every CNot's u is X_MATRIX and library gates share H_MATRIX, so a
+    # write through one gate would rewrite them all after their checks
+    cnot = CNot(0, 1)
+    assert cnot.u is X_MATRIX
+    for u in (X_MATRIX, Z_MATRIX, H_MATRIX, cnot.u):
+        assert u.flags.owndata
+        with pytest.raises(ValueError):
+            u[0, 1] = 5
+    assert cnot.flip and np.array_equal(CNot(1, 0).u, [[0, 1], [1, 0]])
+
+
+NON_INTEGER_QUBITS = {
+    "local-target": lambda: Local(H_MATRIX, 1.5),
+    "cnot-control": lambda: CNot(0.0, 1),
+    "cnot-target": lambda: CNot(0, np.float64(1.0)),
+    "mcu-control": lambda: MultiControlled(X_MATRIX, ((0.5, True),), 1),
+    "mcu-target": lambda: MultiControlled(X_MATRIX, ((0, True),), 1.0),
+    "perm": lambda: QubitPerm((1.0, 0.0)),
+    "text": lambda: Local(H_MATRIX, "1"),
+}
+
+
+@pytest.mark.parametrize("make", NON_INTEGER_QUBITS.values(),
+                         ids=NON_INTEGER_QUBITS.keys())
+def test_non_integer_qubit_is_rejected_at_construction(make):
+    with pytest.raises(ValueError, match="qubit index must be an integer"):
+        make()
+
+
+def test_numpy_integer_qubits_are_stored_as_ints():
+    gates = (Local(H_MATRIX, np.int64(2)), CNot(np.int32(0), np.int64(1)),
+             MultiControlled(X_MATRIX, ((np.int64(0), np.bool_(True)),),
+                             np.int8(2)),
+             QubitPerm((np.int64(1), np.int64(2), np.int64(0))))
+    plain = (Local(H_MATRIX, 2), CNot(0, 1),
+             MultiControlled(X_MATRIX, ((0, True),), 2), QubitPerm((1, 2, 0)))
+    for g, h in zip(gates, plain):
+        qubits = g.sigma if isinstance(g, QubitPerm) \
+            else (g.target,) + tuple(q for q, _ in g.controls)
+        assert all(type(q) is int for q in qubits), g
+        assert g.span == h.span
+    assert gates[1] == plain[1] and gates[3] == plain[3]
+    assert np.array_equal(to_matrix(Circuit(3, gates)),
+                          to_matrix(Circuit(3, plain)))
+
+
+@pytest.mark.parametrize("gate, span", [
+    (Local(H_MATRIX, 3), (3, 3)),
+    (CNot(4, 1), (1, 4)),
+    (CNot(1, 4), (1, 4)),
+    (MultiControlled(X_MATRIX, ((2, True), (5, False)), 3), (2, 5)),
+    (MultiControlled(Z_MATRIX, ((2, True),), 0), (0, 2)),
+    (MultiControlled(X_MATRIX, ((2, False), (0, True)), 6), (0, 6)),
+    (QubitPerm((2, 0, 1)), (0, 2)),
+    (QubitPerm((0,)), (0, 0)),
+], ids=["local", "cnot-down", "cnot-up", "mcu-inner", "mcu-low-target",
+        "mcu-high-target", "perm", "perm-1"])
+def test_span_is_the_lowest_and_highest_qubit(gate, span):
+    assert gate.span == span
+    assert "span" not in {f.name for f in dataclasses.fields(gate)}
+
+
+CIRCUIT_ERRORS = {
+    "no-qubits": (lambda: Circuit(0), "circuit needs at least one qubit"),
+    "local-at-width": (lambda: Circuit(2, (Local(X_MATRIX, 2),)),
+                       "qubit 2 outside width 2"),
+    "local-negative": (lambda: Circuit(2, (Local(X_MATRIX, -1),)),
+                       "qubit -1 outside width 2"),
+    "cnot-control": (lambda: Circuit(3, (CNot(3, 0),)),
+                     "qubit 3 outside width 3"),
+    "cnot-target": (lambda: Circuit(3, (CNot(0, 4),)),
+                    "qubit 4 outside width 3"),
+    "mcu-control": (lambda: Circuit(3, (
+        MultiControlled(X_MATRIX, ((1, True), (5, False)), 0),)),
+        "qubit 5 outside width 3"),
+    "mcu-negative-control": (lambda: Circuit(3, (
+        MultiControlled(X_MATRIX, ((-2, True),), 1),)),
+        "qubit -2 outside width 3"),
+    # with several qubits outside, the target is named first, then the
+    # controls in order
+    "mcu-target-first": (lambda: Circuit(3, (
+        MultiControlled(X_MATRIX, ((-1, True),), 7),)),
+        "qubit 7 outside width 3"),
+    "mcu-controls-in-order": (lambda: Circuit(3, (
+        MultiControlled(X_MATRIX, ((1, True), (6, True), (-4, False)), 0),)),
+        "qubit 6 outside width 3"),
+    "later-gate": (lambda: Circuit(3, (Local(X_MATRIX, 0), CNot(1, 2),
+                                       Local(X_MATRIX, 3))),
+                   "qubit 3 outside width 3"),
+    "perm-shorter": (lambda: Circuit(3, (QubitPerm((1, 0)),)),
+                     "permutation length differs from width"),
+    "perm-longer": (lambda: Circuit(2, (QubitPerm((2, 0, 1)),)),
+                    "permutation length differs from width"),
+    "add-widths": (lambda: Circuit(2, ()) + Circuit(3, ()),
+                   "cannot concatenate circuits of different widths"),
+    "embed-narrower": (lambda: embed(Circuit(3, (CNot(0, 2),)), 2),
+                       "target width smaller than circuit width"),
+}
+
+
+@pytest.mark.parametrize("make, message", CIRCUIT_ERRORS.values(),
+                         ids=CIRCUIT_ERRORS.keys())
+def test_circuit_validation_messages(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_add_and_embed_check_every_gate_of_the_result():
+    a = Circuit(3, (QubitPerm((1, 2, 0)), CNot(2, 0)))
+    b = Circuit(3, (MultiControlled(X_MATRIX, ((0, True),), 2),))
+    assert (a + b).gates == a.gates + b.gates
+    wide = embed(a + b, 5)
+    assert wide.gates[0] == QubitPerm((1, 2, 0, 3, 4))
+    assert wide.gates[0].span == (0, 4)
+    assert wide.gates[1:] == (a + b).gates[1:]
+    # a permutation is checked against the width it lands in
+    with pytest.raises(ValueError, match="permutation length"):
+        Circuit(5, a.gates)
+    with pytest.raises(ValueError, match="permutation length"):
+        Circuit(3, wide.gates)
+
+
 def test_to_matrix_empty_is_identity():
     assert np.array_equal(to_matrix(Circuit(3)), np.eye(8))
 

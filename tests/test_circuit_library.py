@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from groupqft.circuit import (
+    H_MATRIX,
+    Local,
     MultiControlled,
     QubitPerm,
     cost,
@@ -155,6 +157,26 @@ def test_qft_circuit_cost_bounded_by_square_of_width(family):
         width = n + 1
         c = cost(qft_circuit(GroupSpec(family, n)))
         assert c <= 4 * width * width
+
+
+def test_cyclic_gates_share_one_read_only_array_per_matrix():
+    n = 6
+    c = qft_cyclic_circuit(n)
+    hadamards = [g for g in c.gates if isinstance(g, Local)]
+    phases = [g for g in c.gates if isinstance(g, MultiControlled)]
+    assert len(hadamards) == n and all(g.u is H_MATRIX for g in hadamards)
+    by_value = {}
+    for g in phases:
+        assert by_value.setdefault(g.u.tobytes(), g.u) is g.u
+    assert len(by_value) == n - 1
+    for g in hadamards[:1] + phases:
+        with pytest.raises(ValueError):
+            g.u[1, 1] = 0
+    # nothing is kept between calls, and a later call builds the same gates
+    again = qft_cyclic_circuit(n)
+    assert all(g.u is not h.u for g, h in zip(again.gates, c.gates)
+               if isinstance(g, MultiControlled))
+    assert [_gate_key(g) for g in again.gates] == [_gate_key(g) for g in c.gates]
 
 
 def test_bad_sizes_rejected():

@@ -14,13 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import unitaries
 from groupqft.circuit import Circuit, CNot, Local, MultiControlled, QubitPerm
+from groupqft.circuit_library import qft_circuit
 from groupqft.cli import (
     _fmt_u,
     format_circuit,
+    format_gate,
     format_matrix,
     parse_circuit,
     parse_matrix,
 )
+from groupqft.groups import Family, GroupSpec
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300,
                     deadline=None)
@@ -204,3 +207,70 @@ def test_parsed_gate_matrix_owns_its_data():
     local, mcu = parse_circuit(text).gates
     assert np.signbit(local.u[0, 1].imag) and np.signbit(mcu.u[0, 1].real)
     assert np.signbit(mcu.u[1, 0].imag)
+
+
+U_H = ("u=0.70710678118654746,0,0.70710678118654746,0,"
+       "0.70710678118654746,0,-0.70710678118654746,0")
+U_X = "u=0,0,1,0,1,0,0,0"
+
+
+def test_repeated_u_token_gives_one_read_only_array_per_call():
+    text = ("circuit width=2 gates=5\n"
+            f"local q=0 {U_H}\nmcu controls=0:+ t=1 {U_H}\n"
+            f"local q=1 {U_X}\ncnot c=0 t=1\nlocal q=1 {U_H}")
+    h0, h1, x, _, h2 = parse_circuit(text).gates
+    assert h0.u is h1.u is h2.u
+    assert x.u is not h0.u
+    for u in (h0.u, x.u):
+        with pytest.raises(ValueError):
+            u[0, 0] = 0
+    # nothing is kept between calls
+    assert parse_circuit(text).gates[0].u is not h0.u
+
+
+def test_non_unitary_token_is_charged_to_its_first_line():
+    bad = "u=1,0,0,0,0,0,2,0"
+    text = ("circuit width=2 gates=4\n"
+            f"cnot c=0 t=1\nmcu controls=1:+ t=0 {bad}\n"
+            f"cnot c=1 t=0\nlocal q=1 {bad}")
+    with pytest.raises(ValueError) as exc:
+        parse_circuit(text)
+    assert str(exc.value) == ("line 3: gate matrix is not unitary in "
+                              f"'mcu controls=1:+ t=0 {bad}'")
+
+
+@pytest.mark.parametrize("line, message", [
+    (f"local {U_H}", "missing q="),
+    (f"mcu t=0 {U_H}", "missing controls="),
+    (f"mcu controls=1 t=0 {U_H}", "control must look like Q:+ or Q:-"),
+    (f"local q=1.5 {U_H}", "invalid literal for int()"),
+    (f"local q=0 q=1 {U_H}", "repeated key q="),
+])
+def test_malformed_line_after_a_parsed_token_names_its_own_line(line, message):
+    text = ("circuit width=2 gates=3\n"
+            f"local q=0 {U_H}\nlocal q=1 {U_H}\n{line}")
+    with pytest.raises(ValueError) as exc:
+        parse_circuit(text)
+    assert str(exc.value).startswith(f"line 4: {message}")
+    assert str(exc.value).endswith(f" in {line!r}")
+
+
+def test_format_circuit_keeps_each_zero_sign():
+    # -0.0 == 0.0, so a matrix keyed by value would print the first sign
+    u = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    v = u.copy()
+    v[0, 0] = complex(-0.0, -0.0)
+    c = Circuit(1, (Local(u, 0), Local(v, 0), Local(u, 0)))
+    lines = format_circuit(c).splitlines()[1:]
+    assert lines == [format_gate(g) for g in c.gates]
+    assert lines[0] == lines[2] != lines[1]
+    assert parse_circuit(format_circuit(c)).gates[1].u.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_format_circuit_is_the_header_and_each_format_gate(family):
+    for n in range(1 if family is Family.CYCLIC else 3, 17):
+        c = qft_circuit(GroupSpec(family, n))
+        header = f"circuit width={c.width} gates={len(c.gates)}"
+        assert format_circuit(c) == "\n".join(
+            [header] + [format_gate(g) for g in c.gates])
