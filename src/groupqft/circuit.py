@@ -41,8 +41,14 @@ uncontrolled mixing gates runs as one dense matrix on the span of its
 qubits.  Any other stage runs gate by gate, with each run of two or more
 consecutive diag(1, z) gates on one target and at most log2(`_PHASE_CAP`)
 controls as one broadcast multiply.  Three or more pending diagonal gates
-are applied as one product of broadcast factors.  On a narrow state
-nothing is deferred or grouped into fan-out runs, and its one stage runs
+are applied as one product of broadcast factors, which scales the state
+whenever it would pass `_BLOCK` entries.  Last, on the wide states of
+at least `_MOVES_MIN_SIZE` entries, a move run, two or more consecutive
+steps of that schedule that only move entries (a lone gate whose u is
+exactly X, a fan-out run or a permutation), among them a permutation,
+runs on an index array and moves the state by one gather
+(`_move_runs`).  On a narrow state nothing
+is deferred or grouped into fan-out or move runs, and its one stage runs
 gate by gate.  `apply_to_state` describes each kernel.
 
 `cost` sums the fixed per-gate weights of `gate_cost`.
@@ -251,7 +257,13 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
-        width = self.width
+        try:
+            width = operator.index(self.width)
+        except TypeError:
+            raise ValueError(
+                f"circuit width must be an integer, got {self.width!r}"
+            ) from None
+        object.__setattr__(self, "width", width)
         if width < 1:
             raise ValueError("circuit needs at least one qubit")
         # O(1) per gate from the span its constructor stored; only a gate
@@ -321,14 +333,14 @@ def to_matrix(c: Circuit) -> Matrix:
 # length-1 slices selecting bit 0 / bit 1 of one tensor axis
 _BIT = (slice(0, 1), slice(1, 2))
 
-# Entries a product of diagonal factors may reach before it is applied
-# early, so that neither a phase run nor a release of deferred diagonal
-# gates builds a temporary near the size of the state.
+# Entries a phase run's product of factors may reach before it is applied
+# early, so that it builds no temporary near the size of the state.
 _PHASE_CAP = 1 << 10
 
 # Entries in each of the paired sub-views a mixing gate updates at a time,
-# and in a window stage's matmul buffer: two blocks and their temporaries,
-# at most 1 MiB, stay in cache.
+# in a window stage's matmul buffer, and in a release's product of deferred
+# diagonal factors: two blocks and their temporaries, at most 1 MiB, stay
+# in cache.
 _BLOCK = 1 << 14
 
 # On a state of at least _FUSE_MIN_WIDTH qubits, the qubits are split into
@@ -340,6 +352,15 @@ _BLOCK = 1 << 14
 # the width a stage's matrix is built on, or that build would fuse again.
 _WINDOW = 6
 _FUSE_MIN_WIDTH = 14
+
+# Entries a state needs before its move runs go through an index array
+# (`_apply_moves`).  At 2^21 complex entries, 32 MiB, glibc maps every
+# state array fresh and unmaps it when it is freed.  On smaller states the
+# index arrays, a new size class, changed how the heap was reused between
+# calls: on verify's width-18 batches, page faults per `full_report` rose
+# from about 2,950 to 4,670 and the call slowed by 10% (CHANGES.md),
+# although the runs themselves got faster.
+_MOVES_MIN_SIZE = 1 << 21
 
 # Rows of the (2^h, 2^l) view of a permutation's moved span that the banded
 # route gathers at a time.  Measured (CHANGES.md): on width-21 bit
@@ -484,15 +505,15 @@ def _apply_diagonals(psi: np.ndarray, gates: list[Gate]) -> None:
     controls match, and 1 elsewhere.  The gates are taken by lowest
     qubit, so that factors sharing low axes meet in one product, and the
     product scales the whole state in one in-place pass whenever the next
-    factor would take it past `_PHASE_CAP` entries.  Every factor fits
-    under the cap on its own.
+    factor would take it past `_BLOCK` entries.  Every factor fits under
+    that cap on its own.
     """
     top = psi.ndim - 1
     product = np.ones((1,) * (top + 1), dtype=np.complex128)
     for g in sorted(gates, key=lambda g: g.span[0]):
         f = np.concatenate([_phase_factor(top, g, z) for z in g.u.diagonal()],
                            axis=top - g.target)
-        if math.prod(np.broadcast_shapes(product.shape, f.shape)) > _PHASE_CAP:
+        if math.prod(np.broadcast_shapes(product.shape, f.shape)) > _BLOCK:
             psi *= product
             product = f
         else:
@@ -613,7 +634,8 @@ def _apply_window(psi: np.ndarray, run: list[Gate]) -> None:
     outer, _, inner = view.shape
     cols = min(inner, _BLOCK // dim)
     slices = min(outer, _BLOCK // (dim * cols))
-    gathered = np.empty((dim, slices, cols), dtype=np.complex128)
+    if slices > 1:
+        gathered = np.empty((dim, slices, cols), dtype=np.complex128)
     buf = np.empty((dim, slices * cols), dtype=np.complex128)
     for a in range(0, outer, slices):
         for b in range(0, inner, cols):
@@ -654,14 +676,14 @@ def _stage(gates: list[Gate], fuse: bool
 
 def _release(gates: list[Gate]
              ) -> Iterator[tuple[Callable | None, Gate | list[Gate]]]:
-    """Deferred diagonal gates: three or more whose factors fit under
-    `_PHASE_CAP` as one product (`_apply_diagonals`); one or two, and any
-    larger one, on their own, where each touches only its control-selected
-    block."""
-    small = [g for g in gates if 2 << len(g.controls) <= _PHASE_CAP]
+    """Deferred diagonal gates: three or more whose factors fit in
+    `_BLOCK` entries as one product (`_apply_diagonals`); one or two, and
+    any larger one, on their own, where each touches only its
+    control-selected block."""
+    small = [g for g in gates if 2 << len(g.controls) <= _BLOCK]
     if len(small) > 2:
         yield _apply_diagonals, small
-        gates = [g for g in gates if 2 << len(g.controls) > _PHASE_CAP]
+        gates = [g for g in gates if 2 << len(g.controls) > _BLOCK]
     for g in gates:
         yield None, g
 
@@ -765,6 +787,64 @@ def _segments(gates: tuple[Gate, ...], width: int, fuse: bool
     yield from _release(pending)
 
 
+def _move_runs(steps: Iterator[tuple[Callable | None, Gate | list[Gate]]]
+               ) -> Iterator[tuple[Callable | None, object]]:
+    """The steps of `_segments` in order, each move run as one step
+    (`_apply_moves`, its steps).
+
+    A move run is two or more consecutive steps that only move entries,
+    among them a qubit permutation.  The steps that only move entries are
+    a lone gate whose u is exactly X, a fan-out run and a qubit
+    permutation.  A run without a permutation is given back step by step,
+    so it stays in place.
+    """
+    def flush() -> Iterator[tuple[Callable | None, object]]:
+        if len(run) > 1 and any(isinstance(g, QubitPerm) for _, g in run):
+            yield _apply_moves, run
+        else:
+            yield from run
+
+    run: list[tuple[Callable | None, Gate | list[Gate]]] = []
+    for step in steps:
+        apply, g = step
+        if apply is _apply_fan_out or (
+                apply is None and (isinstance(g, QubitPerm) or g.flip)):
+            run.append(step)
+            continue
+        if run:
+            yield from flush()
+            run = []
+        yield step
+    if run:
+        yield from flush()
+
+
+def _apply_moves(psi: np.ndarray,
+                 steps: list[tuple[Callable | None, Gate | list[Gate]]]
+                 ) -> np.ndarray:
+    """A new contiguous tensor holding the state moved by a move run.
+
+    The steps run on an index tensor, `np.arange(2^w)` in int32 (int64
+    past 2^31 entries), a quarter of the state's bytes, through the same
+    kernels as on the state; entry i then holds the index the run brings
+    to position i, so one gather moves the state.  The gather takes
+    `_BLOCK` indices at a time, so `np.take`'s cast of them to intp stays
+    block-sized.
+    """
+    dtype = np.int32 if psi.size <= 1 << 31 else np.int64
+    idx = np.arange(psi.size, dtype=dtype).reshape(psi.shape)
+    for apply, g in steps:
+        idx = _step(idx, apply, g)
+    src, order = psi.reshape(-1), idx.reshape(-1)
+    out = np.empty_like(src)
+    for i in range(0, src.size, _BLOCK):
+        # mode="clip" never clips, as every index is in range, but unlike
+        # the default it writes to `out` without a buffer
+        np.take(src, order[i:i + _BLOCK], out=out[i:i + _BLOCK],
+                mode="clip")
+    return out.reshape(psi.shape)
+
+
 def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit on a state vector of length 2**width, or on each
     row of a (k, 2**width) batch of states, k >= 1.
@@ -789,12 +869,12 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     - deferred diagonal gates scale the whole state by the product of
       their factors, each u00 and u11 on its target axis where its
       controls match, taken by lowest qubit and applied early whenever
-      the product could pass `_PHASE_CAP` entries (`_apply_diagonals`);
+      the product could pass `_BLOCK` entries (`_apply_diagonals`);
     - a phase run (two or more consecutive diag(1, z) gates on one
       target, in a stage that runs gate by gate) scales the target-1
       half by the product of each gate's small factor over its control
-      axes, in one broadcast multiply, applied early the same way
-      (`_apply_phase_run`);
+      axes, in one broadcast multiply, applied early whenever the
+      product could pass `_PHASE_CAP` entries (`_apply_phase_run`);
     - every other gate runs on its own, among them one or two deferred
       gates and a deferred gate whose factor alone would pass the cap.
       A diagonal gate scales the halves of its control-selected block
@@ -811,15 +891,21 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
       a span above `_BLOCK` entries, the top fixed qubits a batch axis,
       is moved `_BAND` rows at a time, each band gathered and written
       transposed (`_band_transpose`); any other permutation is one axis
-      transpose (`_permute`).
+      transpose (`_permute`);
+    - on `_FUSE_MIN_WIDTH` or more qubits and at least `_MOVES_MIN_SIZE`
+      entries, a move run runs its steps, the kernels above, on an index
+      tensor holding `np.arange(2^w)` in int32, a quarter of the state's
+      bytes, and then gathers the state into a new array by it, `_BLOCK`
+      entries at a time (`_apply_moves`).  A run without a permutation
+      stays in place, step by step, so that it needs no second state.
 
     Diagonal products need no blocking: each is one in-place multiply and
     builds no state-sized temporary, whereas the swap, the butterfly, the
     product formula and the window matrix each keep a temporary of the
-    piece they update.  Fan-out runs and permutations only move entries,
-    so their results are exact.  Below the threshold every gate runs on
-    its own or in a phase run, in order, so results there do not depend
-    on windows, deferral or fan-out runs.
+    piece they update.  Fan-out runs, permutations and move runs only
+    move entries, so their results are exact.  Below the threshold every
+    gate runs on its own or in a phase run, in order, so results there do
+    not depend on windows, deferral, fan-out runs or move runs.
 
     `to_matrix` applies every gate on its own, with no fusion and no
     deferral, and is the oracle for this.
@@ -840,7 +926,7 @@ def _run_rows(c: Circuit, states: np.ndarray) -> np.ndarray:
 
     Returns a new (k, 2^width) array and never writes to `states`.  The
     copy is handed to `_run` with no other reference, so a permutation
-    can free it when it moves the state into a new array.
+    or a move run can free it when it moves the state into a new array.
     """
     k, dim = states.shape
     m = (k - 1).bit_length()
@@ -850,32 +936,48 @@ def _run_rows(c: Circuit, states: np.ndarray) -> np.ndarray:
 
 
 def _padded_copy(states: np.ndarray, rows: int) -> np.ndarray:
-    """Flat complex copy of `states`, zero-padded to `rows` rows."""
-    out = np.zeros((rows, states.shape[1]), dtype=np.complex128)
+    """Flat complex copy of `states`, zero-padded to `rows` rows.
+
+    Each entry is written once: only the padding rows are zeroed.
+    """
+    out = np.empty((rows, states.shape[1]), dtype=np.complex128)
     out[:len(states)] = states
+    out[len(states):] = 0
     return out.reshape(-1)
 
 
 def _run(c: Circuit, psi: np.ndarray) -> np.ndarray:
     """Apply the gates of `c` to the contiguous flat state `psi`.
 
-    Updates `psi` in place until a qubit permutation moves the state into
-    a new array, and returns the result, flat.  `_apply_window` builds U
+    Updates `psi` in place until a qubit permutation or a move run moves
+    the state into a new array, and returns the result, flat.  `_apply_window` builds U
     through `_run_rows`, which calls this rather than `apply_to_state`, so
     that qftbench, which traces `apply_to_state` calls and counts their
     gates, sees only the circuits it was given.
     """
-    top = c.width - 1
     psi = psi.reshape((2,) * c.width)
-    for apply, g in _segments(c.gates, c.width,
-                               c.width >= _FUSE_MIN_WIDTH):
-        if apply is not None:
-            apply(psi, g)
-        elif isinstance(g, QubitPerm):
-            psi = _permute(psi, g.sigma)
-        else:
-            _apply_2x2(*_halves(psi, top, g), g.u)
+    fuse = c.width >= _FUSE_MIN_WIDTH
+    steps = _segments(c.gates, c.width, fuse)
+    if fuse and psi.size >= _MOVES_MIN_SIZE:
+        steps = _move_runs(steps)
+    for apply, g in steps:
+        psi = _step(psi, apply, g)
     return psi.reshape(-1)
+
+
+def _step(psi: np.ndarray, apply: Callable | None, g: object) -> np.ndarray:
+    """Apply one step of the schedule to the tensor `psi`, and return the
+    state: `psi` itself, updated in place, or a new array after a qubit
+    permutation or a move run."""
+    if apply is _apply_moves:
+        return apply(psi, g)
+    if apply is not None:
+        apply(psi, g)
+    elif isinstance(g, QubitPerm):
+        return _permute(psi, g.sigma)
+    else:
+        _apply_2x2(*_halves(psi, psi.ndim - 1, g), g.u)
+    return psi
 
 
 def _transpositions(sigma: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -19,6 +19,7 @@ from conftest import (
     unitaries,
 )
 from groupqft import circuit as circuit_module
+from groupqft import circuit_library
 from groupqft.circuit import (
     GATE_EPS,
     Circuit,
@@ -177,6 +178,14 @@ def test_numpy_integer_qubits_are_stored_as_ints():
                           to_matrix(Circuit(3, plain)))
 
 
+def test_numpy_integer_width_is_stored_as_int():
+    for width in (3, np.int64(3), np.int8(3), np.uint16(3)):
+        c = Circuit(width, (CNot(0, 2),))
+        assert type(c.width) is int and c.width == 3
+        # |q2 q1 q0> = |001> -> |101>
+        assert np.array_equal(apply_to_state(c, np.eye(8)[1]), np.eye(8)[5])
+
+
 @pytest.mark.parametrize("gate, span", [
     (Local(H_MATRIX, 3), (3, 3)),
     (CNot(4, 1), (1, 4)),
@@ -195,6 +204,13 @@ def test_span_is_the_lowest_and_highest_qubit(gate, span):
 
 CIRCUIT_ERRORS = {
     "no-qubits": (lambda: Circuit(0), "circuit needs at least one qubit"),
+    "width-float": (lambda: Circuit(2.5, (Local(H_MATRIX, 1),)),
+                    "circuit width must be an integer, got 2.5"),
+    "width-numpy-float": (lambda: Circuit(np.float64(3.0)),
+                          "circuit width must be an integer, got "
+                          "np.float64(3.0)"),
+    "width-text": (lambda: Circuit("3", ()),
+                   "circuit width must be an integer, got '3'"),
     "local-at-width": (lambda: Circuit(2, (Local(X_MATRIX, 2),)),
                        "qubit 2 outside width 2"),
     "local-negative": (lambda: Circuit(2, (Local(X_MATRIX, -1),)),
@@ -1344,6 +1360,263 @@ def test_verify_batch_permutations_stay_on_the_transpose(monkeypatch):
     assert np.max(np.abs(got - assemble(G).b.T)) < 1e-12
     assert calls == []
     assert fan_outs == [list(range(7))]
+
+
+# Move runs: on the wide states of at least _MOVES_MIN_SIZE entries, two
+# or more consecutive steps that only move entries (lone X gates, fan-out
+# runs, qubit permutations), among them a permutation, run on an index
+# array and move the state by one gather.  Tests at widths below 21 lower
+# the size threshold.
+
+def _moves_spy(monkeypatch):
+    """Record the steps of each move run apply_to_state applies, each as
+    the kernel's name ("x", "fan-out" or "perm") and its gates."""
+    calls = []
+    inner = circuit_module._apply_moves
+
+    def spy(psi, steps):
+        calls.append([("perm" if isinstance(g, QubitPerm) else
+                       "x" if apply is None else "fan-out", g)
+                      for apply, g in steps])
+        return inner(psi, steps)
+    monkeypatch.setattr(circuit_module, "_apply_moves", spy)
+    return calls
+
+
+_Y = np.array([[0, -1j], [1j, 0]])
+
+
+def _move_gates(rng, width):
+    """Runs of CNOTs, multi-controlled X gates, fan-out runs and qubit
+    permutations, with and without a permutation, each run broken by a
+    mixing gate (a controlled Y) or a diagonal one (Z, controlled or
+    not).  No gate rounds: X, Y and Z entries are 0 and +-1 or +-1j, so
+    every route gives the same bits."""
+    gates = []
+    for _ in range(6):
+        with_perm = rng.random() < 0.6
+        units = ["perm"] * with_perm + [
+            ["cnot", "mcx", "fan-out"][int(rng.integers(0, 3))]
+            for _ in range(int(rng.integers(1, 4)))]
+        for unit in (units[i] for i in rng.permutation(len(units))):
+            qubits = [int(q) for q in rng.permutation(width)]
+            if unit == "perm":
+                gates.append(QubitPerm(tuple(qubits)))
+            elif unit == "cnot":
+                gates.append(CNot(qubits[0], qubits[1]))
+            else:
+                k = int(rng.integers(1, 4))
+                controls = tuple((q, bool(rng.integers(0, 2)))
+                                 for q in qubits[:k])
+                n = 1 if unit == "mcx" else int(rng.integers(2, 5))
+                gates.extend(MultiControlled(X_MATRIX, controls, t)
+                             for t in qubits[k:k + n])
+        q = [int(x) for x in rng.choice(width, size=2, replace=False)]
+        gates.append([MultiControlled(_Y, ((q[0], True),), q[1]),
+                      MultiControlled(Z_MATRIX, ((q[0], False),), q[1]),
+                      Local(Z_MATRIX, q[1])][int(rng.integers(0, 3))])
+    return gates
+
+
+def _is_move(apply, g):
+    """Whether a step of the schedule only moves entries, read from the
+    gate's matrix."""
+    return (apply is circuit_module._apply_fan_out
+            or (apply is None and (isinstance(g, QubitPerm)
+                                   or np.array_equal(g.u, X_MATRIX))))
+
+
+@pytest.mark.parametrize("width", [14, 15, 16])
+def test_move_runs_match_reference_bit_for_bit(width, monkeypatch):
+    monkeypatch.setattr(circuit_module, "_MOVES_MIN_SIZE", 1 << 14)
+    calls = _moves_spy(monkeypatch)
+    rng = np.random.default_rng(1800 + width)
+    gates = _move_gates(rng, width)
+    state = _random_state(rng, width)
+    got = apply_to_state(Circuit(width, tuple(gates)), state)
+    assert np.array_equal(got, _reference_chain(gates, state))
+    # each run holds a permutation and only moves; every other step of
+    # the schedule stays in the stream
+    assert calls
+    for steps in calls:
+        assert len(steps) >= 2 and "perm" in [kind for kind, _ in steps]
+    stream = list(circuit_module._move_runs(circuit_module._segments(
+        tuple(gates), width, True)))
+    grouped = [g for apply, g in stream if apply is circuit_module._apply_moves]
+    assert [[g for _, g in steps] for steps in calls] == \
+        [[g for _, g in steps] for steps in grouped]
+    assert all(_is_move(*step) for steps in grouped for step in steps)
+    for (a, g), (b, h) in zip(stream, stream[1:]):
+        # no two moves side by side outside a run with a permutation
+        if a is not circuit_module._apply_moves \
+                and b is not circuit_module._apply_moves:
+            assert not (_is_move(a, g) and _is_move(b, h)
+                        and (isinstance(g, QubitPerm)
+                             or isinstance(h, QubitPerm)))
+
+
+def test_move_runs_end_where_the_rule_says(monkeypatch):
+    # width 16, windows [10, 16), [4, 10) and [0, 4).  A CNOT, a rotation,
+    # a fan-out run and a multi-controlled X are one run; a controlled Y
+    # (mixing) ends it.  Two X gates without a permutation stay in place.
+    # Z, a stage of its own, comes out before the reversal.  The
+    # controlled Z across windows is deferred past CNot(13, 1), which
+    # targets none of its qubits, so the reversal and the two CNOTs are a
+    # run; the Z is released before the last rotation, which stays alone.
+    monkeypatch.setattr(circuit_module, "_MOVES_MIN_SIZE", 1 << 16)
+    calls = _moves_spy(monkeypatch)
+    width = 16
+    rot = QubitPerm((width - 1, *range(width - 1)))
+    rev = QubitPerm(tuple(reversed(range(width))))
+    gates = [CNot(15, 0), rot, CNot(15, 0), CNot(15, 5), CNot(15, 11),
+             MultiControlled(X_MATRIX, ((0, True), (7, False)), 13),
+             MultiControlled(_Y, ((12, True),), 3),
+             CNot(15, 1), MultiControlled(X_MATRIX, ((2, False),), 14),
+             Local(Z_MATRIX, 14), rev, CNot(3, 12),
+             MultiControlled(Z_MATRIX, ((0, True),), 12), CNot(13, 1), rot]
+    state = _random_state(np.random.default_rng(1810), width)
+    got = apply_to_state(Circuit(width, tuple(gates)), state)
+    assert [[kind for kind, _ in steps] for steps in calls] == [
+        ["x", "perm", "fan-out", "x"], ["perm", "x", "x"]]
+    assert calls[0][2][1] == gates[2:5]
+    want = state
+    for g in gates:
+        want = apply_to_state(Circuit(width, (g,)), want)
+    assert np.array_equal(got, want)
+
+
+def test_qd_reorder_factor_runs_as_one_move_run(monkeypatch):
+    # qd n = 15 at width 16: the twiddle's two X gates and the whole
+    # reorder factor (rotation, fan-out, controlled increment, CNOT and
+    # Toffoli) are one gather, bit for bit what the steps give one by one
+    monkeypatch.setattr(circuit_module, "_MOVES_MIN_SIZE", 1 << 16)
+    calls = _moves_spy(monkeypatch)
+    G = GroupSpec(Family.QD, 15)
+    c = qft_circuit(G)
+    factors = dict(circuit_library.qft_factors(G))
+    state = _random_state(np.random.default_rng(1820), c.width)
+    got = apply_to_state(c, state)
+    assert len(calls) == 1
+    assert [kind for kind, _ in calls[0]] == \
+        ["x", "x", "perm", "fan-out", *["x"] * 16]
+    flat = [h for _, g in calls[0] for h in (g if isinstance(g, list) else [g])]
+    assert format_circuit(Circuit(c.width, tuple(flat))) == format_circuit(
+        factors["twiddle"] + factors["reorder"])
+    monkeypatch.setattr(circuit_module, "_move_runs", lambda steps: steps)
+    assert np.array_equal(got, apply_to_state(c, state))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("offset", [0, -1])
+def test_move_runs_only_on_wide_states(offset, monkeypatch):
+    # below the width threshold every gate runs on its own, in order,
+    # whatever the state's size
+    monkeypatch.setattr(circuit_module, "_MOVES_MIN_SIZE", 1)
+    calls = _moves_spy(monkeypatch)
+    width = circuit_module._FUSE_MIN_WIDTH + offset
+    c = qft_circuit(GroupSpec(Family.QD, width - 1))
+    state = _random_state(np.random.default_rng(1830), width)
+    got = apply_to_state(c, state)
+    assert len(calls) == (1 if offset == 0 else 0)
+    want = state
+    for g in c.gates:
+        want = apply_to_state(Circuit(width, (g,)), want)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("rows", [1 << 9, 1 << 12])
+def test_move_runs_only_on_states_of_the_minimum_size(rows, monkeypatch):
+    # qd n = 8 on verify's batch of 512 rows is a width-18 state, below
+    # _MOVES_MIN_SIZE, and keeps its moves step by step; 4096 rows make a
+    # width-21 state of 2^21 entries, whose reorder factor is one gather
+    calls = _moves_spy(monkeypatch)
+    G = GroupSpec(Family.QD, 8)
+    c = qft_circuit(G)
+    rng = np.random.default_rng(1835)
+    states = rng.standard_normal((rows, 1 << c.width)) + 0j
+    got = apply_to_state(c, states)
+    assert (states.size >= circuit_module._MOVES_MIN_SIZE) == (rows == 1 << 12)
+    assert len(calls) == (1 if rows == 1 << 12 else 0)
+    assert np.max(np.abs(got - states @ assemble(G).b.T)) < 1e-12
+
+
+def test_full_qft_circuits_memory_peak(monkeypatch):
+    # permutations included: the state copy, the new array a permutation
+    # or a move run's gather fills, and a move run's index array of a
+    # quarter state, within the bound of the cyclic test above
+    monkeypatch.setattr(circuit_module, "_MOVES_MIN_SIZE", 1 << 18)
+    calls = _moves_spy(monkeypatch)
+    width = 18
+    v = np.random.default_rng(1840).standard_normal(1 << width) + 0j
+    for c in (qft_cyclic_circuit(width),
+              qft_circuit(GroupSpec(Family.QD, width - 1))):
+        assert _traced_peak(c, v) <= 2.5 * v.nbytes
+    assert len(calls) == 1
+
+
+# Releases: a product of deferred diagonal factors grows to _BLOCK entries
+# before it scales the state.
+
+class _ProductProbe(np.ndarray):
+    """A view of the state that records the size of every factor product
+    multiplied into it in place."""
+    sizes: list = []
+
+    def __imul__(self, other):
+        self.sizes[-1].append(np.size(other))
+        return super().__imul__(other)
+
+
+def _product_spy(monkeypatch):
+    """Record, per release of deferred diagonal gates, the sizes of the
+    products that scale the state."""
+    sizes = []
+    inner = circuit_module._apply_diagonals
+
+    def spy(psi, gates):
+        sizes.append([])
+        probe = psi.view(_ProductProbe)
+        probe.sizes = sizes
+        inner(probe, gates)
+    monkeypatch.setattr(circuit_module, "_apply_diagonals", spy)
+    return sizes
+
+
+def test_cyclic_21_releases_in_block_sized_products(monkeypatch):
+    # the cascade's three releases scale the state twice, twice and once;
+    # each product holds at most _BLOCK entries
+    sizes = _product_spy(monkeypatch)
+    n = 21
+    rng = np.random.default_rng(1850)
+    v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    got = apply_to_state(qft_cyclic_circuit(n), v)
+    assert [len(s) for s in sizes] == [2, 2, 1]
+    assert max(max(s) for s in sizes) == circuit_module._BLOCK
+    assert np.max(np.abs(got - np.sqrt(v.size) * np.fft.ifft(v))) < 1e-13
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_small_blocks_and_move_runs_match_to_matrix(seed, monkeypatch):
+    # 3-qubit windows from width 7 and 16-entry blocks: releases scale the
+    # state several times, and permutations meet CNOTs in move runs
+    monkeypatch.setattr(circuit_module, "_WINDOW", 3)
+    monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
+    monkeypatch.setattr(circuit_module, "_BLOCK", 16)
+    monkeypatch.setattr(circuit_module, "_MOVES_MIN_SIZE", 1 << 7)
+    sizes = _product_spy(monkeypatch)
+    calls = _moves_spy(monkeypatch)
+    rng = np.random.default_rng(1860 + seed)
+    width = 7 + seed % 2
+    gates = [g for _ in range(3)
+             for g in (*random_diagonal_circuit(rng, width, 20).gates,
+                       *_move_gates(rng, width)[:6])]
+    c = Circuit(width, tuple(gates))
+    state = _random_state(rng, width)
+    got = apply_to_state(c, state)
+    assert np.max(np.abs(got - to_matrix(c) @ state)) < 1e-12
+    assert sizes and max(max(s) for s in sizes) <= 16
+    assert any(len(s) > 1 for s in sizes)
+    assert calls
 
 
 def test_diagonal_kind_is_read_at_construction():
