@@ -358,7 +358,7 @@ _FUSE_MIN_WIDTH = 14
 # state array fresh and unmaps it when it is freed.  On smaller states the
 # index arrays, a new size class, changed how the heap was reused between
 # calls: on verify's width-18 batches, page faults per `full_report` rose
-# from about 2,950 to 4,670 and the call slowed by 10% (CHANGES.md),
+# from about 2,950 to 4,670 and the call slowed by 7-10% (CHANGES.md),
 # although the runs themselves got faster.
 _MOVES_MIN_SIZE = 1 << 21
 
