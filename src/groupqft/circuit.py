@@ -334,7 +334,9 @@ def to_matrix(c: Circuit) -> Matrix:
 _BIT = (slice(0, 1), slice(1, 2))
 
 # Entries a phase run's product of factors may reach before it is applied
-# early, so that it builds no temporary near the size of the state.
+# early, so that it builds no temporary near the size of the state, and
+# that a deferred diagonal gate's factor may hold to join a release's
+# product.
 _PHASE_CAP = 1 << 10
 
 # Entries in each of the paired sub-views a mixing gate updates at a time,
@@ -506,7 +508,7 @@ def _apply_diagonals(psi: np.ndarray, gates: list[Gate]) -> None:
     qubit, so that factors sharing low axes meet in one product, and the
     product scales the whole state in one in-place pass whenever the next
     factor would take it past `_BLOCK` entries.  Every factor fits under
-    that cap on its own.
+    `_PHASE_CAP` on its own (`_release`).
     """
     top = psi.ndim - 1
     product = np.ones((1,) * (top + 1), dtype=np.complex128)
@@ -676,14 +678,15 @@ def _stage(gates: list[Gate], fuse: bool
 
 def _release(gates: list[Gate]
              ) -> Iterator[tuple[Callable | None, Gate | list[Gate]]]:
-    """Deferred diagonal gates: three or more whose factors fit in
-    `_BLOCK` entries as one product (`_apply_diagonals`); one or two, and
-    any larger one, on their own, where each touches only its
-    control-selected block."""
-    small = [g for g in gates if 2 << len(g.controls) <= _BLOCK]
+    """Deferred diagonal gates: three or more whose factors fit under
+    `_PHASE_CAP` as one product (`_apply_diagonals`); one or two, and any
+    larger one, on their own, where each touches only its control-selected
+    block.  A larger factor would fill most of the product's `_BLOCK`
+    entries alone, and cost a pass over the state rather than save one."""
+    small = [g for g in gates if 2 << len(g.controls) <= _PHASE_CAP]
     if len(small) > 2:
         yield _apply_diagonals, small
-        gates = [g for g in gates if 2 << len(g.controls) > _BLOCK]
+        gates = [g for g in gates if 2 << len(g.controls) > _PHASE_CAP]
     for g in gates:
         yield None, g
 
@@ -876,7 +879,8 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
       axes, in one broadcast multiply, applied early whenever the
       product could pass `_PHASE_CAP` entries (`_apply_phase_run`);
     - every other gate runs on its own, among them one or two deferred
-      gates and a deferred gate whose factor alone would pass the cap.
+      gates and a deferred gate whose factor alone would pass
+      `_PHASE_CAP` entries.
       A diagonal gate scales the halves of its control-selected block
       whose entry is not 1.  Any other 2x2 gate mixes the two target-axis
       halves of its block in paired pieces of at most `_BLOCK` entries:

@@ -1595,13 +1595,35 @@ def test_cyclic_21_releases_in_block_sized_products(monkeypatch):
     assert np.max(np.abs(got - np.sqrt(v.size) * np.fft.ifft(v))) < 1e-13
 
 
+def test_release_runs_a_factor_past_the_phase_cap_alone(monkeypatch):
+    # a deferred gate with ten controls has a factor of 2^11 entries, past
+    # _PHASE_CAP, and runs alone on its control block; the three
+    # one-control gates released with it are one product
+    diagonals = _diagonal_spy(monkeypatch)
+    width = circuit_module._FUSE_MIN_WIDTH
+    many = MultiControlled(Z_MATRIX, tuple((q, q % 2 == 1)
+                                           for q in range(3, 13)), 0)
+    gates = [MultiControlled(Z_MATRIX, ((13, True),), t) for t in (0, 1, 2)]
+    gates.insert(1, many)
+    steps = list(circuit_module._release(gates))
+    assert [apply for apply, _ in steps] == \
+        [circuit_module._apply_diagonals, None]
+    assert steps[1][1] is many
+    state = _random_state(np.random.default_rng(1855), width)
+    got = apply_to_state(Circuit(width, tuple(gates)), state)
+    assert diagonals == [3]
+    assert np.max(np.abs(got - _reference_chain(gates, state))) < 1e-12
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_small_blocks_and_move_runs_match_to_matrix(seed, monkeypatch):
-    # 3-qubit windows from width 7 and 16-entry blocks: releases scale the
-    # state several times, and permutations meet CNOTs in move runs
+    # 3-qubit windows from width 7, 16-entry blocks and factors of at most
+    # 8 entries in a release: releases scale the state several times, and
+    # permutations meet CNOTs in move runs
     monkeypatch.setattr(circuit_module, "_WINDOW", 3)
     monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
     monkeypatch.setattr(circuit_module, "_BLOCK", 16)
+    monkeypatch.setattr(circuit_module, "_PHASE_CAP", 8)
     monkeypatch.setattr(circuit_module, "_MOVES_MIN_SIZE", 1 << 7)
     sizes = _product_spy(monkeypatch)
     calls = _moves_spy(monkeypatch)
