@@ -360,8 +360,9 @@ _FUSE_MIN_WIDTH = 14
 # state array fresh and unmaps it when it is freed.  On smaller states the
 # index arrays, a new size class, changed how the heap was reused between
 # calls: on verify's width-18 batches, page faults per `full_report` rose
-# from about 2,950 to 4,670 and the call slowed by 7-10% (CHANGES.md),
-# although the runs themselves got faster.
+# from about 2,950 to 4,670 and the call slowed by about 8%, in 10 of 10
+# rounds (CHANGES.md), although the runs themselves got faster.  Widths
+# 19 and 20 are unmeasured.
 _MOVES_MIN_SIZE = 1 << 21
 
 # Rows of the (2^h, 2^l) view of a permutation's moved span that the banded
