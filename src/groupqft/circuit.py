@@ -17,10 +17,13 @@ is built, and rejects a qubit index that is not an integer there; so
 Two independent evaluation routes are kept deliberately separate:
 `to_matrix` multiplies each gate's action, one gate at a time, into the
 running product row pair by row pair, on flat basis indices selected by
-bit masks, while `apply_to_state` updates a `(2,)*width` tensor view of
-the state in place, one axis per qubit.  They read the same gate data
-but share no evaluation code; tests play one against the other.
-`to_matrix` stays unfused, so it remains the oracle.
+bit masks, while `apply_to_state` updates a tensor view of the state in
+place, qubit q on axis -1-q.  They read the same gate data but share no
+evaluation code; tests play one against the other.  `to_matrix` stays
+unfused, so it remains the oracle.  Every state kernel indexes from the
+last axis, so leading axes pass through it: a batch's rows, and the rows
+of the identity that a fused stage's matrix is built on.  The kernel
+runs the circuit's own gates and builds no circuit.
 
 The state kernel schedules the gates in one pass (`_segments`), from the
 gate data alone.  On a state of at least `_FUSE_MIN_WIDTH` qubits the
@@ -57,7 +60,6 @@ gate by gate.  `apply_to_state` describes each kernel.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import groupby
@@ -66,7 +68,7 @@ import numpy as np
 
 # kron is unused here but stays a module attribute: qftbench's tracer
 # wraps circuit.kron by name.
-from .linalg import Matrix, kron  # noqa: F401
+from .linalg import Matrix, as_int, kron  # noqa: F401
 
 GATE_EPS = 1e-12
 
@@ -113,16 +115,6 @@ def _check_2x2_unitary(u: Matrix) -> tuple[bool, bool, bool]:
             a == 0 and d == 0 and b == 1 and c == 1)
 
 
-def _qubit(q: object) -> int:
-    """q as a Python int.  Python and numpy integers pass; a float or any
-    other non-integer is a ValueError, never truncated."""
-    try:
-        return operator.index(q)
-    except TypeError:
-        raise ValueError(
-            f"qubit index must be an integer, got {q!r}") from None
-
-
 # Frozen gates set their own attributes through object.__setattr__, one
 # at a time and always in the same order: instances then share one key
 # table, where an update of an empty __dict__ cost each gate about 190
@@ -158,7 +150,7 @@ class Local:
     controls = ()
 
     def __init__(self, u: Matrix, target: int) -> None:
-        target = _qubit(target)
+        target = as_int(target, "qubit index")
         _set_unitary(self, u)
         _set(self, "target", target)
         _set(self, "span", (target, target))
@@ -182,7 +174,8 @@ class CNot:
         return ((self.control, True),)
 
     def __post_init__(self) -> None:
-        control, target = _qubit(self.control), _qubit(self.target)
+        control = as_int(self.control, "qubit index")
+        target = as_int(self.target, "qubit index")
         if control == target:
             raise ValueError("control and target coincide")
         _set(self, "control", control)
@@ -207,10 +200,10 @@ class MultiControlled:
         # cost each gate about 0.4 us more
         pairs, qubits = [], []
         for q, p in controls:
-            q = _qubit(q)
+            q = as_int(q, "qubit index")
             pairs.append((q, bool(p)))
             qubits.append(q)
-        target = _qubit(target)
+        target = as_int(target, "qubit index")
         every = [target, *qubits]
         _set_unitary(self, u)
         _set(self, "controls", tuple(pairs))
@@ -231,7 +224,7 @@ class QubitPerm:
     sigma: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sigma = tuple(map(_qubit, self.sigma))
+        sigma = tuple([as_int(q, "qubit index") for q in self.sigma])
         if sorted(sigma) != list(range(len(sigma))):
             raise ValueError(f"not a permutation: {sigma}")
         _set(self, "sigma", sigma)
@@ -257,12 +250,7 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
-        try:
-            width = operator.index(self.width)
-        except TypeError:
-            raise ValueError(
-                f"circuit width must be an integer, got {self.width!r}"
-            ) from None
+        width = as_int(self.width, "circuit width")
         object.__setattr__(self, "width", width)
         if width < 1:
             raise ValueError("circuit needs at least one qubit")
@@ -350,8 +338,8 @@ _BLOCK = 1 << 14
 # of gates inside one window may run as one dense matrix on the span of its
 # qubits.  Both values are measured (CHANGES.md): whole width-21 circuits
 # ran as fast with a window of 6 qubits as with 7, and fusing broke even at
-# width 13 and gained from 14 up.  The threshold must exceed 2 * _WINDOW,
-# the width a stage's matrix is built on, or that build would fuse again.
+# width 13 and gained from 14 up.  A stage's matrix is built gate by gate,
+# so it never fuses again, whatever the two values.
 _WINDOW = 6
 _FUSE_MIN_WIDTH = 14
 
@@ -371,31 +359,34 @@ _MOVES_MIN_SIZE = 1 << 21
 _BAND = 64
 
 
-def _halves(psi: np.ndarray, top: int, g: Gate) -> tuple[np.ndarray, np.ndarray]:
+def _halves(psi: np.ndarray, g: Gate) -> tuple[np.ndarray, np.ndarray]:
     """Views of the target-0 and target-1 halves of the control-matched
-    block of `g`, on a tensor whose axis top-q holds qubit q.
+    block of `g`, on a tensor whose axis -1-q holds qubit q.
 
-    Slices, not integer indices: when the controls and the target fix
-    every axis, integer indexing returns a 0-d copy and the write is lost.
+    The index covers the axes of qubits 0..hi, hi the highest qubit of
+    `g`, after an Ellipsis, so any leading axes pass through.  Slices, not
+    integer indices: when the controls and the target fix every axis,
+    integer indexing returns a 0-d copy and the write is lost.
     """
-    idx = [slice(None)] * (top + 1)
+    idx = [Ellipsis] + [slice(None)] * (g.span[1] + 1)
     for q, p in g.controls:
-        idx[top - q] = _BIT[p]
-    idx[top - g.target] = _BIT[0]
+        idx[-1 - q] = _BIT[p]
+    idx[-1 - g.target] = _BIT[0]
     a0 = psi[tuple(idx)]
-    idx[top - g.target] = _BIT[1]
+    idx[-1 - g.target] = _BIT[1]
     return a0, psi[tuple(idx)]
 
 
-def _phase_factor(top: int, g: Gate, z: complex) -> np.ndarray:
-    """z where the controls of `g` match, 1 elsewhere, with a length-2
-    axis per control and length 1 on every other axis, so it broadcasts
-    over a target half of a tensor whose axis top-q holds qubit q."""
-    shape = [1] * (top + 1)
-    corner = [0] * (top + 1)
+def _phase_factor(g: Gate, z: complex) -> np.ndarray:
+    """z where the controls of `g` match, 1 elsewhere, on the axes of
+    qubits 0..hi, hi the highest qubit of `g`: length 2 on each control's
+    axis and 1 on every other, so it broadcasts over a target half of a
+    tensor whose axis -1-q holds qubit q."""
+    shape = [1] * (g.span[1] + 1)
+    corner = [0] * (g.span[1] + 1)
     for q, p in g.controls:
-        shape[top - q] = 2
-        corner[top - q] = int(p)
+        shape[-1 - q] = 2
+        corner[-1 - q] = int(p)
     f = np.ones(shape, dtype=np.complex128)
     f[tuple(corner)] = z
     return f
@@ -479,19 +470,16 @@ def _apply_2x2(a0: np.ndarray, a1: np.ndarray, u: Matrix) -> None:
 
 def _apply_phase_run(psi: np.ndarray, run: list[Gate]) -> None:
     """Apply consecutive diag(1, z) gates that share one target, on a
-    tensor whose axis top-q holds qubit q.
+    tensor whose axis -1-q holds qubit q.
 
     The target-1 half is multiplied by the product of the gates' factors,
     applied early whenever the product could pass `_PHASE_CAP` entries,
     so no temporary near the size of the state is built.
     """
-    top = psi.ndim - 1
-    idx = [slice(None)] * (top + 1)
-    idx[top - run[0].target] = _BIT[1]
-    half = psi[tuple(idx)]
-    phase = np.ones((1,) * (top + 1), dtype=np.complex128)
+    half = psi[(Ellipsis, _BIT[1]) + (slice(None),) * run[0].target]
+    phase = np.ones((), dtype=np.complex128)
     for g in run:
-        f = _phase_factor(top, g, g.u[1, 1])
+        f = _phase_factor(g, g.u[1, 1])
         if phase.size * f.size > _PHASE_CAP:
             half *= phase
             phase = f
@@ -502,7 +490,7 @@ def _apply_phase_run(psi: np.ndarray, run: list[Gate]) -> None:
 
 def _apply_diagonals(psi: np.ndarray, gates: list[Gate]) -> None:
     """Apply diagonal gates on any targets as one product of their
-    factors, on a tensor whose axis top-q holds qubit q.
+    factors, on a tensor whose axis -1-q holds qubit q.
 
     A gate's factor holds u00 and u11 along its target axis where its
     controls match, and 1 elsewhere.  The gates are taken by lowest
@@ -511,11 +499,10 @@ def _apply_diagonals(psi: np.ndarray, gates: list[Gate]) -> None:
     factor would take it past `_BLOCK` entries.  Every factor fits under
     `_PHASE_CAP` on its own (`_release`).
     """
-    top = psi.ndim - 1
-    product = np.ones((1,) * (top + 1), dtype=np.complex128)
+    product = np.ones((), dtype=np.complex128)
     for g in sorted(gates, key=lambda g: g.span[0]):
-        f = np.concatenate([_phase_factor(top, g, z) for z in g.u.diagonal()],
-                           axis=top - g.target)
+        f = np.concatenate([_phase_factor(g, z) for z in g.u.diagonal()],
+                           axis=-1 - g.target)
         if math.prod(np.broadcast_shapes(product.shape, f.shape)) > _BLOCK:
             psi *= product
             product = f
@@ -526,28 +513,28 @@ def _apply_diagonals(psi: np.ndarray, gates: list[Gate]) -> None:
 
 def _apply_fan_out(psi: np.ndarray, run: list[Gate]) -> None:
     """Apply a fan-out run, X on every target of `run` inside the block its
-    shared controls select, on a tensor whose axis top-q holds qubit q.
+    shared controls select, on a tensor whose axis -1-q holds qubit q.
 
     Flipping every target bit pairs each amplitude whose first target
     reads 0 with the one whose targets all read the opposite, so the step
     is one swap (`_apply_2x2` with X) of the first target's halves, with
     the other targets' axes of the target-1 half reversed.
     """
-    top = psi.ndim - 1
-    a0, a1 = _halves(psi, top, run[0])
-    _apply_2x2(a0, np.flip(a1, [top - g.target for g in run[1:]]), X_MATRIX)
+    a0, a1 = _halves(psi, run[0])
+    _apply_2x2(a0, np.flip(a1, [-1 - g.target for g in run[1:]]), X_MATRIX)
 
 
 def _permute(psi: np.ndarray, sigma: tuple[int, ...]) -> np.ndarray:
     """A new contiguous tensor holding the state with qubit q routed to
-    position sigma[q], on a tensor whose axis top-q holds qubit q.
+    position sigma[q], on a tensor whose axis -1-q holds qubit q.
 
-    The top qubits that sigma fixes are a batch axis, and the others are
-    its moved span of s qubits, l = s // 2 low and h = s - l high.  When
-    the span holds more than `_BLOCK` entries and sigma sends the low l
-    qubits onto the top l positions of the span, as every bit reversal
-    does, the state is moved in bands (`_band_transpose`).  Any other
-    permutation, a rotation or a small span, is one axis transpose.
+    The leading axes past sigma's qubits and the top qubits that sigma
+    fixes are a batch axis, and the others are its moved span of s
+    qubits, l = s // 2 low and h = s - l high.  When the span holds more
+    than `_BLOCK` entries and sigma sends the low l qubits onto the top l
+    positions of the span, as every bit reversal does, the state is moved
+    in bands (`_band_transpose`).  Any other permutation, a rotation or a
+    small span, is one axis transpose.
     """
     span = len(sigma)
     while span and sigma[span - 1] == span - 1:
@@ -555,10 +542,9 @@ def _permute(psi: np.ndarray, sigma: tuple[int, ...]) -> np.ndarray:
     low = span // 2
     if 1 << span > _BLOCK and all(s >= span - low for s in sigma[:low]):
         return _band_transpose(psi, sigma, span)
-    top = psi.ndim - 1
-    axes = [0] * psi.ndim
+    axes = list(range(psi.ndim))
     for q, s in enumerate(sigma):
-        axes[top - s] = top - q
+        axes[-1 - s] = psi.ndim - 1 - q
     return np.ascontiguousarray(psi.transpose(axes))
 
 
@@ -599,26 +585,17 @@ def _band_transpose(psi: np.ndarray, sigma: tuple[int, ...],
     return out.reshape(psi.shape)
 
 
-def _lowered(g: Gate, lo: int) -> Gate:
-    """The 2x2 gate g with every qubit moved down by lo."""
-    if isinstance(g, CNot):
-        return CNot(g.control - lo, g.target - lo)
-    controls = tuple((q - lo, p) for q, p in g.controls)
-    if controls:
-        return MultiControlled(g.u, controls, g.target - lo)
-    return Local(g.u, g.target - lo)
-
-
 def _apply_window(psi: np.ndarray, run: list[Gate]) -> None:
     """Apply a stage of gates as one 2^k x 2^k matrix U on the span
     lo..hi-1 of their qubits, k = hi - lo.
 
-    U^T comes from this kernel, not from `to_matrix`: run on the rows of
-    the identity (`_run_rows`), the gates, moved down by lo, leave U e_r
-    in row r.  The state is viewed as (2^(w-hi), 2^k, 2^lo), transposed
-    to (1, 2^k, 2^(w-k)) when lo = 0, and U multiplies its middle axis one
-    block of at most `_BLOCK` entries at a time, each product going
-    through a buffer and back in place.  A block is a slice of the last
+    U^T comes from this kernel, not from `to_matrix`: the stage's own
+    gates, run gate by gate (`_stage`) on the identity viewed as (2^k,) +
+    (2,)*k + (1,)*lo, whose axis -1-q holds qubit q, leave U e_r in row r.
+    The state is viewed as (2^(w-hi), 2^k, 2^lo), transposed to (1, 2^k,
+    2^(w-k)) when lo = 0, and U multiplies its middle axis one block of
+    at most `_BLOCK` entries at a time, each product going through a
+    buffer and back in place.  A block is a slice of the last
     axis when one outer slice holds more than `_BLOCK` entries.
     Otherwise it is several outer slices, first gathered into one
     contiguous 2^k-row matrix, so that no matmul call is small: at width
@@ -628,8 +605,11 @@ def _apply_window(psi: np.ndarray, run: list[Gate]) -> None:
     lo = min(g.span[0] for g in run)
     hi = max(g.span[1] for g in run) + 1
     dim = 1 << (hi - lo)
-    u = _run_rows(Circuit(hi - lo, tuple(_lowered(g, lo) for g in run)),
-                  np.eye(dim)).T
+    rows = np.eye(dim, dtype=np.complex128)
+    tensor = rows.reshape((dim,) + (2,) * (hi - lo) + (1,) * lo)
+    for apply, g in _stage(run, False):
+        _step(tensor, apply, g)
+    u = rows.T
     if lo == 0:
         view = psi.reshape(1, -1, dim).transpose(0, 2, 1)
     else:
@@ -854,22 +834,23 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     row of a (k, 2**width) batch of states, k >= 1.
 
     Returns a new array of the same shape and never writes to `state`.
-    A single state runs as a batch of one row.  A batch runs as one state
-    on width + m qubits, m = ceil(log2 k), with row r on the idle high
-    qubits that `embed` adds (`_run_rows`); rows are zero-padded to 2^m
-    only when k is not a power of two.  Run on the identity, row r of the
-    result is U e_r, so the result is U^T.
+    A single state runs as a batch of one row.  A batch of k rows,
+    zero-padded to 2^m rows, m = ceil(log2 k), only when k is not a power
+    of two, is copied and viewed as a (2,)*(width + m) tensor whose axis
+    -1-q holds qubit q: the m leading axes index the rows, and every
+    kernel passes them through.  The whole tensor is scheduled as one
+    state on width + m qubits.  Run on the identity, row r of the result
+    is U e_r, so the result is U^T.
 
-    The copy is viewed as a (2,)*width tensor whose axis width-1-q holds
-    qubit q, and is updated in place, its gates scheduled as the module
+    The copy is updated in place, its gates scheduled as the module
     docstring states:
 
     - on `_FUSE_MIN_WIDTH` or more qubits, a fused stage, on the span
       [lo, hi) of its gates' qubits, k = hi - lo <= `_WINDOW`, is one
-      2^k x 2^k matrix U.  This kernel builds U^T on 2k qubits, below the
-      threshold, and U multiplies the middle axis of the state viewed as
-      (2^(w-hi), 2^k, 2^lo), a block at a time through a buffer of at
-      most `_BLOCK` entries (`_apply_window`);
+      2^k x 2^k matrix U.  U^T is the stage's gates run gate by gate on
+      the rows of the identity, and U multiplies the middle axis of the
+      state viewed as (2^(w-hi), 2^k, 2^lo), a block at a time through a
+      buffer of at most `_BLOCK` entries (`_apply_window`);
     - deferred diagonal gates scale the whole state by the product of
       their factors, each u00 and u11 on its target axis where its
       controls match, taken by lowest qubit and applied early whenever
@@ -921,53 +902,30 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
             or states.size == 0:
         raise ValueError(f"state has shape {states.shape}, expected "
                          f"({dim},) or (k, {dim}) with k >= 1")
-    return _run_rows(c, states.reshape(-1, dim)).reshape(states.shape)
-
-
-def _run_rows(c: Circuit, states: np.ndarray) -> np.ndarray:
-    """Apply the gates of `c` to each row of the (k, 2^width) array
-    `states`, as one state on width + m qubits, m = ceil(log2 k): row r
-    sits on the idle high qubits of `embed(c, width + m)`.
-
-    Returns a new (k, 2^width) array and never writes to `states`.  The
-    copy is handed to `_run` with no other reference, so a permutation
-    or a move run can free it when it moves the state into a new array.
-    """
-    k, dim = states.shape
+    k = states.size // dim
     m = (k - 1).bit_length()
-    out = _run(embed(c, c.width + m) if m else c,
-               _padded_copy(states, 1 << m))
-    return out.reshape(1 << m, dim)[:k]
+    # psi is the copy's only reference, so a permutation or a move run
+    # frees it when it moves the state into a new array
+    psi = _padded_copy(states.reshape(k, dim), 1 << m).reshape(
+        (2,) * (c.width + m))
+    fuse = psi.ndim >= _FUSE_MIN_WIDTH
+    steps = _segments(c.gates, psi.ndim, fuse)
+    if fuse and psi.size >= _MOVES_MIN_SIZE:
+        steps = _move_runs(steps)
+    for apply, g in steps:
+        psi = _step(psi, apply, g)
+    return psi.reshape(1 << m, dim)[:k].reshape(states.shape)
 
 
 def _padded_copy(states: np.ndarray, rows: int) -> np.ndarray:
-    """Flat complex copy of `states`, zero-padded to `rows` rows.
+    """Complex copy of `states`, zero-padded to `rows` rows.
 
     Each entry is written once: only the padding rows are zeroed.
     """
     out = np.empty((rows, states.shape[1]), dtype=np.complex128)
     out[:len(states)] = states
     out[len(states):] = 0
-    return out.reshape(-1)
-
-
-def _run(c: Circuit, psi: np.ndarray) -> np.ndarray:
-    """Apply the gates of `c` to the contiguous flat state `psi`.
-
-    Updates `psi` in place until a qubit permutation or a move run moves
-    the state into a new array, and returns the result, flat.  `_apply_window` builds U
-    through `_run_rows`, which calls this rather than `apply_to_state`, so
-    that qftbench, which traces `apply_to_state` calls and counts their
-    gates, sees only the circuits it was given.
-    """
-    psi = psi.reshape((2,) * c.width)
-    fuse = c.width >= _FUSE_MIN_WIDTH
-    steps = _segments(c.gates, c.width, fuse)
-    if fuse and psi.size >= _MOVES_MIN_SIZE:
-        steps = _move_runs(steps)
-    for apply, g in steps:
-        psi = _step(psi, apply, g)
-    return psi.reshape(-1)
+    return out
 
 
 def _step(psi: np.ndarray, apply: Callable | None, g: object) -> np.ndarray:
@@ -981,7 +939,7 @@ def _step(psi: np.ndarray, apply: Callable | None, g: object) -> np.ndarray:
     elif isinstance(g, QubitPerm):
         return _permute(psi, g.sigma)
     else:
-        _apply_2x2(*_halves(psi, psi.ndim - 1, g), g.u)
+        _apply_2x2(*_halves(psi, g), g.u)
     return psi
 
 
@@ -1027,6 +985,7 @@ def controlled(c: Circuit) -> Circuit:
 
 def embed(c: Circuit, width: int) -> Circuit:
     """Reinterpret the circuit on a wider register, upper qubits idle."""
+    width = as_int(width, "target width")
     if width < c.width:
         raise ValueError("target width smaller than circuit width")
     gates = tuple(

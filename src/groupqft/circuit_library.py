@@ -29,6 +29,7 @@ from .circuit import (
     embed,
 )
 from .groups import Family, GroupSpec
+from .linalg import as_int
 
 __all__ = [
     "qft_cyclic_circuit",
@@ -52,6 +53,7 @@ def _phase(k: int) -> np.ndarray:
 def qft_cyclic_circuit(n: int) -> Circuit:
     """Fourier transform on Z_{2^n}: Hadamard-plus-phase cascade followed
     by a bit reversal."""
+    n = as_int(n, "n")
     if n < 1:
         raise ValueError("need n >= 1")
     # one array per distinct phase, shared by its gates as H_MATRIX is
@@ -68,6 +70,7 @@ def qft_cyclic_circuit(n: int) -> Circuit:
 
 def increment_circuit(n: int) -> Circuit:
     """|v> -> |v + 1 mod 2^n>: carry cascade from the top bit down."""
+    n = as_int(n, "n")
     if n < 1:
         raise ValueError("need n >= 1")
     gates: list = []

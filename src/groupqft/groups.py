@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import Matrix
+from .linalg import Matrix, as_int
 
 __all__ = [
     "Family",
@@ -60,6 +60,9 @@ class GroupSpec:
     n: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, Family):
+            raise ValueError(f"family must be a Family, got {self.family!r}")
+        object.__setattr__(self, "n", as_int(self.n, "n"))
         # n = 0 is the trivial group, admitted only so it can serve as an
         # induction domain; the synthesis entry points start at n = 1.
         least = 0 if self.family is Family.CYCLIC else 3
@@ -98,6 +101,7 @@ class GroupSpec:
         return 0
 
     def element(self, a: int, b: int = 0) -> GroupElement:
+        a, b = as_int(a, "x-exponent"), as_int(b, "y-exponent")
         if b not in (0, 1) or (self.is_abelian and b != 0):
             raise ValueError(f"invalid y-exponent {b}")
         return GroupElement(a % self.cyclic_order, b)

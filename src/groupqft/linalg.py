@@ -9,6 +9,7 @@ row ``sigma(j)``), so ``perm_matrix`` is a left-action homomorphism:
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +25,17 @@ __all__ = [
     "perm_matrix",
     "is_unitary",
 ]
+
+
+def as_int(value: object, what: str) -> int:
+    """value as a Python int.  Python and numpy integers pass; a float, a
+    string or any other non-integer is a ValueError naming `what`, never
+    truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(
+            f"{what} must be an integer, got {value!r}") from None
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -61,6 +73,7 @@ def dft(n: int) -> Matrix:
     Entry (j, k) is omega^(j*k) / sqrt(n) with omega = exp(+2 pi i / n).
     ``dft(2)`` is the Hadamard gate.
     """
+    n = as_int(n, "dft size")
     if n < 1:
         raise ValueError(f"dft size must be positive, got {n}")
     idx = np.arange(n)

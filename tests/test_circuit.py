@@ -815,6 +815,16 @@ def test_fused_runs_at_the_width_threshold(offset, monkeypatch):
     assert np.max(np.abs(got - _reference_chain(c.gates, state))) < 1e-12
 
 
+def _raised(g, lo):
+    """The 2x2 gate g with every qubit moved up by lo."""
+    if isinstance(g, CNot):
+        return CNot(g.control + lo, g.target + lo)
+    controls = tuple((q + lo, p) for q, p in g.controls)
+    if controls:
+        return MultiControlled(g.u, controls, g.target + lo)
+    return Local(g.u, g.target + lo)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_fused_window_matches_to_matrix_of_its_run(seed, monkeypatch):
     # a circuit inside one window [lo, lo + k) acts on the middle axis of
@@ -829,7 +839,7 @@ def test_fused_window_matches_to_matrix_of_its_run(seed, monkeypatch):
     cascade = qft_cyclic_circuit(k).gates[:-1]
     run = [*cascade, *random_circuit(rng, k, 12).gates]
     run = [g for g in run if not isinstance(g, QubitPerm)]
-    raised = tuple(circuit_module._lowered(g, -lo) for g in run)
+    raised = tuple(_raised(g, lo) for g in run)
     state = _random_state(rng, width)
     got = apply_to_state(Circuit(width, raised), state)
     assert calls == [len(run)]
@@ -839,17 +849,49 @@ def test_fused_window_matches_to_matrix_of_its_run(seed, monkeypatch):
 
 
 def test_fusion_threshold_clears_the_build_and_the_sweep_widths(monkeypatch):
-    # a run's matrix is built on 2 * _WINDOW qubits, which must not fuse
-    # again, and the gate_sweep benchmark simulates only below the
-    # threshold, so it never pays for a build
+    # the gate_sweep benchmark simulates only below the threshold, so it
+    # never pays for a build; a run's matrix is built gate by gate, with
+    # no threshold (test_window_build_never_fuses_again)
     path = Path(__file__).resolve().parents[1] / "qftbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("qftbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while the module executes
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
-    assert circuit_module._FUSE_MIN_WIDTH > 2 * circuit_module._WINDOW
     assert circuit_module._FUSE_MIN_WIDTH > workloads.SIM_MAX_WIDTH
+
+
+def test_window_build_never_fuses_again(monkeypatch):
+    # with a threshold below 2 * _WINDOW, a build on 2k qubits through the
+    # scheduler would fuse again, without end
+    monkeypatch.setattr(circuit_module, "_WINDOW", 4)
+    monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
+    calls = _window_spy(monkeypatch)
+    c = qft_cyclic_circuit(9)
+    state = _random_state(np.random.default_rng(1240), c.width)
+    got = apply_to_state(c, state)
+    assert calls
+    assert np.max(np.abs(got - to_matrix(c) @ state)) < 1e-12
+
+
+@pytest.mark.parametrize("n, rows", [(8, 512), (15, 1)])
+def test_state_kernel_builds_no_circuit(n, rows, monkeypatch):
+    # the qd circuit on verify's 512-row identity batch (width 18) and on
+    # one width-16 state: batch rows are leading axes, and a fused stage's
+    # matrix is built from its own gates, so no Circuit is made
+    c = qft_circuit(GroupSpec(Family.QD, n))
+    states = np.eye(rows, 1 << c.width)
+    built = []
+    inner = Circuit.__post_init__
+
+    def spy(self):
+        built.append(self.width)
+        inner(self)
+    monkeypatch.setattr(Circuit, "__post_init__", spy)
+    windows = _window_spy(monkeypatch)
+    apply_to_state(c, states)
+    assert windows
+    assert built == []
 
 
 def test_fused_window_memory_peak(monkeypatch):
@@ -961,10 +1003,10 @@ def test_cyclic_cascade_fuses_one_phase_run_per_target(width, monkeypatch):
     # target j carries j phase gates, and the lone one on qubit 1 runs on
     # its own.  At width 12 each target's gates are one phase run.  At
     # width 16 the windows [10, 16), [4, 10) and [0, 4) are one stage each,
-    # whose build, on the stage's targets moved down to 5..0 (3..0 for the
-    # last), fuses the phase runs of its targets 5..2 (3..2); the phases
-    # that reach below a window, 60 and 24, are deferred and released as
-    # one product each
+    # whose build fuses the phase runs of the stage's own targets 15..12,
+    # 9..6 and 3..2, each holding the gates whose controls stay in the
+    # window; the phases that reach below a window, 60 and 24, are
+    # deferred and released as one product each
     calls = _phase_spy(monkeypatch)
     windows = _window_spy(monkeypatch)
     diagonals = _diagonal_spy(monkeypatch)
@@ -973,9 +1015,8 @@ def test_cyclic_cascade_fuses_one_phase_run_per_target(width, monkeypatch):
         assert calls == [(t, t) for t in range(width - 1, 1, -1)]
         assert windows == diagonals == []
     else:
-        k = circuit_module._WINDOW
-        assert calls == [(t, t) for t in (*range(k - 1, 1, -1),
-                                          *range(k - 1, 1, -1), 3, 2)]
+        assert calls == [(15, 5), (14, 4), (13, 3), (12, 2),
+                         (9, 5), (8, 4), (7, 3), (6, 2), (3, 3), (2, 2)]
         assert windows == [21, 21, 10]
         assert diagonals == [60, 24]
 
@@ -1835,3 +1876,9 @@ def test_embed_widens_with_identity():
                          - kron(np.eye(4), to_matrix(c)))) < 1e-12
     with pytest.raises(ValueError):
         embed(c, 2)
+    # a non-integer width is a ValueError, also past a permutation
+    permuted = c + Circuit(3, (QubitPerm((1, 2, 0)),))
+    for width in (2.5, 4.0, "3"):
+        with pytest.raises(ValueError,
+                           match="target width must be an integer"):
+            embed(permuted, width)

@@ -184,5 +184,10 @@ def test_bad_sizes_rejected():
         qft_cyclic_circuit(0)
     with pytest.raises(ValueError):
         increment_circuit(0)
+    for n in (3.0, 2.5, "3"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            qft_cyclic_circuit(n)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            increment_circuit(n)
     with pytest.raises(ValueError):
         reorder_circuit(GroupSpec(Family.CYCLIC, 3))
