@@ -862,8 +862,8 @@ def test_fusion_threshold_clears_the_build_and_the_sweep_widths(monkeypatch):
 
 
 def test_window_build_never_fuses_again(monkeypatch):
-    # with a threshold below 2 * _WINDOW, a build on 2k qubits through the
-    # scheduler would fuse again, without end
+    # a stage's matrix is built gate by gate, so the build fuses no
+    # further even when the threshold is below 2 * _WINDOW
     monkeypatch.setattr(circuit_module, "_WINDOW", 4)
     monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
     calls = _window_spy(monkeypatch)
