@@ -42,17 +42,18 @@ before a mixing gate or fan-out run with a target that a pending gate
 touches, and at the end.  On the wide states, a stage with two or more
 uncontrolled mixing gates runs as one dense matrix on the span of its
 qubits.  Any other stage runs gate by gate, with each run of two or more
-consecutive diag(1, z) gates on one target and at most log2(`_PHASE_CAP`)
-controls as one broadcast multiply.  Three or more pending diagonal gates
-are applied as one product of broadcast factors, which scales the state
-whenever it would pass `_BLOCK` entries.  Last, on the wide states of
-at least `_MOVES_MIN_SIZE` entries, a move run, two or more consecutive
+consecutive small diagonal gates, on any targets, as one product of
+broadcast factors (`_apply_diagonals`); a diagonal gate is small when its
+factor holds at most `_FACTOR_CAP` entries.  Three or more small pending
+diagonal gates are released as one such product.  The product scales the
+state whenever it would pass `_BLOCK` entries.  Last, on the wide states
+of at least `_MOVES_MIN_SIZE` entries, a move run, two or more consecutive
 steps of that schedule that only move entries (a lone gate whose u is
 exactly X, a fan-out run or a permutation), among them a permutation,
 runs on an index array and moves the state by one gather
-(`_move_runs`).  On a narrow state nothing
-is deferred or grouped into fan-out or move runs, and its one stage runs
-gate by gate.  `apply_to_state` describes each kernel.
+(`_move_runs`).  On a narrow state nothing is deferred or grouped into
+fan-out or move runs, and its one stage runs gate by gate.
+`apply_to_state` describes each kernel.
 
 `cost` sums the fixed per-gate weights of `gate_cost`.
 """
@@ -83,9 +84,9 @@ for _u in (X_MATRIX, Z_MATRIX, H_MATRIX):
 del _u
 
 
-def _check_2x2_unitary(u: Matrix) -> tuple[bool, bool, bool]:
+def _check_2x2_unitary(u: Matrix) -> tuple[bool, bool]:
     """Raise ValueError unless `u` is a 2x2 unitary within GATE_EPS, and
-    return its kind: (u is diagonal, u is diag(1, z), u is exactly X).
+    return its kind: (u is diagonal, u is exactly X).
 
     The check is closed form on Python scalars.  With rows (a, b) and
     (c, d), every entry of u u^H - I must be below GATE_EPS in magnitude:
@@ -110,9 +111,7 @@ def _check_2x2_unitary(u: Matrix) -> tuple[bool, bool, bool]:
             < GATE_EPS
             and math.hypot(off.real, off.imag) < GATE_EPS):
         raise ValueError("gate matrix is not unitary")
-    diagonal = b == 0 and c == 0
-    return (diagonal, diagonal and a == 1,
-            a == 0 and d == 0 and b == 1 and c == 1)
+    return b == 0 and c == 0, a == 0 and d == 0 and b == 1 and c == 1
 
 
 # Frozen gates set their own attributes through object.__setattr__, one
@@ -124,7 +123,7 @@ _set = object.__setattr__
 
 def _set_unitary(g: Gate, u: Matrix) -> None:
     """Check `u`, then store it as complex128 on the frozen gate g with
-    its kind: `diagonal`, `phase` and `flip`.
+    its kind: `diagonal` and `flip`.
 
     The kind and `span` are attributes, not fields, so equality, hashing
     and the text format see only the fields.  Local and MultiControlled
@@ -132,10 +131,9 @@ def _set_unitary(g: Gate, u: Matrix) -> None:
     before __post_init__ set it again, about 0.5 us a gate.
     """
     u = np.asarray(u, dtype=np.complex128)
-    diagonal, phase, flip = _check_2x2_unitary(u)
+    diagonal, flip = _check_2x2_unitary(u)
     _set(g, "u", u)
     _set(g, "diagonal", diagonal)
-    _set(g, "phase", phase)
     _set(g, "flip", flip)
 
 
@@ -166,7 +164,7 @@ class CNot:
     # class attributes, not fields: equality, hashing and the text format
     # see only control and target
     u = X_MATRIX
-    diagonal = phase = False
+    diagonal = False
     flip = True
 
     @property
@@ -199,10 +197,14 @@ class MultiControlled:
         # one plain loop: a generator and a second pass over the controls
         # cost each gate about 0.4 us more
         pairs, qubits = [], []
-        for q, p in controls:
-            q = as_int(q, "qubit index")
-            pairs.append((q, bool(p)))
-            qubits.append(q)
+        try:
+            for q, p in controls:
+                q = as_int(q, "qubit index")
+                pairs.append((q, bool(p)))
+                qubits.append(q)
+        except TypeError:
+            raise ValueError(f"controls {controls!r} are not (qubit, "
+                             "polarity) pairs") from None
         target = as_int(target, "qubit index")
         every = [target, *qubits]
         _set_unitary(self, u)
@@ -224,7 +226,11 @@ class QubitPerm:
     sigma: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sigma = tuple([as_int(q, "qubit index") for q in self.sigma])
+        try:
+            sigma = tuple([as_int(q, "qubit index") for q in self.sigma])
+        except TypeError:
+            raise ValueError("sigma must be a sequence of qubit indices, "
+                             f"got {self.sigma!r}") from None
         if sorted(sigma) != list(range(len(sigma))):
             raise ValueError(f"not a permutation: {sigma}")
         _set(self, "sigma", sigma)
@@ -249,20 +255,24 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gates", tuple(self.gates))
         width = as_int(self.width, "circuit width")
         object.__setattr__(self, "width", width)
         if width < 1:
             raise ValueError("circuit needs at least one qubit")
         # O(1) per gate from the span its constructor stored; only a gate
         # that fails is walked, to name the same qubit as a full scan
-        for g in self.gates:
-            lo, hi = g.span
-            if isinstance(g, QubitPerm) and len(g.sigma) != width:
-                raise ValueError("permutation length differs from width")
-            if lo < 0 or hi >= width:
-                q = next(q for q in _gate_qubits(g) if not 0 <= q < width)
-                raise ValueError(f"qubit {q} outside width {width}")
+        try:
+            object.__setattr__(self, "gates", tuple(self.gates))
+            for g in self.gates:
+                lo, hi = g.span
+                if isinstance(g, QubitPerm) and len(g.sigma) != width:
+                    raise ValueError("permutation length differs from width")
+                if lo < 0 or hi >= width:
+                    q = next(q for q in _gate_qubits(g) if not 0 <= q < width)
+                    raise ValueError(f"qubit {q} outside width {width}")
+        except (TypeError, AttributeError):
+            raise ValueError(
+                f"not a sequence of gates: {self.gates!r}") from None
 
     def __add__(self, other: "Circuit") -> "Circuit":
         if self.width != other.width:
@@ -321,16 +331,14 @@ def to_matrix(c: Circuit) -> Matrix:
 # length-1 slices selecting bit 0 / bit 1 of one tensor axis
 _BIT = (slice(0, 1), slice(1, 2))
 
-# Entries a phase run's product of factors may reach before it is applied
-# early, so that it builds no temporary near the size of the state, and
-# that a deferred diagonal gate's factor may hold to join a release's
-# product.
-_PHASE_CAP = 1 << 10
+# Entries a diagonal gate's factor, 2^(k+1) for k controls, may hold to
+# join a product of factors (`_apply_diagonals`) in a stage run or a
+# release.  A larger factor would fill most of the product's `_BLOCK` alone.
+_FACTOR_CAP = 1 << 10
 
 # Entries in each of the paired sub-views a mixing gate updates at a time,
-# in a window stage's matmul buffer, and in a release's product of deferred
-# diagonal factors: two blocks and their temporaries, at most 1 MiB, stay
-# in cache.
+# in a window stage's matmul buffer, and in a product of diagonal factors:
+# two blocks and their temporaries, at most 1 MiB, stay in cache.
 _BLOCK = 1 << 14
 
 # On a state of at least _FUSE_MIN_WIDTH qubits, the qubits are split into
@@ -377,18 +385,23 @@ def _halves(psi: np.ndarray, g: Gate) -> tuple[np.ndarray, np.ndarray]:
     return a0, psi[tuple(idx)]
 
 
-def _phase_factor(g: Gate, z: complex) -> np.ndarray:
-    """z where the controls of `g` match, 1 elsewhere, on the axes of
-    qubits 0..hi, hi the highest qubit of `g`: length 2 on each control's
-    axis and 1 on every other, so it broadcasts over a target half of a
-    tensor whose axis -1-q holds qubit q."""
+def _diagonal_factor(g: Gate) -> np.ndarray:
+    """The diagonal of diagonal gate `g` on the axes of qubits 0..hi, hi
+    its highest qubit: u00 and u11 along the target axis where the
+    controls match, 1 elsewhere; length 2 on the target's and controls'
+    axes, so it broadcasts over a tensor whose axis -1-q holds qubit q."""
     shape = [1] * (g.span[1] + 1)
     corner = [0] * (g.span[1] + 1)
     for q, p in g.controls:
         shape[-1 - q] = 2
         corner[-1 - q] = int(p)
-    f = np.ones(shape, dtype=np.complex128)
-    f[tuple(corner)] = z
+    shape[-1 - g.target] = 2
+    # empty and fill, not np.ones: 0.4 us less a gate on small shapes
+    f = np.empty(shape, dtype=np.complex128)
+    f.fill(1)
+    f[tuple(corner)] = g.u[0, 0]
+    corner[-1 - g.target] = 1
+    f[tuple(corner)] = g.u[1, 1]
     return f
 
 
@@ -468,42 +481,18 @@ def _apply_2x2(a0: np.ndarray, a1: np.ndarray, u: Matrix) -> None:
             b1 += t
 
 
-def _apply_phase_run(psi: np.ndarray, run: list[Gate]) -> None:
-    """Apply consecutive diag(1, z) gates that share one target, on a
-    tensor whose axis -1-q holds qubit q.
-
-    The target-1 half is multiplied by the product of the gates' factors,
-    applied early whenever the product could pass `_PHASE_CAP` entries,
-    so no temporary near the size of the state is built.
-    """
-    half = psi[(Ellipsis, _BIT[1]) + (slice(None),) * run[0].target]
-    phase = np.ones((), dtype=np.complex128)
-    for g in run:
-        f = _phase_factor(g, g.u[1, 1])
-        if phase.size * f.size > _PHASE_CAP:
-            half *= phase
-            phase = f
-        else:
-            phase = phase * f
-    half *= phase
-
-
 def _apply_diagonals(psi: np.ndarray, gates: list[Gate]) -> None:
-    """Apply diagonal gates on any targets as one product of their
-    factors, on a tensor whose axis -1-q holds qubit q.
-
-    A gate's factor holds u00 and u11 along its target axis where its
-    controls match, and 1 elsewhere.  The gates are taken by lowest
-    qubit, so that factors sharing low axes meet in one product, and the
-    product scales the whole state in one in-place pass whenever the next
-    factor would take it past `_BLOCK` entries.  Every factor fits under
-    `_PHASE_CAP` on its own (`_release`).
-    """
+    """Apply diagonal gates on any targets, in the order given, as one
+    product of their factors (`_diagonal_factor`), on a tensor whose axis
+    -1-q holds qubit q.  The product scales the whole state in place
+    whenever the next factor would take it past `_BLOCK` entries; the
+    broadcast shape is read only when the two sizes' product passes
+    `_BLOCK`, which spares short runs a numpy call per gate."""
     product = np.ones((), dtype=np.complex128)
-    for g in sorted(gates, key=lambda g: g.span[0]):
-        f = np.concatenate([_phase_factor(g, z) for z in g.u.diagonal()],
-                           axis=-1 - g.target)
-        if math.prod(np.broadcast_shapes(product.shape, f.shape)) > _BLOCK:
+    for g in gates:
+        f = _diagonal_factor(g)
+        if product.size * f.size > _BLOCK and math.prod(
+                np.broadcast_shapes(product.shape, f.shape)) > _BLOCK:
             psi *= product
             product = f
         else:
@@ -636,38 +625,37 @@ def _stage(gates: list[Gate], fuse: bool
            ) -> Iterator[tuple[Callable | None, Gate | list[Gate]]]:
     """One window stage: a single matrix (`_apply_window`) when fusing and
     it holds two or more uncontrolled mixing gates, otherwise its gates in
-    order, each run of two or more consecutive diag(1, z) gates on one
-    target with at most log2(`_PHASE_CAP`) controls as one phase run
-    (`_apply_phase_run`) and every other gate on its own."""
+    order, each run of two or more consecutive small diagonal gates
+    (`_small`), on any targets, as one product (`_apply_diagonals`) and
+    every other gate on its own."""
     if fuse and sum(not g.controls and not g.diagonal for g in gates) >= 2:
         yield _apply_window, gates
         return
-
-    def key(g: Gate) -> int | None:
-        if g.phase and 1 << len(g.controls) <= _PHASE_CAP:
-            return g.target
-        return None
-
-    for k, group in groupby(gates, key):
+    for small, group in groupby(gates, _small):
         run = list(group)
-        if k is None or len(run) == 1:
+        if small and len(run) > 1:
+            yield _apply_diagonals, run
+        else:
             for g in run:
                 yield None, g
-        else:
-            yield _apply_phase_run, run
+
+
+def _small(g: Gate) -> bool:
+    """Whether `g` is diagonal and its factor fits `_FACTOR_CAP`."""
+    return g.diagonal and 2 << len(g.controls) <= _FACTOR_CAP
 
 
 def _release(gates: list[Gate]
              ) -> Iterator[tuple[Callable | None, Gate | list[Gate]]]:
-    """Deferred diagonal gates: three or more whose factors fit under
-    `_PHASE_CAP` as one product (`_apply_diagonals`); one or two, and any
-    larger one, on their own, where each touches only its control-selected
-    block.  A larger factor would fill most of the product's `_BLOCK`
-    entries alone, and cost a pass over the state rather than save one."""
-    small = [g for g in gates if 2 << len(g.controls) <= _PHASE_CAP]
+    """Deferred diagonal gates: three or more small ones (`_small`) as one
+    product (`_apply_diagonals`), by lowest qubit so that factors sharing
+    low axes meet in it; one or two, and any larger one, on their own,
+    each touching only its control-selected block, less of the state
+    than the pass that a product costs."""
+    small = [g for g in gates if _small(g)]
     if len(small) > 2:
-        yield _apply_diagonals, small
-        gates = [g for g in gates if 2 << len(g.controls) > _PHASE_CAP]
+        yield _apply_diagonals, sorted(small, key=lambda g: g.span[0])
+        gates = [g for g in gates if not _small(g)]
     for g in gates:
         yield None, g
 
@@ -717,11 +705,11 @@ def _segments(gates: tuple[Gate, ...], width: int, fuse: bool
     """The gates in order, scheduled in one pass by the rule of the module
     docstring.
 
-    Yields (kernel, gates) for a fused stage (`_apply_window`), a phase
-    run (`_apply_phase_run`), a release of deferred diagonal gates
-    (`_apply_diagonals`) or a fan-out run (`_apply_fan_out`), and
-    (None, gate) for a gate that runs on its own.  The kernels are read
-    from the module when a group is found, so a test may replace them.
+    Yields (kernel, gates) for a fused stage (`_apply_window`), a stage
+    run or a release of diagonal gates (`_apply_diagonals`) or a fan-out
+    run (`_apply_fan_out`), and (None, gate) for a gate that runs on its
+    own.  The kernels are read from the module when a group is found, so
+    a test may replace them.
     Without fusion there is one window, the whole register, so no gate is
     deferred or grouped into a fan-out run, and every gate joins one
     stage that runs gate by gate.
@@ -851,18 +839,15 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
       the rows of the identity, and U multiplies the middle axis of the
       state viewed as (2^(w-hi), 2^k, 2^lo), a block at a time through a
       buffer of at most `_BLOCK` entries (`_apply_window`);
-    - deferred diagonal gates scale the whole state by the product of
-      their factors, each u00 and u11 on its target axis where its
-      controls match, taken by lowest qubit and applied early whenever
-      the product could pass `_BLOCK` entries (`_apply_diagonals`);
-    - a phase run (two or more consecutive diag(1, z) gates on one
-      target, in a stage that runs gate by gate) scales the target-1
-      half by the product of each gate's small factor over its control
-      axes, in one broadcast multiply, applied early whenever the
-      product could pass `_PHASE_CAP` entries (`_apply_phase_run`);
+    - a run of two or more consecutive small diagonal gates in a stage
+      that runs gate by gate, and a release of three or more small
+      deferred ones, scale the whole state by the product of their
+      factors, each u00 and u11 on its target axis where its controls
+      match, applied early whenever the product could pass `_BLOCK`
+      entries (`_apply_diagonals`);
     - every other gate runs on its own, among them one or two deferred
-      gates and a deferred gate whose factor alone would pass
-      `_PHASE_CAP` entries.
+      gates and a diagonal gate whose factor alone would pass
+      `_FACTOR_CAP` entries.
       A diagonal gate scales the halves of its control-selected block
       whose entry is not 1.  Any other 2x2 gate mixes the two target-axis
       halves of its block in paired pieces of at most `_BLOCK` entries:
@@ -890,8 +875,8 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     product formula and the window matrix each keep a temporary of the
     piece they update.  Fan-out runs, permutations and move runs only
     move entries, so their results are exact.  Below the threshold every
-    gate runs on its own or in a phase run, in order, so results there do
-    not depend on windows, deferral, fan-out runs or move runs.
+    gate runs on its own or in a diagonal run, in order, so results there
+    do not depend on windows, deferral, fan-out runs or move runs.
 
     `to_matrix` applies every gate on its own, with no fusion and no
     deferral, and is the oracle for this.

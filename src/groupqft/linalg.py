@@ -86,7 +86,7 @@ def perm_matrix(sigma: Sequence[int]) -> Matrix:
     Column j carries its 1 in row sigma[j], i.e. e_j is mapped to
     e_{sigma[j]}.
     """
-    sigma = list(sigma)
+    sigma = [as_int(s, "permutation entry") for s in sigma]
     m = len(sigma)
     if sorted(sigma) != list(range(m)):
         raise ValueError("sigma is not a permutation of 0..m-1")

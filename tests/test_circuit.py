@@ -240,6 +240,18 @@ CIRCUIT_ERRORS = {
                      "permutation length differs from width"),
     "perm-longer": (lambda: Circuit(2, (QubitPerm((2, 0, 1)),)),
                     "permutation length differs from width"),
+    # malformed containers
+    "mcu-bare-controls": (lambda: MultiControlled(X_MATRIX, (1, 2), 0),
+                          "controls (1, 2) are not (qubit, polarity) pairs"),
+    "mcu-controls-none": (lambda: MultiControlled(X_MATRIX, None, 0),
+                          "controls None are not (qubit, polarity) pairs"),
+    "perm-none": (lambda: QubitPerm(None),
+                  "sigma must be a sequence of qubit indices, got None"),
+    "perm-int": (lambda: QubitPerm(5),
+                 "sigma must be a sequence of qubit indices, got 5"),
+    "gates-int": (lambda: Circuit(3, 5), "not a sequence of gates: 5"),
+    "gates-not-gates": (lambda: Circuit(3, [1]),
+                        "not a sequence of gates: (1,)"),
     "add-widths": (lambda: Circuit(2, ()) + Circuit(3, ()),
                    "cannot concatenate circuits of different widths"),
     "embed-narrower": (lambda: embed(Circuit(3, (CNot(0, 2),)), 2),
@@ -460,6 +472,7 @@ def _phase_run_cases():
             ph(((0, True),), 2), ph(((1, False),), 2),
             QubitPerm((0, 1, 4, 3, 2)), ph(((3, True),), 2),
             QubitPerm((1, 2, 3, 4, 0)), ph(((0, True),), 2)]),
+        # changing targets, which now stay in one run of diagonal gates
         "broken_by_target": (5, [
             ph(((0, True),), 2), ph(((0, True),), 3), ph(((1, True),), 2),
             ph(((2, True),), 3), ph(((4, False),), 1), ph(((4, True),), 2)]),
@@ -484,9 +497,9 @@ def _phase_run_cases():
               for t in range(4) for s in range(2)),
             *(MultiControlled(ab, tuple((q, q != t + 1) for q in range(4)
                                         if q != t), t) for t in range(4))]),
-        # twelve one-control factors on one target pass the fused tensor's
-        # 2**10 entries, and an eleven-control phase gate is too large to
-        # fuse at all
+        # twelve one-control factors on one target make a product of
+        # 2**13 entries, the whole state, and an eleven-control phase gate
+        # is too large to join a product at all
         "past_the_cap": (13, [
             *(ph(((k, k % 3 != 0),), 12) for k in range(11, -1, -1)),
             ph(tuple((k, k % 2 == 0) for k in range(11)), 12),
@@ -970,32 +983,41 @@ def test_window_build_runs_no_public_entry(monkeypatch):
     assert seen == [len(c.gates)]
 
 
-# Grouping: window stages go to _apply_window, deferred diagonal gates to
-# _apply_diagonals, and in a stage that runs gate by gate each run of two
-# or more consecutive diag(1, z) gates on one target to _apply_phase_run.
+# Grouping: window stages go to _apply_window; releases of deferred
+# diagonal gates, and in a stage that runs gate by gate each run of two or
+# more consecutive small diagonal gates, go to _apply_diagonals.
 
-def _phase_spy(monkeypatch):
-    """Record (target, length) of each phase run apply_to_state fuses."""
-    calls = []
-    inner = circuit_module._apply_phase_run
+def _released(monkeypatch):
+    """Record every list of gates that _release sends to _apply_diagonals,
+    so that a spy on _apply_diagonals tells releases from stage runs."""
+    released = []
+    inner = circuit_module._release
 
-    def spy(psi, run):
-        calls.append((run[0].target, len(run)))
-        inner(psi, run)
-    monkeypatch.setattr(circuit_module, "_apply_phase_run", spy)
-    return calls
+    def spy(gates):
+        for apply, g in inner(gates):
+            if apply is not None:
+                released.append(g)
+            yield apply, g
+    monkeypatch.setattr(circuit_module, "_release", spy)
+    return released
 
 
 def _diagonal_spy(monkeypatch):
-    """Record the number of gates of each release of deferred diagonals."""
-    calls = []
+    """Record the (first target, length) of each stage run of diagonal
+    gates and the number of gates of each release of deferred diagonals,
+    in two lists."""
+    runs, releases = [], []
+    released = _released(monkeypatch)
     inner = circuit_module._apply_diagonals
 
     def spy(psi, gates):
-        calls.append(len(gates))
+        if any(gates is r for r in released):
+            releases.append(len(gates))
+        else:
+            runs.append((gates[0].target, len(gates)))
         inner(psi, gates)
     monkeypatch.setattr(circuit_module, "_apply_diagonals", spy)
-    return calls
+    return runs, releases
 
 
 @pytest.mark.parametrize("width", [12, 16])
@@ -1007,9 +1029,8 @@ def test_cyclic_cascade_fuses_one_phase_run_per_target(width, monkeypatch):
     # 9..6 and 3..2, each holding the gates whose controls stay in the
     # window; the phases that reach below a window, 60 and 24, are
     # deferred and released as one product each
-    calls = _phase_spy(monkeypatch)
     windows = _window_spy(monkeypatch)
-    diagonals = _diagonal_spy(monkeypatch)
+    calls, diagonals = _diagonal_spy(monkeypatch)
     apply_to_state(qft_cyclic_circuit(width), np.ones(1 << width))
     if width < circuit_module._FUSE_MIN_WIDTH:
         assert calls == [(t, t) for t in range(width - 1, 1, -1)]
@@ -1022,11 +1043,11 @@ def test_cyclic_cascade_fuses_one_phase_run_per_target(width, monkeypatch):
 
 
 def test_phase_runs_break_on_every_other_key(monkeypatch):
-    # another target, a mixing gate on the same target, a permutation and
-    # an eleven-control phase gate (2**11 entries, past _PHASE_CAP) each
-    # end a run, while a ten-control one joins it; a lone phase gate is
-    # not a run
-    calls = _phase_spy(monkeypatch)
+    # a mixing gate, a permutation and a ten-control phase gate (a factor
+    # of 2**11 entries, past _FACTOR_CAP) each end a run, while a change
+    # of target and a nine-control gate (2**10 entries) do not; a lone
+    # phase gate is not a run
+    calls, _ = _diagonal_spy(monkeypatch)
     rng = np.random.default_rng(1400)
     ph = functools.partial(_phase_gate, rng)
     width = 13
@@ -1038,15 +1059,15 @@ def test_phase_runs_break_on_every_other_key(monkeypatch):
         ph(((6, True),), 12), ph(((7, False),), 12), ph(((8, True),), 12),
         QubitPerm(tuple(int(s) for s in rng.permutation(width))),
         ph(((0, True),), 12),
-        ph(tuple((k, k % 2 == 1) for k in range(10)), 12),
+        ph(tuple((k, k % 2 == 1) for k in range(9)), 12),
         ph(((9, True),), 12),
-        ph(tuple((k, k % 2 == 0) for k in range(11)), 12),
+        ph(tuple((k, k % 2 == 0) for k in range(10)), 12),
         ph(((10, True),), 12), ph(((11, True),), 12),
         ph(((0, True),), 5),
     ]
     state = _random_state(rng, width)
     got = apply_to_state(Circuit(width, tuple(gates)), state)
-    assert calls == [(12, 2), (11, 2), (12, 2), (12, 3), (12, 3), (12, 2)]
+    assert calls == [(12, 6), (12, 3), (12, 3), (12, 3)]
     assert np.max(np.abs(got - _reference_chain(gates, state))) < 1e-12
 
 
@@ -1056,9 +1077,8 @@ def test_lone_window_phase_gate_splits_a_phase_run(monkeypatch):
     # so runs gate by gate, as one phase run; the other three (controls
     # 13, 0 and 8) reach outside it, and the run falls into that phase run
     # and one release of the three deferred gates
-    calls = _phase_spy(monkeypatch)
     windows = _window_spy(monkeypatch)
-    diagonals = _diagonal_spy(monkeypatch)
+    calls, diagonals = _diagonal_spy(monkeypatch)
     rng = np.random.default_rng(1410)
     ph = functools.partial(_phase_gate, rng)
     width = circuit_module._FUSE_MIN_WIDTH
@@ -1074,8 +1094,47 @@ def test_lone_window_phase_gate_splits_a_phase_run(monkeypatch):
     assert np.max(np.abs(got - _reference_chain(gates, state))) < 1e-12
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_diagonal_factor_is_the_gate_diagonal(seed):
+    # broadcast to the gate's width, the factor is the diagonal of the
+    # gate's matrix, for diag(a, b) gates with negative controls
+    rng = np.random.default_rng(1420 + seed)
+    width = 3 + seed
+    for _ in range(6):
+        t = int(rng.integers(0, width))
+        others = [q for q in range(width) if q != t]
+        controls = tuple((int(q), bool(rng.integers(0, 2)))
+                         for q in rng.permutation(others)[
+                             :int(rng.integers(0, width))])
+        u = _diag(np.exp(2j * np.pi * rng.random()),
+                  np.exp(2j * np.pi * rng.random()))
+        g = MultiControlled(u, controls, t) if controls else Local(u, t)
+        f = circuit_module._diagonal_factor(g)
+        got = np.broadcast_to(f, (2,) * width).reshape(-1)
+        assert np.array_equal(got, np.diag(to_matrix(Circuit(width, (g,))))), g
+
+
+def test_narrow_stage_run_mixes_targets_and_diagonals(monkeypatch):
+    # on a narrow state, small diagonal gates on several targets, among
+    # them a diag(a, b) with a != 1 and negative controls, are one run
+    calls, releases = _diagonal_spy(monkeypatch)
+    rng = np.random.default_rng(1430)
+    ph = functools.partial(_phase_gate, rng)
+    width = 6
+    gates = [ph(((0, True),), 3), ph(((5, False),), 1),
+             MultiControlled(_diag(np.exp(0.7j), np.exp(-1.9j)),
+                             ((2, False), (4, True)), 0),
+             ph((), 5), ph(((3, True), (1, False)), 4)]
+    c = Circuit(width, tuple(gates))
+    state = _random_state(rng, width)
+    got = apply_to_state(c, state)
+    assert calls == [(3, 5)]
+    assert releases == []
+    assert np.max(np.abs(got - to_matrix(c) @ state)) < 1e-12
+
+
 # The schedule on random circuits whose diagonal gates include diag(a, b)
-# with a != 1, which must never reach a phase run, and negative controls.
+# with a != 1, which joins stage runs and releases, and negative controls.
 
 @pytest.mark.parametrize("seed", range(8))
 def test_scheduled_kernel_matches_to_matrix_with_a_small_window(
@@ -1085,7 +1144,7 @@ def test_scheduled_kernel_matches_to_matrix_with_a_small_window(
     monkeypatch.setattr(circuit_module, "_WINDOW", 3)
     monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
     windows = _window_spy(monkeypatch)
-    diagonals = _diagonal_spy(monkeypatch)
+    _, diagonals = _diagonal_spy(monkeypatch)
     rng = np.random.default_rng(1500 + seed)
     width = 6 + seed % 3
     c = random_diagonal_circuit(rng, width, 60)
@@ -1102,7 +1161,7 @@ def test_scheduled_kernel_matches_to_matrix_with_a_small_window(
 @pytest.mark.parametrize("width", [14, 15, 16])
 def test_scheduled_kernel_matches_reference_at_full_size(width, monkeypatch):
     windows = _window_spy(monkeypatch)
-    diagonals = _diagonal_spy(monkeypatch)
+    _, diagonals = _diagonal_spy(monkeypatch)
     rng = np.random.default_rng(1510 + width)
     c = random_diagonal_circuit(rng, width, 40)
     state = _random_state(rng, width)
@@ -1118,7 +1177,7 @@ def test_scheduled_qft_circuits_memory_peak(monkeypatch):
     # at most 2^14 entries; the permutations, which move the state into a
     # new array, are left out
     windows = _window_spy(monkeypatch)
-    diagonals = _diagonal_spy(monkeypatch)
+    _, diagonals = _diagonal_spy(monkeypatch)
     width = 18
     v = np.random.default_rng(1520).standard_normal(1 << width) + 0j
     for full in (qft_cyclic_circuit(width),
@@ -1610,11 +1669,15 @@ class _ProductProbe(np.ndarray):
 
 def _product_spy(monkeypatch):
     """Record, per release of deferred diagonal gates, the sizes of the
-    products that scale the state."""
+    products that scale the state; stage runs are not recorded."""
     sizes = []
+    released = _released(monkeypatch)
     inner = circuit_module._apply_diagonals
 
     def spy(psi, gates):
+        if not any(gates is r for r in released):
+            inner(psi, gates)
+            return
         sizes.append([])
         probe = psi.view(_ProductProbe)
         probe.sizes = sizes
@@ -1638,9 +1701,9 @@ def test_cyclic_21_releases_in_block_sized_products(monkeypatch):
 
 def test_release_runs_a_factor_past_the_phase_cap_alone(monkeypatch):
     # a deferred gate with ten controls has a factor of 2^11 entries, past
-    # _PHASE_CAP, and runs alone on its control block; the three
+    # _FACTOR_CAP, and runs alone on its control block; the three
     # one-control gates released with it are one product
-    diagonals = _diagonal_spy(monkeypatch)
+    _, diagonals = _diagonal_spy(monkeypatch)
     width = circuit_module._FUSE_MIN_WIDTH
     many = MultiControlled(Z_MATRIX, tuple((q, q % 2 == 1)
                                            for q in range(3, 13)), 0)
@@ -1656,6 +1719,15 @@ def test_release_runs_a_factor_past_the_phase_cap_alone(monkeypatch):
     assert np.max(np.abs(got - _reference_chain(gates, state))) < 1e-12
 
 
+def test_release_of_two_small_gates_runs_them_alone():
+    # like the equalizer's pair of multi-controlled Z gates in verify's
+    # width-18 batches: two gates on their control blocks touch less of
+    # the state than one pass of a product
+    gates = [MultiControlled(Z_MATRIX, ((13, True), (12, False)), t)
+             for t in (0, 5)]
+    assert list(circuit_module._release(gates)) == [(None, g) for g in gates]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_small_blocks_and_move_runs_match_to_matrix(seed, monkeypatch):
     # 3-qubit windows from width 7, 16-entry blocks and factors of at most
@@ -1664,7 +1736,7 @@ def test_small_blocks_and_move_runs_match_to_matrix(seed, monkeypatch):
     monkeypatch.setattr(circuit_module, "_WINDOW", 3)
     monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
     monkeypatch.setattr(circuit_module, "_BLOCK", 16)
-    monkeypatch.setattr(circuit_module, "_PHASE_CAP", 8)
+    monkeypatch.setattr(circuit_module, "_FACTOR_CAP", 8)
     monkeypatch.setattr(circuit_module, "_MOVES_MIN_SIZE", 1 << 7)
     sizes = _product_spy(monkeypatch)
     calls = _moves_spy(monkeypatch)
@@ -1693,11 +1765,10 @@ def test_diagonal_kind_is_read_at_construction():
     gates = [*parse_circuit(text).gates, CNot(0, 1)]
     for g in gates:
         u = g.u
-        diagonal = u[0, 1] == 0 and u[1, 0] == 0
-        assert (g.diagonal, g.phase) == (diagonal, diagonal and u[0, 0] == 1), g
+        assert g.diagonal == (u[0, 1] == 0 and u[1, 0] == 0), g
         assert g.flip == np.array_equal(u, X_MATRIX), g
-    assert [g.phase for g in gates[:12:2]] == [False, True, False, True,
-                                               False, True]
+    assert [g.diagonal for g in gates[:12:2]] == [False, True, False, True,
+                                                  True, True]
 
 
 # Reference dense gate matrix: a pure-Python loop over the rows, with the

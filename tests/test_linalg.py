@@ -86,6 +86,16 @@ def test_perm_matrix_rejects_non_bijection():
         perm_matrix((0, 0, 1))
 
 
+@pytest.mark.parametrize("sigma", [[0.0, 1.0], [1, np.float64(0.0)],
+                                   ["0", "1"]])
+def test_perm_matrix_rejects_non_integer_entries(sigma):
+    # floats equal to a permutation pass the sorted() check; each entry
+    # is read as an integer first, so they raise ValueError, not IndexError
+    with pytest.raises(ValueError, match="permutation entry must be an "
+                                         "integer"):
+        perm_matrix(sigma)
+
+
 def test_perm_matrix_homomorphism_random_pairs():
     rng = np.random.default_rng(11)
     for _ in range(100):
