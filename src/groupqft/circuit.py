@@ -34,26 +34,29 @@ inside the window of its first gate.  A diagonal gate that reaches
 outside that window is deferred instead: it commutes with every diagonal
 gate and with every gate whose target is not among its qubits, so it may
 pass those.  A mixing gate outside the window ends the stage and starts
-the next one, or runs on its own when no window holds it.  So does a
-fan-out run: two or more consecutive X gates with one set of controls
-and distinct targets, whose qubits span windows, run as one step.  The
-stage and all pending diagonal gates are applied before a permutation,
-before a mixing gate or fan-out run with a target that a pending gate
-touches, and at the end.  On the wide states, a stage with two or more
-uncontrolled mixing gates runs as one dense matrix on the span of its
-qubits.  Any other stage runs gate by gate, with each run of two or more
-consecutive small diagonal gates, on any targets, as one product of
-broadcast factors (`_apply_diagonals`); a diagonal gate is small when its
-factor holds at most `_FACTOR_CAP` entries.  Three or more small pending
-diagonal gates are released as one such product.  The product scales the
-state whenever it would pass `_BLOCK` entries.  Last, on the wide states
-of at least `_MOVES_MIN_SIZE` entries, a move run, two or more consecutive
-steps of that schedule that only move entries (a lone gate whose u is
-exactly X, a fan-out run or a permutation), among them a permutation,
-runs on an index array and moves the state by one gather
-(`_move_runs`).  On a narrow state nothing is deferred or grouped into
-fan-out or move runs, and its one stage runs gate by gate.
-`apply_to_state` describes each kernel.
+the next one, or runs on its own when no window holds it.  The stage and
+all pending diagonal gates are applied before a permutation, before a
+mixing gate with a target that a pending gate touches, and at the end.
+On the wide states, a stage with two or more uncontrolled mixing gates
+runs as one dense matrix on the span of its qubits.  Any other stage
+runs gate by gate, with each run of two or more consecutive small
+diagonal gates, on any targets, as one product of broadcast factors
+(`_apply_diagonals`); a diagonal gate is small when its factor holds at
+most `_FACTOR_CAP` entries.  Three or more small pending diagonal gates
+are released as one such product.  The product scales the state whenever
+it would pass `_BLOCK` entries.
+
+On the wide states, one post-pass (`_move_runs`) then regroups the
+steps that only move entries: a permutation, and a gate on its own whose
+u is exactly X.  In each group of consecutive such steps, a fan-out run,
+two or more consecutive X gates with one set of controls and distinct
+targets, becomes one step; and on states of at least `_MOVES_MIN_SIZE`
+entries, a group that then holds two or more steps, among them a
+permutation, is a move run, which runs on an index array and moves the
+state by one gather.  On a narrow state nothing is deferred or
+regrouped, and its one stage runs gate by gate.  Every step is a
+(kernel, payload) pair whose kernel returns the state; `apply_to_state`
+describes each kernel.
 
 `cost` sums the fixed per-gate weights of `gate_cost`.
 """
@@ -481,13 +484,20 @@ def _apply_2x2(a0: np.ndarray, a1: np.ndarray, u: Matrix) -> None:
             b1 += t
 
 
-def _apply_diagonals(psi: np.ndarray, gates: list[Gate]) -> None:
+def _apply_gate(psi: np.ndarray, g: Gate) -> np.ndarray:
+    """Apply the 2x2 gate g on its own (`_apply_2x2` on its `_halves`) to
+    a tensor whose axis -1-q holds qubit q, in place; return `psi`."""
+    _apply_2x2(*_halves(psi, g), g.u)
+    return psi
+
+
+def _apply_diagonals(psi: np.ndarray, gates: list[Gate]) -> np.ndarray:
     """Apply diagonal gates on any targets, in the order given, as one
     product of their factors (`_diagonal_factor`), on a tensor whose axis
-    -1-q holds qubit q.  The product scales the whole state in place
-    whenever the next factor would take it past `_BLOCK` entries; the
-    broadcast shape is read only when the two sizes' product passes
-    `_BLOCK`, which spares short runs a numpy call per gate."""
+    -1-q holds qubit q, and return `psi`.  The product scales the whole
+    state in place whenever the next factor would take it past `_BLOCK`
+    entries; the broadcast shape is read only when the two sizes' product
+    passes `_BLOCK`, which spares short runs a numpy call per gate."""
     product = np.ones((), dtype=np.complex128)
     for g in gates:
         f = _diagonal_factor(g)
@@ -498,11 +508,13 @@ def _apply_diagonals(psi: np.ndarray, gates: list[Gate]) -> None:
         else:
             product = product * f
     psi *= product
+    return psi
 
 
-def _apply_fan_out(psi: np.ndarray, run: list[Gate]) -> None:
+def _apply_fan_out(psi: np.ndarray, run: list[Gate]) -> np.ndarray:
     """Apply a fan-out run, X on every target of `run` inside the block its
-    shared controls select, on a tensor whose axis -1-q holds qubit q.
+    shared controls select, on a tensor whose axis -1-q holds qubit q, in
+    place, and return `psi`.
 
     Flipping every target bit pairs each amplitude whose first target
     reads 0 with the one whose targets all read the opposite, so the step
@@ -511,11 +523,12 @@ def _apply_fan_out(psi: np.ndarray, run: list[Gate]) -> None:
     """
     a0, a1 = _halves(psi, run[0])
     _apply_2x2(a0, np.flip(a1, [-1 - g.target for g in run[1:]]), X_MATRIX)
+    return psi
 
 
-def _permute(psi: np.ndarray, sigma: tuple[int, ...]) -> np.ndarray:
+def _permute(psi: np.ndarray, g: QubitPerm) -> np.ndarray:
     """A new contiguous tensor holding the state with qubit q routed to
-    position sigma[q], on a tensor whose axis -1-q holds qubit q.
+    position sigma[q] of g, on a tensor whose axis -1-q holds qubit q.
 
     The leading axes past sigma's qubits and the top qubits that sigma
     fixes are a batch axis, and the others are its moved span of s
@@ -525,6 +538,7 @@ def _permute(psi: np.ndarray, sigma: tuple[int, ...]) -> np.ndarray:
     in bands (`_band_transpose`).  Any other permutation, a rotation or a
     small span, is one axis transpose.
     """
+    sigma = g.sigma
     span = len(sigma)
     while span and sigma[span - 1] == span - 1:
         span -= 1
@@ -574,9 +588,9 @@ def _band_transpose(psi: np.ndarray, sigma: tuple[int, ...],
     return out.reshape(psi.shape)
 
 
-def _apply_window(psi: np.ndarray, run: list[Gate]) -> None:
+def _apply_window(psi: np.ndarray, run: list[Gate]) -> np.ndarray:
     """Apply a stage of gates as one 2^k x 2^k matrix U on the span
-    lo..hi-1 of their qubits, k = hi - lo.
+    lo..hi-1 of their qubits, k = hi - lo, in place, and return `psi`.
 
     U^T comes from this kernel, not from `to_matrix`: the stage's own
     gates, run gate by gate (`_stage`) on the identity viewed as (2^k,) +
@@ -594,11 +608,11 @@ def _apply_window(psi: np.ndarray, run: list[Gate]) -> None:
     lo = min(g.span[0] for g in run)
     hi = max(g.span[1] for g in run) + 1
     dim = 1 << (hi - lo)
-    rows = np.eye(dim, dtype=np.complex128)
-    tensor = rows.reshape((dim,) + (2,) * (hi - lo) + (1,) * lo)
+    tensor = np.eye(dim, dtype=np.complex128).reshape(
+        (dim,) + (2,) * (hi - lo) + (1,) * lo)
     for apply, g in _stage(run, False):
-        _step(tensor, apply, g)
-    u = rows.T
+        tensor = apply(tensor, g)
+    u = tensor.reshape(dim, dim).T
     if lo == 0:
         view = psi.reshape(1, -1, dim).transpose(0, 2, 1)
     else:
@@ -619,15 +633,21 @@ def _apply_window(psi: np.ndarray, run: list[Gate]) -> None:
                 block_in = block
             np.matmul(u, block_in.reshape(dim, -1), out=buf)
             block[...] = buf.reshape(block.shape)
+    return psi
 
 
-def _stage(gates: list[Gate], fuse: bool
-           ) -> Iterator[tuple[Callable | None, Gate | list[Gate]]]:
+# A step of the schedule: a kernel and what it applies.  Every kernel
+# takes the state tensor first and returns the state: the same tensor,
+# updated in place, or a new array after a permutation or a move run.
+_Step = tuple[Callable[..., np.ndarray], object]
+
+
+def _stage(gates: list[Gate], fuse: bool) -> Iterator[_Step]:
     """One window stage: a single matrix (`_apply_window`) when fusing and
     it holds two or more uncontrolled mixing gates, otherwise its gates in
     order, each run of two or more consecutive small diagonal gates
     (`_small`), on any targets, as one product (`_apply_diagonals`) and
-    every other gate on its own."""
+    every other gate on its own (`_apply_gate`)."""
     if fuse and sum(not g.controls and not g.diagonal for g in gates) >= 2:
         yield _apply_window, gates
         return
@@ -637,7 +657,7 @@ def _stage(gates: list[Gate], fuse: bool
             yield _apply_diagonals, run
         else:
             for g in run:
-                yield None, g
+                yield _apply_gate, g
 
 
 def _small(g: Gate) -> bool:
@@ -645,90 +665,38 @@ def _small(g: Gate) -> bool:
     return g.diagonal and 2 << len(g.controls) <= _FACTOR_CAP
 
 
-def _release(gates: list[Gate]
-             ) -> Iterator[tuple[Callable | None, Gate | list[Gate]]]:
+def _release(gates: list[Gate]) -> Iterator[_Step]:
     """Deferred diagonal gates: three or more small ones (`_small`) as one
     product (`_apply_diagonals`), by lowest qubit so that factors sharing
-    low axes meet in it; one or two, and any larger one, on their own,
-    each touching only its control-selected block, less of the state
-    than the pass that a product costs."""
+    low axes meet in it; one or two, and any larger one, on their own
+    (`_apply_gate`), each touching only its control-selected block, less
+    of the state than the pass that a product costs."""
     small = [g for g in gates if _small(g)]
     if len(small) > 2:
         yield _apply_diagonals, sorted(small, key=lambda g: g.span[0])
         gates = [g for g in gates if not _small(g)]
     for g in gates:
-        yield None, g
+        yield _apply_gate, g
 
 
-def _fan_outs(gates: tuple[Gate, ...],
-              width: int) -> Iterator[Gate | list[Gate]]:
-    """The gates in order, each fan-out run whose qubits span two or more
-    windows as one list.
-
-    A fan-out run is two or more consecutive gates whose u is exactly X,
-    with one set of controls and distinct targets; no target can be a
-    control, since every gate keeps its target out of its own controls.
-    A run inside one window is given back gate by gate, so that it joins
-    that window's stage.
-    """
-    def flush() -> Iterator[Gate | list[Gate]]:
-        qubits = [*targets, *(q for q, _ in controls)]
-        if len(run) > 1 and ((width - 1 - min(qubits)) // _WINDOW
-                             != (width - 1 - max(qubits)) // _WINDOW):
-            yield run
-        else:
-            yield from run
-
-    run: list[Gate] = []
-    targets: set[int] = set()
-    controls: set[tuple[int, bool]] = set()
-    for g in gates:
-        flip = not isinstance(g, QubitPerm) and g.flip
-        if flip and run and g.target not in targets \
-                and set(g.controls) == controls:
-            run.append(g)
-            targets.add(g.target)
-            continue
-        if run:
-            yield from flush()
-        if flip:
-            run, targets, controls = [g], {g.target}, set(g.controls)
-        else:
-            run = []
-            yield g
-    if run:
-        yield from flush()
-
-
-def _segments(gates: tuple[Gate, ...], width: int, fuse: bool
-              ) -> Iterator[tuple[Callable | None, Gate | list[Gate]]]:
+def _segments(gates: tuple[Gate, ...], width: int,
+              fuse: bool) -> Iterator[_Step]:
     """The gates in order, scheduled in one pass by the rule of the module
     docstring.
 
-    Yields (kernel, gates) for a fused stage (`_apply_window`), a stage
-    run or a release of diagonal gates (`_apply_diagonals`) or a fan-out
-    run (`_apply_fan_out`), and (None, gate) for a gate that runs on its
-    own.  The kernels are read from the module when a group is found, so
-    a test may replace them.
+    Yields (kernel, gates) for a fused stage (`_apply_window`) and for a
+    stage run or a release of diagonal gates (`_apply_diagonals`),
+    (`_permute`, gate) for a qubit permutation and (`_apply_gate`, gate)
+    for any other gate that runs on its own.  The kernels are read from
+    the module when a step is made, so a test may replace them.
     Without fusion there is one window, the whole register, so no gate is
-    deferred or grouped into a fan-out run, and every gate joins one
-    stage that runs gate by gate.
+    deferred, and every gate joins one stage that runs gate by gate.
     """
     stage: list[Gate] = []
     window = None           # the stage's window, numbered from the top
     pending: list[Gate] = []
     touched: set[int] = set()   # every qubit of a pending gate
-    for g in _fan_outs(gates, width) if fuse else gates:
-        if isinstance(g, list):
-            # a fan-out run ends the stage and runs on its own, after the
-            # pending gates when one touches a target
-            yield from _stage(stage, fuse)
-            stage, window = [], None
-            if touched.intersection(h.target for h in g):
-                yield from _release(pending)
-                pending, touched = [], set()
-            yield _apply_fan_out, g
-            continue
+    for g in gates:
         perm = isinstance(g, QubitPerm)
         if perm or (not g.diagonal and g.target in touched):
             # g must not pass a pending gate
@@ -736,7 +704,7 @@ def _segments(gates: tuple[Gate, ...], width: int, fuse: bool
             yield from _release(pending)
             stage, window, pending, touched = [], None, [], set()
             if perm:
-                yield None, g
+                yield _permute, g
                 continue
         if not fuse:
             stage.append(g)
@@ -754,46 +722,52 @@ def _segments(gates: tuple[Gate, ...], width: int, fuse: bool
             yield from _stage(stage, fuse)
             stage, window = ([g], here) if inside else ([], None)
             if not inside:
-                yield None, g
+                yield _apply_gate, g
     yield from _stage(stage, fuse)
     yield from _release(pending)
 
 
-def _move_runs(steps: Iterator[tuple[Callable | None, Gate | list[Gate]]]
-               ) -> Iterator[tuple[Callable | None, object]]:
-    """The steps of `_segments` in order, each move run as one step
-    (`_apply_moves`, its steps).
+def _moves(step: _Step) -> bool:
+    """Whether a step of `_segments` only moves entries: a qubit
+    permutation, or a gate on its own whose u is exactly X."""
+    apply, g = step
+    return apply is _permute or (apply is _apply_gate and g.flip)
 
-    A move run is two or more consecutive steps that only move entries,
-    among them a qubit permutation.  The steps that only move entries are
-    a lone gate whose u is exactly X, a fan-out run and a qubit
-    permutation.  A run without a permutation is given back step by step,
-    so it stays in place.
+
+def _move_runs(steps: Iterator[_Step], wide: bool) -> Iterator[_Step]:
+    """The steps of `_segments` in order, each group of consecutive steps
+    that only move entries (`_moves`) regrouped.
+
+    Inside a group, a fan-out run, two or more consecutive X gates with
+    one set of controls and distinct targets, becomes one step
+    (`_apply_fan_out`, its gates); no target can be a control, since every
+    gate keeps its target out of its own controls.  On a `wide` state, a
+    group that then holds two or more steps, among them a permutation, is
+    one move run (`_apply_moves`, its steps).  Any other group is given
+    back step by step, so it stays in place.
     """
-    def flush() -> Iterator[tuple[Callable | None, object]]:
-        if len(run) > 1 and any(isinstance(g, QubitPerm) for _, g in run):
+    for moves, group in groupby(steps, _moves):
+        if not moves:
+            yield from group
+            continue
+        run: list[_Step] = []
+        for apply, g in group:
+            if apply is _apply_gate and run and run[-1][0] is not _permute:
+                # an X gate joins the lone X gate or fan-out run before it
+                last = run[-1][1]
+                xs = last if isinstance(last, list) else [last]
+                if set(g.controls) == set(xs[0].controls) \
+                        and all(h.target != g.target for h in xs):
+                    run[-1] = (_apply_fan_out, [*xs, g])
+                    continue
+            run.append((apply, g))
+        if wide and len(run) > 1 and any(a is _permute for a, _ in run):
             yield _apply_moves, run
         else:
             yield from run
 
-    run: list[tuple[Callable | None, Gate | list[Gate]]] = []
-    for step in steps:
-        apply, g = step
-        if apply is _apply_fan_out or (
-                apply is None and (isinstance(g, QubitPerm) or g.flip)):
-            run.append(step)
-            continue
-        if run:
-            yield from flush()
-            run = []
-        yield step
-    if run:
-        yield from flush()
 
-
-def _apply_moves(psi: np.ndarray,
-                 steps: list[tuple[Callable | None, Gate | list[Gate]]]
-                 ) -> np.ndarray:
+def _apply_moves(psi: np.ndarray, steps: list[_Step]) -> np.ndarray:
     """A new contiguous tensor holding the state moved by a move run.
 
     The steps run on an index tensor, `np.arange(2^w)` in int32 (int64
@@ -806,7 +780,7 @@ def _apply_moves(psi: np.ndarray,
     dtype = np.int32 if psi.size <= 1 << 31 else np.int64
     idx = np.arange(psi.size, dtype=dtype).reshape(psi.shape)
     for apply, g in steps:
-        idx = _step(idx, apply, g)
+        idx = apply(idx, g)
     src, order = psi.reshape(-1), idx.reshape(-1)
     out = np.empty_like(src)
     for i in range(0, src.size, _BLOCK):
@@ -845,18 +819,20 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
       factors, each u00 and u11 on its target axis where its controls
       match, applied early whenever the product could pass `_BLOCK`
       entries (`_apply_diagonals`);
-    - every other gate runs on its own, among them one or two deferred
-      gates and a diagonal gate whose factor alone would pass
-      `_FACTOR_CAP` entries.
+    - every other gate runs on its own (`_apply_gate`), among them one or
+      two deferred gates and a diagonal gate whose factor alone would
+      pass `_FACTOR_CAP` entries.
       A diagonal gate scales the halves of its control-selected block
       whose entry is not 1.  Any other 2x2 gate mixes the two target-axis
       halves of its block in paired pieces of at most `_BLOCK` entries:
       an anti-diagonal u swaps them, a real multiple of [[1, 1],
       [1, -1]] (the Hadamard) is a butterfly, and any other u a product
       formula (`_apply_2x2`);
-    - a fan-out run flips every target inside its control-selected block
-      as one swap, of the first target's halves with the other targets'
-      axes of one half reversed (`_apply_fan_out`);
+    - on `_FUSE_MIN_WIDTH` or more qubits, a fan-out run, two or more
+      consecutive X gates of the schedule with one set of controls and
+      distinct targets, flips every target inside its control-selected
+      block as one swap, of the first target's halves with the other
+      targets' axes of one half reversed (`_apply_fan_out`);
     - a qubit permutation moves the state into a new array.  A bit
       reversal (the low half of its moved span sent onto the top half) of
       a span above `_BLOCK` entries, the top fixed qubits a batch axis,
@@ -864,11 +840,13 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
       transposed (`_band_transpose`); any other permutation is one axis
       transpose (`_permute`);
     - on `_FUSE_MIN_WIDTH` or more qubits and at least `_MOVES_MIN_SIZE`
-      entries, a move run runs its steps, the kernels above, on an index
-      tensor holding `np.arange(2^w)` in int32, a quarter of the state's
-      bytes, and then gathers the state into a new array by it, `_BLOCK`
-      entries at a time (`_apply_moves`).  A run without a permutation
-      stays in place, step by step, so that it needs no second state.
+      entries, a move run, two or more consecutive steps that only move
+      entries, among them a permutation, runs its steps, the kernels
+      above, on an index tensor holding `np.arange(2^w)` in int32, a
+      quarter of the state's bytes, and then gathers the state into a new
+      array by it, `_BLOCK` entries at a time (`_apply_moves`).  A run
+      without a permutation stays in place, step by step, so that it
+      needs no second state.
 
     Diagonal products need no blocking: each is one in-place multiply and
     builds no state-sized temporary, whereas the swap, the butterfly, the
@@ -895,10 +873,10 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
         (2,) * (c.width + m))
     fuse = psi.ndim >= _FUSE_MIN_WIDTH
     steps = _segments(c.gates, psi.ndim, fuse)
-    if fuse and psi.size >= _MOVES_MIN_SIZE:
-        steps = _move_runs(steps)
+    if fuse:
+        steps = _move_runs(steps, psi.size >= _MOVES_MIN_SIZE)
     for apply, g in steps:
-        psi = _step(psi, apply, g)
+        psi = apply(psi, g)
     return psi.reshape(1 << m, dim)[:k].reshape(states.shape)
 
 
@@ -911,21 +889,6 @@ def _padded_copy(states: np.ndarray, rows: int) -> np.ndarray:
     out[:len(states)] = states
     out[len(states):] = 0
     return out
-
-
-def _step(psi: np.ndarray, apply: Callable | None, g: object) -> np.ndarray:
-    """Apply one step of the schedule to the tensor `psi`, and return the
-    state: `psi` itself, updated in place, or a new array after a qubit
-    permutation or a move run."""
-    if apply is _apply_moves:
-        return apply(psi, g)
-    if apply is not None:
-        apply(psi, g)
-    elif isinstance(g, QubitPerm):
-        return _permute(psi, g.sigma)
-    else:
-        _apply_2x2(*_halves(psi, g), g.u)
-    return psi
 
 
 def _transpositions(sigma: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -101,18 +101,22 @@ def format_circuit(c: Circuit) -> str:
 
 
 class _Fields(dict):
-    """key=value tokens; a missing or repeated key is a ValueError."""
+    """key=value tokens; a missing, repeated or unknown key is a
+    ValueError."""
 
     def __missing__(self, key: str) -> str:
         raise ValueError(f"missing {key}=")
 
 
-def _fields(tokens: list[str]) -> _Fields:
+def _fields(tokens: list[str], keys: tuple[str, ...]) -> _Fields:
+    """The key=value tokens, each key one of `keys`."""
     out = _Fields()
     for t in tokens:
         key, eq, value = t.partition("=")
         if not eq:
             raise ValueError(f"expected key=value, got {t!r}")
+        if key not in keys:
+            raise ValueError(f"unknown key {key}=")
         if key in out:
             raise ValueError(f"repeated key {key}=")
         out[key] = value
@@ -163,10 +167,14 @@ def _parse_gate(line: str, matrices: dict[str, np.ndarray]) -> Gate:
         if len(rest) != 1:
             raise ValueError("perm needs one comma-separated permutation")
         return QubitPerm(tuple(int(v) for v in rest[0].split(",")))
-    f = _fields(rest)
     if kind == "cnot":
+        f = _fields(rest, ("c", "t"))
         return CNot(int(f["c"]), int(f["t"]))
-    if kind not in ("local", "mcu"):
+    if kind == "local":
+        f = _fields(rest, ("q", "u"))
+    elif kind == "mcu":
+        f = _fields(rest, ("controls", "t", "u"))
+    else:
         raise ValueError(f"unknown gate kind {kind!r}")
     token = f["u"]
     u = matrices.get(token)
@@ -180,7 +188,7 @@ def _parse_gate(line: str, matrices: dict[str, np.ndarray]) -> Gate:
 def parse_circuit(text: str) -> Circuit:
     (no, head), *body = _numbered_lines(text, "circuit")
     with _on_line(no, head):
-        meta = _fields(head.split()[1:])
+        meta = _fields(head.split()[1:], ("width", "gates"))
         width, count = int(meta["width"]), int(meta["gates"])
         if len(body) != count:
             raise ValueError(f"header claims {count} gates, found {len(body)}")
@@ -216,7 +224,7 @@ def _parse_complex(token: str) -> complex:
 def parse_matrix(text: str) -> Matrix:
     (no, head), *body = _numbered_lines(text, "matrix")
     with _on_line(no, head):
-        meta = _fields(head.split()[1:])
+        meta = _fields(head.split()[1:], ("rows", "cols"))
         rows, cols = int(meta["rows"]), int(meta["cols"])
         # a row with no columns prints as a blank line, which is skipped
         if rows < 0 or cols < 0 or len(body) != (rows if cols else 0):

@@ -156,8 +156,8 @@ class GroupSpec:
 class Representation:
     """Matrix representation given by its generator images.
 
-    ``images`` maps "x" (and "y" for the non-abelian families) to square
-    complex matrices; arbitrary elements are evaluated through the normal
+    ``images`` maps "x" (and "y" for the non-abelian families), and no
+    other name, to square complex matrices; arbitrary elements are evaluated through the normal
     form, rho(x^a y^b) = rho(x)^a rho(y)^b.
     """
 
@@ -166,7 +166,12 @@ class Representation:
     images: Mapping[str, Matrix]
 
     def __post_init__(self) -> None:
+        if "x" not in self.images:
+            raise ValueError("representation needs an image of x")
         for name, m in self.images.items():
+            if name not in ("x", "y"):
+                raise ValueError(f"image of {name!r}: only x and y have "
+                                 "images")
             m = np.asarray(m)
             if m.shape != (self.degree, self.degree):
                 raise ValueError(

@@ -170,9 +170,9 @@ def circuit_matches(c: Circuit, b: Matrix) -> float:
 
 def scaling_fit(G: GroupSpec, ns: list[int]) -> float:
     """Least-squares slope of log(total cost) against log(qubit count)
-    for the family of G over the given n values."""
-    if len(ns) < 4:
-        raise ValueError("need at least 4 points for a meaningful fit")
+    for the family of G over the given n values, at least 4 distinct."""
+    if len(set(ns)) < 4:
+        raise ValueError("need at least 4 distinct n for a meaningful fit")
     widths = []
     costs = []
     for n in ns:

@@ -692,37 +692,39 @@ def _window_gates(rng, width, k):
     ]
 
 
-def _expected_windows(gates, width, k):
-    """Lengths of the stages the schedule fuses, read from the gates'
-    matrices.
+def _model_steps(gates, width, k):
+    """The steps of the schedule, read from the gates' matrices:
+    ("window", gates) for a stage that fuses, ("gate", g) for each gate
+    of a stage that runs gate by gate and for a gate that runs on its
+    own, ("perm", g), and ("release", gates) for set-aside gates.
 
     Windows hold k qubits each, from the top.  A stage takes the gates
     inside the window of its first gate and sets aside every diagonal gate
     that reaches outside it.  It ends at a permutation, at a mixing gate
     outside its window, and at a mixing gate whose target a set-aside
-    gate touches, which also clears those.  It fuses when it holds two or
-    more uncontrolled mixing gates.  A fan-out run whose qubits span
-    windows (`_model_fan_outs`) ends the stage, and clears the set-aside
-    gates when one touches a target."""
-    fused, stage, window, touched = [], [], None, set()
+    gate touches, which also releases those.  It fuses when it holds two
+    or more uncontrolled mixing gates."""
+    steps, stage, window, aside, touched = [], [], None, [], set()
 
     def close():
         if sum(isinstance(g, Local) and not _is_diagonal(g)
                for g in stage) >= 2:
-            fused.append(len(stage))
+            steps.append(("window", stage))
+        else:
+            steps.extend(("gate", g) for g in stage)
 
-    for g in _model_fan_outs(gates, width, k):
-        if isinstance(g, list):
-            close()
-            stage, window = [], None
-            if touched & {h.target for h in g}:
-                touched = set()
-            continue
+    def release():
+        if aside:
+            steps.append(("release", aside))
+
+    for g in gates:
         perm = isinstance(g, QubitPerm)
         if perm or (not _is_diagonal(g) and g.target in touched):
             close()
-            stage, window, touched = [], None, set()
+            release()
+            stage, window, aside, touched = [], None, [], set()
             if perm:
+                steps.append(("perm", g))
                 continue
         qubits = (g.target, *(q for q, _ in g.controls))
         windows = {(width - 1 - q) // k for q in qubits}
@@ -730,47 +732,41 @@ def _expected_windows(gates, width, k):
             stage.append(g)
             window = windows.pop()
         elif _is_diagonal(g):
+            aside.append(g)
             touched.update(qubits)
         else:
             close()
             stage, window = (([g], windows.pop()) if len(windows) == 1
                              else ([], None))
+            if not stage:
+                steps.append(("gate", g))
     close()
-    return fused
+    release()
+    return steps
+
+
+def _expected_windows(gates, width, k):
+    """Lengths of the stages the schedule fuses (`_model_steps`)."""
+    return [len(run) for kind, run in _model_steps(gates, width, k)
+            if kind == "window"]
 
 
 def _model_fan_outs(gates, width, k):
-    """The gates, each fan-out run whose qubits span windows of k qubits
-    as one list, read from the gates' matrices: two or more consecutive X
-    gates with one set of (qubit, polarity) controls and distinct
-    targets."""
-    def key(g):
-        if isinstance(g, QubitPerm) or not np.array_equal(g.u, X_MATRIX):
-            return None
-        return frozenset(g.controls)
-
-    out, run = [], []
-
-    def close():
-        qubits = {q for h in run
-                  for q in (h.target, *(c for c, _ in h.controls))}
-        if len(run) > 1 and len({(width - 1 - q) // k for q in qubits}) > 1:
-            out.append(run)
-        else:
-            out.extend(run)
-
-    for g in gates:
-        x = key(g)
-        if (x is not None and run and x == key(run[0])
+    """Targets of each fan-out run that the post-pass makes of the
+    schedule's steps (`_model_steps`): two or more consecutive X gates
+    that run on their own, with one set of (qubit, polarity) controls and
+    distinct targets."""
+    runs, run = [], []
+    for kind, g in [*_model_steps(gates, width, k), ("end", None)]:
+        x = kind == "gate" and np.array_equal(g.u, X_MATRIX)
+        if (x and run and set(g.controls) == set(run[0].controls)
                 and g.target not in {h.target for h in run}):
             run.append(g)
             continue
-        close()
-        run = [] if x is None else [g]
-        if x is None:
-            out.append(g)
-    close()
-    return out
+        if len(run) > 1:
+            runs.append([h.target for h in run])
+        run = [g] if x else []
+    return runs
 
 
 def _window_spy(monkeypatch):
@@ -780,7 +776,7 @@ def _window_spy(monkeypatch):
 
     def spy(psi, run):
         calls.append(len(run))
-        inner(psi, run)
+        return inner(psi, run)
     monkeypatch.setattr(circuit_module, "_apply_window", spy)
     return calls
 
@@ -995,7 +991,7 @@ def _released(monkeypatch):
 
     def spy(gates):
         for apply, g in inner(gates):
-            if apply is not None:
+            if apply is not circuit_module._apply_gate:
                 released.append(g)
             yield apply, g
     monkeypatch.setattr(circuit_module, "_release", spy)
@@ -1015,7 +1011,7 @@ def _diagonal_spy(monkeypatch):
             releases.append(len(gates))
         else:
             runs.append((gates[0].target, len(gates)))
-        inner(psi, gates)
+        return inner(psi, gates)
     monkeypatch.setattr(circuit_module, "_apply_diagonals", spy)
     return runs, releases
 
@@ -1201,7 +1197,7 @@ def _fan_out_spy(monkeypatch, events=None):
         calls.append([g.target for g in run])
         if events is not None:
             events.append(("fan-out", calls[-1]))
-        inner(psi, run)
+        return inner(psi, run)
     monkeypatch.setattr(circuit_module, "_apply_fan_out", spy)
     return calls
 
@@ -1257,10 +1253,8 @@ def test_fan_out_runs_match_to_matrix_with_a_small_window(seed, monkeypatch):
     state = _random_state(rng, width)
     got = apply_to_state(c, state)
     assert np.max(np.abs(got - to_matrix(c) @ state)) < 1e-12
-    want = [[g.target for g in run]
-            for run in _model_fan_outs(c.gates, width, 3)
-            if isinstance(run, list)]
-    assert fan_outs == (want if width >= 7 else [])
+    want = _model_fan_outs(c.gates, width, 3) if width >= 7 else []
+    assert fan_outs == want
     assert windows == (_expected_windows(c.gates, width, 3)
                        if width >= 7 else [])
     if width >= 7:
@@ -1270,8 +1264,8 @@ def test_fan_out_runs_match_to_matrix_with_a_small_window(seed, monkeypatch):
 def test_fan_out_run_ends_where_the_rule_says(monkeypatch):
     # CNOTs and multi-controlled X with the same control, then a repeated
     # target; mixed polarities in any order, then a gate that targets a
-    # control; a change of control set; a run inside one window is not
-    # grouped
+    # control; a change of control set; a run inside the window [0, 4),
+    # whose stage runs gate by gate, is grouped too
     fan_outs = _fan_out_spy(monkeypatch)
     width = 16
     gates = [CNot(15, 0), MultiControlled(X_MATRIX, ((15, True),), 9),
@@ -1287,7 +1281,7 @@ def test_fan_out_run_ends_where_the_rule_says(monkeypatch):
     rng = np.random.default_rng(1610)
     state = _random_state(rng, width)
     got = apply_to_state(Circuit(width, tuple(gates)), state)
-    assert fan_outs == [[0, 9, 14], [5, 13, 1], [14, 15]]
+    assert fan_outs == [[0, 9, 14], [5, 13, 1], [14, 15], [2, 3, 0]]
     want = state
     for g in gates:
         want = apply_to_state(Circuit(width, (g,)), want)
@@ -1316,6 +1310,30 @@ def test_fan_out_runs_match_gates_one_by_one_at_full_size(seed, monkeypatch):
     assert np.array_equal(got, want)
 
 
+def test_in_window_fan_out_run_of_a_gate_by_gate_stage(monkeypatch):
+    # 3-qubit windows from width 7; at width 8 they are [5, 8), [2, 5) and
+    # [0, 2).  Each X run lies inside one window, in a stage with no
+    # uncontrolled mixing gate, which runs gate by gate: its consecutive X
+    # gates are one fan-out run, with positive and with negative controls,
+    # and a change of control set between the stages starts a new run
+    monkeypatch.setattr(circuit_module, "_WINDOW", 3)
+    monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
+    fan_outs = _fan_out_spy(monkeypatch)
+    windows = _window_spy(monkeypatch)
+    width = 8
+    gates = [Local(H_MATRIX, 0),
+             MultiControlled(H_MATRIX, ((2, True),), 4), CNot(4, 2),
+             MultiControlled(X_MATRIX, ((4, True),), 3),
+             MultiControlled(X_MATRIX, ((7, False),), 5),
+             MultiControlled(X_MATRIX, ((7, False),), 6)]
+    c = Circuit(width, tuple(gates))
+    state = _random_state(np.random.default_rng(1625), width)
+    got = apply_to_state(c, state)
+    assert fan_outs == [[2, 3], [5, 6]]
+    assert windows == []
+    assert np.max(np.abs(got - to_matrix(c) @ state)) < 1e-12
+
+
 def test_fan_out_run_releases_pending_gates_on_its_targets(monkeypatch):
     # three diagonal gates reach across windows and are deferred; a run
     # that targets one of their qubits releases them first, and a run
@@ -1328,7 +1346,7 @@ def test_fan_out_run_releases_pending_gates_on_its_targets(monkeypatch):
 
     def spy(psi, gates):
         events.append(("release", len(gates)))
-        inner(psi, gates)
+        return inner(psi, gates)
     monkeypatch.setattr(circuit_module, "_apply_diagonals", spy)
     rng = np.random.default_rng(1630)
     ph = functools.partial(_phase_gate, rng)
@@ -1347,8 +1365,9 @@ def test_fan_out_run_releases_pending_gates_on_its_targets(monkeypatch):
 def test_qd_reorder_cnots_run_as_one_fan_out():
     # qd n = 20 at width 21: CNot(19, j) for j = 0..18 is one step
     c = qft_circuit(GroupSpec(Family.QD, 20))
-    runs = [g for apply, g in circuit_module._segments(c.gates, c.width, True)
-            if apply is circuit_module._apply_fan_out]
+    steps = circuit_module._move_runs(
+        circuit_module._segments(c.gates, c.width, True), False)
+    runs = [g for apply, g in steps if apply is circuit_module._apply_fan_out]
     assert runs == [[CNot(19, j) for j in range(19)]]
 
 
@@ -1400,7 +1419,8 @@ def test_banded_permutation_equals_the_transpose(width, monkeypatch):
     sigmas = [tuple([*reversed(range(s)), *range(s, width)]) for s in spans]
     sigmas += [_banded_sigma(rng, width, s) for s in (width - 1, width)]
     for sigma in sigmas:
-        got = circuit_module._permute(psi.reshape((2,) * width), sigma)
+        got = circuit_module._permute(psi.reshape((2,) * width),
+                                      QubitPerm(sigma))
         assert got.shape == (2,) * width and got.flags.c_contiguous
         assert np.array_equal(got.reshape(-1), _transposed(psi, sigma)), sigma
     assert calls == [*spans, width - 1, width]
@@ -1418,7 +1438,8 @@ def test_other_permutations_stay_on_the_transpose(monkeypatch):
               (*reversed(range(span)), *range(span, width)),
               tuple(int(s) for s in rng.permutation(width))]
     for sigma in sigmas:
-        got = circuit_module._permute(psi.reshape((2,) * width), sigma)
+        got = circuit_module._permute(psi.reshape((2,) * width),
+                                      QubitPerm(sigma))
         assert np.array_equal(got.reshape(-1), _transposed(psi, sigma))
     assert calls == []
 
@@ -1475,8 +1496,9 @@ def _moves_spy(monkeypatch):
     inner = circuit_module._apply_moves
 
     def spy(psi, steps):
-        calls.append([("perm" if isinstance(g, QubitPerm) else
-                       "x" if apply is None else "fan-out", g)
+        calls.append([("perm" if apply is circuit_module._permute else
+                       "x" if apply is circuit_module._apply_gate
+                       else "fan-out", g)
                       for apply, g in steps])
         return inner(psi, steps)
     monkeypatch.setattr(circuit_module, "_apply_moves", spy)
@@ -1521,9 +1543,9 @@ def _move_gates(rng, width):
 def _is_move(apply, g):
     """Whether a step of the schedule only moves entries, read from the
     gate's matrix."""
-    return (apply is circuit_module._apply_fan_out
-            or (apply is None and (isinstance(g, QubitPerm)
-                                   or np.array_equal(g.u, X_MATRIX))))
+    return (apply in (circuit_module._apply_fan_out, circuit_module._permute)
+            or (apply is circuit_module._apply_gate
+                and np.array_equal(g.u, X_MATRIX)))
 
 
 @pytest.mark.parametrize("width", [14, 15, 16])
@@ -1541,7 +1563,7 @@ def test_move_runs_match_reference_bit_for_bit(width, monkeypatch):
     for steps in calls:
         assert len(steps) >= 2 and "perm" in [kind for kind, _ in steps]
     stream = list(circuit_module._move_runs(circuit_module._segments(
-        tuple(gates), width, True)))
+        tuple(gates), width, True), True))
     grouped = [g for apply, g in stream if apply is circuit_module._apply_moves]
     assert [[g for _, g in steps] for steps in calls] == \
         [[g for _, g in steps] for steps in grouped]
@@ -1602,7 +1624,8 @@ def test_qd_reorder_factor_runs_as_one_move_run(monkeypatch):
     flat = [h for _, g in calls[0] for h in (g if isinstance(g, list) else [g])]
     assert format_circuit(Circuit(c.width, tuple(flat))) == format_circuit(
         factors["twiddle"] + factors["reorder"])
-    monkeypatch.setattr(circuit_module, "_move_runs", lambda steps: steps)
+    monkeypatch.setattr(circuit_module, "_move_runs",
+                        lambda steps, wide: steps)
     assert np.array_equal(got, apply_to_state(c, state))
     assert len(calls) == 1
 
@@ -1676,12 +1699,12 @@ def _product_spy(monkeypatch):
 
     def spy(psi, gates):
         if not any(gates is r for r in released):
-            inner(psi, gates)
-            return
+            return inner(psi, gates)
         sizes.append([])
         probe = psi.view(_ProductProbe)
         probe.sizes = sizes
         inner(probe, gates)
+        return psi
     monkeypatch.setattr(circuit_module, "_apply_diagonals", spy)
     return sizes
 
@@ -1711,7 +1734,7 @@ def test_release_runs_a_factor_past_the_phase_cap_alone(monkeypatch):
     gates.insert(1, many)
     steps = list(circuit_module._release(gates))
     assert [apply for apply, _ in steps] == \
-        [circuit_module._apply_diagonals, None]
+        [circuit_module._apply_diagonals, circuit_module._apply_gate]
     assert steps[1][1] is many
     state = _random_state(np.random.default_rng(1855), width)
     got = apply_to_state(Circuit(width, tuple(gates)), state)
@@ -1725,7 +1748,8 @@ def test_release_of_two_small_gates_runs_them_alone():
     # the state than one pass of a product
     gates = [MultiControlled(Z_MATRIX, ((13, True), (12, False)), t)
              for t in (0, 5)]
-    assert list(circuit_module._release(gates)) == [(None, g) for g in gates]
+    assert list(circuit_module._release(gates)) == \
+        [(circuit_module._apply_gate, g) for g in gates]
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -196,6 +196,14 @@ MALFORMED = [
     (parse_matrix, "matrix cols=1\n1,0", "line 1: missing rows="),
     (parse_matrix, "matrix rows=1 cols=1\n1", "line 2: expected re,im"),
     (parse_matrix, "matrix rows=0 cols=-1", "line 1: "),
+    # a key the line does not take, even beside every key it needs
+    (parse_circuit, "circuit width=2 gates=1\nlocal q=0 t=1 u=0,0,1,0,1,0,0,0",
+     "line 2: unknown key t="),
+    (parse_circuit, "circuit width=3 gates=1\ncnot c=0 t=1 q=2",
+     "line 2: unknown key q="),
+    (parse_circuit, "circuit width=2 gates=0 foo=1", "line 1: unknown key foo="),
+    (parse_matrix, "matrix rows=1 cols=1 extra=9\n1,0",
+     "line 1: unknown key extra="),
 ]
 
 

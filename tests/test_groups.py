@@ -272,6 +272,17 @@ def test_nan_image_reads_as_nan_relation_defect(family, generator):
     assert np.isnan(rho.relation_defect())
 
 
+@pytest.mark.parametrize("images, message", [
+    ({}, "needs an image of x"),
+    ({"x": np.eye(1), "z": np.eye(1)}, "only x and y"),
+])
+def test_representation_rejects_image_names(images, message):
+    # evaluate reads images["x"], so a missing x would fail there with a
+    # KeyError; any name other than x and y is no generator
+    with pytest.raises(ValueError, match=message):
+        Representation(GroupSpec(Family.CYCLIC, 1), 1, images)
+
+
 def test_quaternion_2dim_irrep_oracle():
     # classic U(2) irrep of Q_16: x -> diag(zeta, conj(zeta)), y -> [[0,1],[-1,0]]
     Q = GroupSpec(Family.QUATERNION, 3)

@@ -230,6 +230,14 @@ def test_scaling_fit_needs_enough_points():
         scaling_fit(GroupSpec(Family.DIHEDRAL, 3), [3, 4, 5])
 
 
+@pytest.mark.parametrize("ns", [[3, 3, 3, 3], [3, 4, 4, 3]])
+def test_scaling_fit_needs_enough_distinct_n(ns):
+    # four points on fewer than four widths fit no meaningful slope, and
+    # on one width numpy's fit warns that it is poorly conditioned
+    with pytest.raises(ValueError, match="distinct"):
+        scaling_fit(GroupSpec(Family.QD, 3), ns)
+
+
 def test_report_threshold_logic():
     base = VerificationReport(
         group=GroupSpec(Family.DIHEDRAL, 3),
