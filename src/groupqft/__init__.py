@@ -4,75 +4,20 @@ Supported families: cyclic Z_{2^n} and its four non-abelian extensions
 by Z_2 (dihedral, quaternion, quasidihedral, and the 2^{n-1}+1 twist).
 `assemble` produces the transform matrix with its factorization,
 `qft_circuit` the equivalent gate sequence, and `verify` grades both
-against the regular representation.
+against the regular representation.  The public names are each module's
+`__all__`.
 """
 
-from .circuit import (
-    Circuit,
-    CNot,
-    Gate,
-    Local,
-    MultiControlled,
-    QubitPerm,
-    apply_to_state,
-    controlled,
-    cost,
-    embed,
-    gate_cost,
-    to_matrix,
-)
-from .circuit_library import (
-    equalizer_circuit,
-    increment_circuit,
-    qft_circuit,
-    qft_cyclic_circuit,
-    qft_factors,
-    reorder_circuit,
-    twiddle_circuit,
-)
-from .groups import (
-    Family,
-    GroupElement,
-    GroupSpec,
-    Representation,
-    cyclic_irreps,
-    extendable_indices,
-    induce,
-    inner_conjugate,
-    regular_representation,
-)
-from .linalg import dft, direct_sum, is_unitary, kron, perm_matrix
-from .synthesis import (
-    DecompositionResult,
-    assemble,
-    equalizer,
-    reorder_permutation,
-    reorder_sequence,
-    twiddle,
-)
-from .verify import (
-    VerificationReport,
-    census,
-    check_decomposition,
-    circuit_matches,
-    full_report,
-    scaling_fit,
-)
+from . import circuit, circuit_library, groups, linalg, synthesis, verify
+from .circuit import *  # noqa: F403
+from .circuit_library import *  # noqa: F403
+from .groups import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .synthesis import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Circuit", "CNot", "Gate", "Local", "MultiControlled", "QubitPerm",
-    "apply_to_state", "controlled", "cost", "embed", "gate_cost", "to_matrix",
-    "equalizer_circuit", "increment_circuit", "qft_circuit",
-    "qft_cyclic_circuit", "qft_factors", "reorder_circuit", "twiddle_circuit",
-    "Family", "GroupElement", "GroupSpec", "Representation", "cyclic_irreps",
-    "extendable_indices", "induce", "inner_conjugate",
-    "regular_representation",
-    "dft", "direct_sum", "is_unitary", "kron", "perm_matrix",
-    "DecompositionResult", "assemble", "equalizer", "reorder_permutation",
-    "reorder_sequence", "twiddle",
-    "VerificationReport", "census", "check_decomposition", "circuit_matches",
-    "full_report", "scaling_fit",
-    "__version__",
-]
+__all__ = [*circuit.__all__, *circuit_library.__all__, *groups.__all__,
+           *linalg.__all__, *synthesis.__all__, *verify.__all__,
+           "__version__"]

@@ -9,7 +9,8 @@ Every gate other than a qubit permutation is a 2x2 unitary `u` on
 `target`, fired by `controls`, a tuple of (qubit, polarity) pairs: a
 Local gate has no controls and a CNOT is X with one positive control.
 Each gate class exposes these three attributes, so the code below reads
-them and never asks which kind a 2x2 gate is.  Every gate, a qubit
+them and never asks which class a 2x2 gate is; the kind each one records
+when it is built (`diagonal`, `flip`) routes it.  Every gate, a qubit
 permutation too, also stores `span`, its (lowest, highest) qubit, when it
 is built, and rejects a qubit index that is not an integer there; so
 `Circuit` checks a gate against its width in O(1).
@@ -53,10 +54,11 @@ two or more consecutive X gates with one set of controls and distinct
 targets, becomes one step; and on states of at least `_MOVES_MIN_SIZE`
 entries, a group that then holds two or more steps, among them a
 permutation, is a move run, which runs on an index array and moves the
-state by one gather.  On a narrow state nothing is deferred or
-regrouped, and its one stage runs gate by gate.  Every step is a
-(kernel, payload) pair whose kernel returns the state; `apply_to_state`
-describes each kernel.
+state by one gather.  These steps only move entries, so their results
+are exact.  On a narrow state nothing is deferred or regrouped, and its
+one stage runs gate by gate, so its results do not depend on windows.
+Every step is a (kernel, payload) pair whose kernel returns the state,
+and each kernel's docstring says how it runs.
 
 `cost` sums the fixed per-gate weights of `gate_cost`.
 """
@@ -73,6 +75,21 @@ import numpy as np
 # kron is unused here but stays a module attribute: qftbench's tracer
 # wraps circuit.kron by name.
 from .linalg import Matrix, as_int, kron  # noqa: F401
+
+__all__ = [
+    "Circuit",
+    "CNot",
+    "Gate",
+    "Local",
+    "MultiControlled",
+    "QubitPerm",
+    "apply_to_state",
+    "controlled",
+    "cost",
+    "embed",
+    "gate_cost",
+    "to_matrix",
+]
 
 GATE_EPS = 1e-12
 
@@ -234,6 +251,8 @@ class QubitPerm:
         except TypeError:
             raise ValueError("sigma must be a sequence of qubit indices, "
                              f"got {self.sigma!r}") from None
+        if not sigma:
+            raise ValueError("a qubit permutation needs at least one qubit")
         if sorted(sigma) != list(range(len(sigma))):
             raise ValueError(f"not a permutation: {sigma}")
         _set(self, "sigma", sigma)
@@ -431,17 +450,16 @@ def _blocks(a0: np.ndarray,
         yield a0[t], a1[t]
 
 
-def _apply_2x2(a0: np.ndarray, a1: np.ndarray, u: Matrix) -> None:
-    """(a0, a1) <- (u00 a0 + u01 a1, u10 a0 + u11 a1) in place.
+def _apply_2x2(a0: np.ndarray, a1: np.ndarray, g: Gate) -> None:
+    """(a0, a1) <- (u00 a0 + u01 a1, u10 a0 + u11 a1) in place, u = g.u.
 
-    u alone decides how:
+    The gate's kind, set when it was built, picks the route:
 
-    - diagonal: scale the halves whose entry is not 1, each in one
+    - `diagonal`: scale the halves whose entry is not 1, each in one
       in-place pass over the whole half, which needs no temporary;
-    - anti-diagonal (X, so every CNOT): swap the halves, scaling only
-      where an entry is not 1;
-    - s * [[1, 1], [1, -1]] with real s (the Hadamard): the butterfly
-      t = a0 - a1; a0 += a1; a0 *= s; a1 = s t;
+    - `flip` (u is exactly X, so every CNOT): swap the halves;
+    - s * [[1, 1], [1, -1]] with real s (the Hadamard), read from u: the
+      butterfly t = a0 - a1; a0 += a1; a0 *= s; a1 = s t;
     - anything else: t = u10 a0; a0 *= u00; a0 += u01 a1; a1 *= u11;
       a1 += t.
 
@@ -451,23 +469,18 @@ def _apply_2x2(a0: np.ndarray, a1: np.ndarray, u: Matrix) -> None:
     function of its own, so the views of the state are freed on return,
     before the next gate allocates.
     """
+    u = g.u
     u00, u01, u10, u11 = u[0, 0], u[0, 1], u[1, 0], u[1, 1]
-    if u01 == 0 and u10 == 0:
+    if g.diagonal:
         if u00 != 1:
             a0 *= u00
         if u11 != 1:
             a1 *= u11
-    elif u00 == 0 and u11 == 0:
+    elif g.flip:
         for b0, b1 in _blocks(a0, a1):
             t = b0.copy()
-            if u01 == 1:
-                b0[...] = b1
-            else:
-                np.multiply(b1, u01, out=b0)
-            if u10 == 1:
-                b1[...] = t
-            else:
-                np.multiply(t, u10, out=b1)
+            b0[...] = b1
+            b1[...] = t
     elif u00 == u01 == u10 == -u11 and u00.imag == 0:
         s = u00.real
         for b0, b1 in _blocks(a0, a1):
@@ -487,7 +500,7 @@ def _apply_2x2(a0: np.ndarray, a1: np.ndarray, u: Matrix) -> None:
 def _apply_gate(psi: np.ndarray, g: Gate) -> np.ndarray:
     """Apply the 2x2 gate g on its own (`_apply_2x2` on its `_halves`) to
     a tensor whose axis -1-q holds qubit q, in place; return `psi`."""
-    _apply_2x2(*_halves(psi, g), g.u)
+    _apply_2x2(*_halves(psi, g), g)
     return psi
 
 
@@ -522,7 +535,7 @@ def _apply_fan_out(psi: np.ndarray, run: list[Gate]) -> np.ndarray:
     the other targets' axes of the target-1 half reversed.
     """
     a0, a1 = _halves(psi, run[0])
-    _apply_2x2(a0, np.flip(a1, [-1 - g.target for g in run[1:]]), X_MATRIX)
+    _apply_2x2(a0, np.flip(a1, [-1 - g.target for g in run[1:]]), run[0])
     return psi
 
 
@@ -679,8 +692,7 @@ def _release(gates: list[Gate]) -> Iterator[_Step]:
         yield _apply_gate, g
 
 
-def _segments(gates: tuple[Gate, ...], width: int,
-              fuse: bool) -> Iterator[_Step]:
+def _segments(gates: tuple[Gate, ...], width: int) -> Iterator[_Step]:
     """The gates in order, scheduled in one pass by the rule of the module
     docstring.
 
@@ -689,9 +701,12 @@ def _segments(gates: tuple[Gate, ...], width: int,
     (`_permute`, gate) for a qubit permutation and (`_apply_gate`, gate)
     for any other gate that runs on its own.  The kernels are read from
     the module when a step is made, so a test may replace them.
-    Without fusion there is one window, the whole register, so no gate is
-    deferred, and every gate joins one stage that runs gate by gate.
+    Below `_FUSE_MIN_WIDTH` there is one window, the whole register, so no
+    gate is deferred, and every gate joins one stage that runs gate by
+    gate.
     """
+    fuse = width >= _FUSE_MIN_WIDTH
+    size = _WINDOW if fuse else width
     stage: list[Gate] = []
     window = None           # the stage's window, numbered from the top
     pending: list[Gate] = []
@@ -706,12 +721,9 @@ def _segments(gates: tuple[Gate, ...], width: int,
             if perm:
                 yield _permute, g
                 continue
-        if not fuse:
-            stage.append(g)
-            continue
         lo, hi = g.span
-        here = (width - 1 - lo) // _WINDOW
-        inside = here == (width - 1 - hi) // _WINDOW
+        here = (width - 1 - lo) // size
+        inside = here == (width - 1 - hi) // size
         if inside and window in (None, here):
             stage.append(g)
             window = here
@@ -805,61 +817,16 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     is U e_r, so the result is U^T.
 
     The copy is updated in place, its gates scheduled as the module
-    docstring states:
-
-    - on `_FUSE_MIN_WIDTH` or more qubits, a fused stage, on the span
-      [lo, hi) of its gates' qubits, k = hi - lo <= `_WINDOW`, is one
-      2^k x 2^k matrix U.  U^T is the stage's gates run gate by gate on
-      the rows of the identity, and U multiplies the middle axis of the
-      state viewed as (2^(w-hi), 2^k, 2^lo), a block at a time through a
-      buffer of at most `_BLOCK` entries (`_apply_window`);
-    - a run of two or more consecutive small diagonal gates in a stage
-      that runs gate by gate, and a release of three or more small
-      deferred ones, scale the whole state by the product of their
-      factors, each u00 and u11 on its target axis where its controls
-      match, applied early whenever the product could pass `_BLOCK`
-      entries (`_apply_diagonals`);
-    - every other gate runs on its own (`_apply_gate`), among them one or
-      two deferred gates and a diagonal gate whose factor alone would
-      pass `_FACTOR_CAP` entries.
-      A diagonal gate scales the halves of its control-selected block
-      whose entry is not 1.  Any other 2x2 gate mixes the two target-axis
-      halves of its block in paired pieces of at most `_BLOCK` entries:
-      an anti-diagonal u swaps them, a real multiple of [[1, 1],
-      [1, -1]] (the Hadamard) is a butterfly, and any other u a product
-      formula (`_apply_2x2`);
-    - on `_FUSE_MIN_WIDTH` or more qubits, a fan-out run, two or more
-      consecutive X gates of the schedule with one set of controls and
-      distinct targets, flips every target inside its control-selected
-      block as one swap, of the first target's halves with the other
-      targets' axes of one half reversed (`_apply_fan_out`);
-    - a qubit permutation moves the state into a new array.  A bit
-      reversal (the low half of its moved span sent onto the top half) of
-      a span above `_BLOCK` entries, the top fixed qubits a batch axis,
-      is moved `_BAND` rows at a time, each band gathered and written
-      transposed (`_band_transpose`); any other permutation is one axis
-      transpose (`_permute`);
-    - on `_FUSE_MIN_WIDTH` or more qubits and at least `_MOVES_MIN_SIZE`
-      entries, a move run, two or more consecutive steps that only move
-      entries, among them a permutation, runs its steps, the kernels
-      above, on an index tensor holding `np.arange(2^w)` in int32, a
-      quarter of the state's bytes, and then gathers the state into a new
-      array by it, `_BLOCK` entries at a time (`_apply_moves`).  A run
-      without a permutation stays in place, step by step, so that it
-      needs no second state.
-
-    Diagonal products need no blocking: each is one in-place multiply and
-    builds no state-sized temporary, whereas the swap, the butterfly, the
-    product formula and the window matrix each keep a temporary of the
-    piece they update.  Fan-out runs, permutations and move runs only
-    move entries, so their results are exact.  Below the threshold every
-    gate runs on its own or in a diagonal run, in order, so results there
-    do not depend on windows, deferral, fan-out runs or move runs.
+    docstring states.  A state of another shape, or whose dtype is not
+    bool, integer, float or complex, is a ValueError.
 
     `to_matrix` applies every gate on its own, with no fusion and no
     deferral, and is the oracle for this.
     """
     states = np.asarray(state)
+    if states.dtype.kind not in "biufc":
+        raise ValueError(f"state has dtype {states.dtype}, expected a "
+                         "numeric dtype")
     dim = 1 << c.width
     if states.ndim not in (1, 2) or states.shape[-1] != dim \
             or states.size == 0:
@@ -871,9 +838,8 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     # frees it when it moves the state into a new array
     psi = _padded_copy(states.reshape(k, dim), 1 << m).reshape(
         (2,) * (c.width + m))
-    fuse = psi.ndim >= _FUSE_MIN_WIDTH
-    steps = _segments(c.gates, psi.ndim, fuse)
-    if fuse:
+    steps = _segments(c.gates, psi.ndim)
+    if psi.ndim >= _FUSE_MIN_WIDTH:
         steps = _move_runs(steps, psi.size >= _MOVES_MIN_SIZE)
     for apply, g in steps:
         psi = apply(psi, g)

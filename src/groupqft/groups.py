@@ -168,6 +168,11 @@ class Representation:
     def __post_init__(self) -> None:
         if "x" not in self.images:
             raise ValueError("representation needs an image of x")
+        if self.group.is_abelian and "y" in self.images:
+            raise ValueError("the cyclic group has no generator y")
+        if not self.group.is_abelian and "y" not in self.images:
+            raise ValueError(f"the {self.group.family.value} group needs "
+                             "an image of y")
         for name, m in self.images.items():
             if name not in ("x", "y"):
                 raise ValueError(f"image of {name!r}: only x and y have "
@@ -187,7 +192,7 @@ class Representation:
     def relation_defect(self) -> float:
         """Max entrywise violation of the defining relators.
 
-        Checks rho(x)^(2^n) = 1 and, when a y image is present,
+        Checks rho(x)^(2^n) = 1 and, on the non-abelian families,
         rho(y)^2 = rho(x^q) and rho(y)^-1 rho(x) rho(y) = rho(x^r).
         """
         G = self.group
@@ -291,6 +296,9 @@ def induce(rho: Representation, G: GroupSpec,
     otherwise.  With T = (1, y) and a degree-1 rho_i this gives
     x -> diag(rho_i(x), rho_i(x^r)) and y -> [[0, 1], [rho_i(y^2), 0]].
     """
+    if not all(isinstance(t, GroupElement) for t in T):
+        raise ValueError("transversal entries must be GroupElements, "
+                         f"got {T!r}")
     p = len(T)
     if p * rho.group.order != G.order:
         raise ValueError(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import importlib.util
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -249,6 +250,8 @@ CIRCUIT_ERRORS = {
                   "sigma must be a sequence of qubit indices, got None"),
     "perm-int": (lambda: QubitPerm(5),
                  "sigma must be a sequence of qubit indices, got 5"),
+    "perm-empty": (lambda: QubitPerm(()),
+                   "a qubit permutation needs at least one qubit"),
     "gates-int": (lambda: Circuit(3, 5), "not a sequence of gates: 5"),
     "gates-not-gates": (lambda: Circuit(3, [1]),
                         "not a sequence of gates: (1,)"),
@@ -603,7 +606,8 @@ def test_lone_mixing_gate_memory_peak(name):
 
 _Y_MATRIX = np.array([[0, -1j], [1j, 0]])
 
-# one u per branch of the mixing kernel
+# one u per route of the mixing kernel, and Y, an anti-diagonal u that
+# is not X, which takes the product formula
 _BRANCH_U = {
     "diagonal": _diag(np.exp(0.7j), np.exp(-1.9j)),
     "x": X_MATRIX,
@@ -956,6 +960,23 @@ def test_batch_matches_rows_and_to_matrix(width, rows, monkeypatch):
 def test_apply_to_state_rejects_malformed_batches(shape):
     with pytest.raises(ValueError, match="expected"):
         apply_to_state(Circuit(3), np.zeros(shape))
+
+
+@pytest.mark.parametrize("state", [
+    np.array([None] * 16), np.array(["1"] * 16),
+    np.zeros(16, dtype="datetime64[s]")], ids=["object", "str", "datetime"])
+def test_apply_to_state_rejects_non_numeric_states(state):
+    # an object array of None ran to all-NaN output and raised nothing
+    with pytest.raises(ValueError, match=re.escape(f"dtype {state.dtype}")):
+        apply_to_state(Circuit(4, (Local(H_MATRIX, 0),)), state)
+
+
+def test_apply_to_state_takes_every_numeric_kind():
+    c = Circuit(2, (CNot(0, 1),))
+    want = apply_to_state(c, np.array([1.0, 1.0, 0.0, 1.0]))
+    for dtype in (bool, np.int8, np.uint16, np.float32, np.complex64):
+        state = np.array([1, 1, 0, 1], dtype=dtype)
+        assert np.array_equal(apply_to_state(c, state), want), dtype
 
 
 def test_window_build_runs_no_public_entry(monkeypatch):
@@ -1366,7 +1387,7 @@ def test_qd_reorder_cnots_run_as_one_fan_out():
     # qd n = 20 at width 21: CNot(19, j) for j = 0..18 is one step
     c = qft_circuit(GroupSpec(Family.QD, 20))
     steps = circuit_module._move_runs(
-        circuit_module._segments(c.gates, c.width, True), False)
+        circuit_module._segments(c.gates, c.width), False)
     runs = [g for apply, g in steps if apply is circuit_module._apply_fan_out]
     assert runs == [[CNot(19, j) for j in range(19)]]
 
@@ -1563,7 +1584,7 @@ def test_move_runs_match_reference_bit_for_bit(width, monkeypatch):
     for steps in calls:
         assert len(steps) >= 2 and "perm" in [kind for kind, _ in steps]
     stream = list(circuit_module._move_runs(circuit_module._segments(
-        tuple(gates), width, True), True))
+        tuple(gates), width), True))
     grouped = [g for apply, g in stream if apply is circuit_module._apply_moves]
     assert [[g for _, g in steps] for steps in calls] == \
         [[g for _, g in steps] for steps in grouped]
@@ -1793,6 +1814,79 @@ def test_diagonal_kind_is_read_at_construction():
         assert g.flip == np.array_equal(u, X_MATRIX), g
     assert [g.diagonal for g in gates[:12:2]] == [False, True, False, True,
                                                   True, True]
+
+
+# Pinned schedules: the (kernel, payload size) steps apply_to_state runs
+# on the benchmark's circuits, qd n = 20 and cyclic n = 21 on one state
+# each and the four n = 8 batches of verify (width 18).  A change to the
+# scheduling rules or to a kernel's route that moves any of them fails here.
+
+_KERNELS = ("_apply_window", "_apply_diagonals", "_apply_gate", "_permute",
+            "_apply_fan_out", "_apply_moves")
+
+
+def _steps_spy(monkeypatch):
+    """Record each step apply_to_state runs as (kernel name, payload
+    size): the number of gates or steps a list holds, else 1.  The calls
+    a kernel makes itself, a window build's gates and a move run's steps,
+    are not steps."""
+    calls, depth = [], [0]
+
+    def wrap(name, inner):
+        def spy(psi, payload):
+            if not depth[0]:
+                calls.append((name, len(payload)
+                              if isinstance(payload, list) else 1))
+            depth[0] += 1
+            try:
+                return inner(psi, payload)
+            finally:
+                depth[0] -= 1
+        return spy
+    for name in _KERNELS:
+        monkeypatch.setattr(circuit_module, name,
+                            wrap(name, getattr(circuit_module, name)))
+    return calls
+
+
+_GATE = ("_apply_gate", 1)
+_PERM = ("_permute", 1)
+# the two factors after the reorder factor at n = 8: the last qubit's
+# window stage, the deferred phases, then the top window's stage
+_N8_TAIL = [("_apply_window", 3), ("_apply_diagonals", 12),
+            ("_apply_window", 21), _PERM]
+_PINNED_STEPS = {
+    "qd20": [_GATE] * 3 + [
+        ("_apply_moves", 25), ("_apply_window", 15),
+        ("_apply_diagonals", 75), ("_apply_window", 21),
+        ("_apply_diagonals", 54), ("_apply_window", 21),
+        ("_apply_diagonals", 18), ("_apply_window", 6), _PERM],
+    "cyclic21": [
+        ("_apply_window", 21), ("_apply_diagonals", 90),
+        ("_apply_window", 21), ("_apply_diagonals", 54),
+        ("_apply_window", 21), ("_apply_diagonals", 18),
+        ("_apply_window", 6), _PERM],
+    "dihedral8": [_GATE] * 5 + [_PERM, ("_apply_fan_out", 7)]
+    + [_GATE] * 7 + _N8_TAIL,
+    "quaternion8": [_GATE] * 6 + [_PERM, ("_apply_fan_out", 7)]
+    + [_GATE] * 7 + _N8_TAIL,
+    "qp8": [_GATE] * 3 + [_PERM] + _N8_TAIL,
+    "qd8": [_GATE] * 5 + [_PERM, ("_apply_fan_out", 7)]
+    + [_GATE] * 9 + _N8_TAIL,
+}
+
+
+@pytest.mark.parametrize("family, n", [
+    (Family.QD, 20), (Family.CYCLIC, 21), (Family.DIHEDRAL, 8),
+    (Family.QUATERNION, 8), (Family.QP, 8), (Family.QD, 8)])
+def test_benchmark_schedules_are_pinned(family, n, monkeypatch):
+    c = qft_circuit(GroupSpec(family, n))
+    dim = 1 << c.width
+    # verify runs its circuits on the identity; simulate_w21 on one state
+    state = np.eye(dim) if n == 8 else np.zeros(dim)
+    calls = _steps_spy(monkeypatch)
+    apply_to_state(c, state)
+    assert calls == _PINNED_STEPS[f"{family.value}{n}"]
 
 
 # Reference dense gate matrix: a pure-Python loop over the rows, with the

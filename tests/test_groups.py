@@ -283,6 +283,19 @@ def test_representation_rejects_image_names(images, message):
         Representation(GroupSpec(Family.CYCLIC, 1), 1, images)
 
 
+@pytest.mark.parametrize("family, images, message", [
+    (Family.DIHEDRAL, {"x": np.eye(1)}, "dihedral group needs an image of y"),
+    (Family.CYCLIC, {"x": np.eye(1), "y": np.eye(1)},
+     "cyclic group has no generator y"),
+])
+def test_representation_needs_y_exactly_when_non_abelian(family, images,
+                                                         message):
+    # a dihedral x-only image reported relation_defect() 0.0, since the
+    # y relators were skipped, and evaluate(y) raised KeyError
+    with pytest.raises(ValueError, match=message):
+        Representation(GroupSpec(family, 3), 1, images)
+
+
 def test_quaternion_2dim_irrep_oracle():
     # classic U(2) irrep of Q_16: x -> diag(zeta, conj(zeta)), y -> [[0,1],[-1,0]]
     Q = GroupSpec(Family.QUATERNION, 3)
@@ -348,6 +361,13 @@ def test_induce_rejects_non_transversal():
         induce(cyclic_irreps(3)[1], D, (D.identity(),))
     with pytest.raises(ValueError):
         induce(cyclic_irreps(3)[1], D, (D.y(), D.multiply(D.x(), D.y())))
+
+
+def test_induce_rejects_transversal_entries_that_are_not_elements():
+    # (a, b) pairs raised AttributeError inside G.multiply
+    D = GroupSpec(Family.DIHEDRAL, 3)
+    with pytest.raises(ValueError, match="must be GroupElements"):
+        induce(cyclic_irreps(3)[1], D, ((0, 0), (0, 1)))
 
 
 def test_inducing_trivial_rep_along_all_elements_gives_regular_rep():
