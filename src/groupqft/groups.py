@@ -166,6 +166,8 @@ class Representation:
     images: Mapping[str, Matrix]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.group, GroupSpec):
+            raise ValueError(f"group must be a GroupSpec, got {self.group!r}")
         if "x" not in self.images:
             raise ValueError("representation needs an image of x")
         if self.group.is_abelian and "y" in self.images:

@@ -1851,8 +1851,9 @@ def _steps_spy(monkeypatch):
 
 _GATE = ("_apply_gate", 1)
 _PERM = ("_permute", 1)
-# the two factors after the reorder factor at n = 8: the last qubit's
-# window stage, the deferred phases, then the top window's stage
+# the cyclic factor that ends every n = 8 schedule: the stage of the
+# window [6, 12), the phases deferred across windows, the stage of the
+# window [0, 6) and the bit reversal
 _N8_TAIL = [("_apply_window", 3), ("_apply_diagonals", 12),
             ("_apply_window", 21), _PERM]
 _PINNED_STEPS = {

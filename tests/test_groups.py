@@ -296,6 +296,12 @@ def test_representation_needs_y_exactly_when_non_abelian(family, images,
         Representation(GroupSpec(family, 3), 1, images)
 
 
+def test_representation_needs_a_group_spec():
+    # the y rule reads group.is_abelian, which a family name lacks
+    with pytest.raises(ValueError, match="group must be a GroupSpec"):
+        Representation("dihedral", 1, {"x": np.eye(1)})
+
+
 def test_quaternion_2dim_irrep_oracle():
     # classic U(2) irrep of Q_16: x -> diag(zeta, conj(zeta)), y -> [[0,1],[-1,0]]
     Q = GroupSpec(Family.QUATERNION, 3)
