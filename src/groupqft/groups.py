@@ -298,6 +298,11 @@ def induce(rho: Representation, G: GroupSpec,
     otherwise.  With T = (1, y) and a degree-1 rho_i this gives
     x -> diag(rho_i(x), rho_i(x^r)) and y -> [[0, 1], [rho_i(y^2), 0]].
     """
+    try:
+        T = tuple(T)
+    except TypeError:
+        raise ValueError("the transversal must be a sequence of "
+                         f"GroupElements, got {T!r}") from None
     if not all(isinstance(t, GroupElement) for t in T):
         raise ValueError("transversal entries must be GroupElements, "
                          f"got {T!r}")

@@ -5,7 +5,9 @@ representation comes from the group product alone, as one index array per
 generator (phi(g) @ v == v[sigma]), the census from the closed-form count
 table, and block positions from that census.  The only synthesis artifact
 a check touches is the matrix under test.
-`check_decomposition` grades the predicted blocks as two stacked arrays,
+`check_decomposition` holds at most three |G| x |G| arrays at once: b, a
+gather buffer and a product buffer, which each generator's conjugate
+reuses in turn.  It grades the predicted blocks as two stacked arrays,
 1-dim and 2-dim summands, with whole-array operations.
 """
 
@@ -40,6 +42,8 @@ ROUND_DIGITS = 9
 # a 2-dim block is irreducible when its generator images fail to commute
 # by more than this
 COMMUTATOR_FLOOR = 1e-6
+# entries per row chunk of a gather or a max over a |G| x |G| array
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,11 @@ def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
 
     Blocks are stacked in layout order, both halves: `ones` (k1, generators)
     holds the 1-dim summands, `twos` (k2, generators, 2, 2) the 2-dim ones.
-    The conjugated images are fresh products, so zeroing their block entries
-    in place leaves the off-block part.
+    b b^H is formed in the product buffer, which then takes each
+    generator's conjugate b^H phi(g) b in turn: its blocks are copied out
+    and zeroed in place, and the max of what is left is that generator's
+    off-block part.  b^H X is formed as conj(b^T conj(X)), which equals it
+    bit for bit and needs no conjugate copy of b.
     """
     b = np.asarray(b, dtype=np.complex128)
     if b.shape != (G.order, G.order):
@@ -102,11 +109,12 @@ def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
     perms = list(regular_permutations(G).values())
     if not all(np.array_equal(np.sort(s), np.arange(G.order)) for s in perms):
         raise AssertionError("phi(g) is not a permutation of range(|G|)")
-    bh = b.conj().T
-    conjugated = np.empty((len(perms), G.order, G.order), dtype=np.complex128)
-    for m, sigma in zip(conjugated, perms):
-        np.matmul(bh, b[sigma], out=m)
-    unitarity = float(np.max(np.abs(b @ bh - np.eye(G.order))))
+    # the gather buffer starts as b^H, in b.conj().T's memory order;
+    # x - 0.0 == x, so only the diagonal needs the identity subtracted
+    work = b.T.conj()
+    product = b @ work
+    product[np.diag_indices(G.order)] -= 1.0
+    unitarity = _max_abs(product)
 
     # layout, per half: the extendable characters, then the induced pairs
     # (the cyclic group is a single half of characters)
@@ -118,12 +126,22 @@ def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
     start = G.order // halves * np.arange(halves)[:, None]
     one = (start + np.arange(chars)).ravel()
     two = (start + chars + 2 * np.arange(pairs)).ravel()[:, None] + (0, 1)
-    two_blocks = (slice(None), two[:, :, None], two[:, None, :])
-    ones = conjugated[:, one, one].T
-    twos = conjugated[two_blocks].swapaxes(0, 1)
-    conjugated[:, one, one] = 0.0
-    conjugated[two_blocks] = 0.0
-    off_block = float(np.max(np.abs(conjugated)))
+    two_blocks = (two[:, :, None], two[:, None, :])
+    ones = np.empty((len(one), len(perms)), dtype=np.complex128)
+    twos = np.empty((len(two), len(perms), 2, 2), dtype=np.complex128)
+    off_blocks = []
+    for k, sigma in enumerate(perms):
+        # phi(g) b in row chunks: a whole gather would be a fourth array
+        for rows in _row_chunks(G.order):
+            np.conjugate(b[sigma[rows]], out=work[rows])
+        np.matmul(b.T, work, out=product)
+        np.conjugate(product, out=product)
+        ones[:, k] = product[one, one]
+        twos[:, k] = product[two_blocks]
+        product[one, one] = 0.0
+        product[two_blocks] = 0.0
+        off_blocks.append(_max_abs(product))
+    off_block = float(np.max(off_blocks))
 
     ok = bool(np.all(np.abs(np.abs(ones) - 1.0) < 1e-9))
     # a 2-dim summand is irreducible when its x and y images fail to
@@ -150,6 +168,19 @@ def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
     )
 
 
+def _row_chunks(rows: int) -> list[slice]:
+    """Slices of about _CHUNK entries of a square array with `rows` rows."""
+    step = max(1, _CHUNK // rows)
+    return [slice(r, r + step) for r in range(0, rows, step)]
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """max |a| over a square array, NaN if a holds a NaN, taken in row
+    chunks so that |a| never exists whole."""
+    return float(np.max([np.max(np.abs(a[rows]))
+                         for rows in _row_chunks(len(a))]))
+
+
 def circuit_matches(c: Circuit, b: Matrix) -> float:
     """Max entrywise deviation of the circuit's matrix U from b.
 
@@ -163,7 +194,7 @@ def circuit_matches(c: Circuit, b: Matrix) -> float:
     if b.shape != (dim, dim):
         raise ValueError(
             f"matrix shape {b.shape} does not match circuit width {c.width}")
-    ut = apply_to_state(c, np.eye(dim))
+    ut = apply_to_state(c, np.eye(dim, dtype=bool))
     ut -= b.T
     return float(np.max(np.abs(ut)))
 

@@ -376,6 +376,14 @@ def test_induce_rejects_transversal_entries_that_are_not_elements():
         induce(cyclic_irreps(3)[1], D, ((0, 0), (0, 1)))
 
 
+@pytest.mark.parametrize("T", [5, None])
+def test_induce_rejects_a_transversal_that_is_not_a_sequence(T):
+    # iterating over T raised TypeError before any check could name it
+    D = GroupSpec(Family.DIHEDRAL, 3)
+    with pytest.raises(ValueError, match="sequence of GroupElements"):
+        induce(cyclic_irreps(3)[1], D, T)
+
+
 def test_inducing_trivial_rep_along_all_elements_gives_regular_rep():
     G = GroupSpec(Family.DIHEDRAL, 3)
     trivial = cyclic_irreps(0)[0]

@@ -197,15 +197,16 @@ def _traced_peak(fn):
 
 
 def test_full_report_memory_peak():
-    # the dense check_decomposition sets full_report's peak, 22.14 MiB or
-    # 5.534 b.nbytes at qd n = 8; the batch through the state kernel holds
-    # the real identity, its complex copy and one permutation's new array,
-    # 2.5 b.nbytes
-    g = GroupSpec(Family.QD, 8)
-    b = assemble(g).b
-    c = qft_circuit(g)
-    assert _traced_peak(lambda: full_report(g)) <= 5.54 * b.nbytes
-    assert _traced_peak(lambda: circuit_matches(c, b)) <= 4 * b.nbytes
+    # check_decomposition holds b, a gather buffer and a product buffer,
+    # 3.14 b.nbytes at qd n = 8 and 3.07 at n = 9 with its row chunks; the
+    # batch through the state kernel holds the complex copy of the bool
+    # identity and one permutation's new array, 2.06 b.nbytes at both
+    for n in (8, 9):
+        g = GroupSpec(Family.QD, n)
+        b = assemble(g).b
+        c = qft_circuit(g)
+        assert _traced_peak(lambda: full_report(g)) <= 3.4 * b.nbytes, n
+        assert _traced_peak(lambda: circuit_matches(c, b)) <= 2.1 * b.nbytes, n
 
 
 def test_scaling_fit_cyclic_closed_form():
