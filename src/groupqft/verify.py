@@ -185,9 +185,9 @@ def circuit_matches(c: Circuit, b: Matrix) -> float:
     """Max entrywise deviation of the circuit's matrix U from b.
 
     The state kernel runs the circuit on the batch of basis states, the
-    rows of the identity, and row r of the result is U e_r: the result is
-    U^T, compared with b^T in place.  `to_matrix` is not called; it is
-    the tests' oracle for this.
+    rows of a bool identity that it copies to complex exactly, and row r
+    of the result is U e_r: the result is U^T, compared with b^T in place.
+    `to_matrix` is not called; it is the tests' oracle for this.
     """
     b = np.asarray(b, dtype=np.complex128)
     dim = 1 << c.width

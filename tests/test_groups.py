@@ -378,7 +378,7 @@ def test_induce_rejects_transversal_entries_that_are_not_elements():
 
 @pytest.mark.parametrize("T", [5, None])
 def test_induce_rejects_a_transversal_that_is_not_a_sequence(T):
-    # iterating over T raised TypeError before any check could name it
+    # malformed input gives ValueError, not iteration's TypeError
     D = GroupSpec(Family.DIHEDRAL, 3)
     with pytest.raises(ValueError, match="sequence of GroupElements"):
         induce(cyclic_irreps(3)[1], D, T)
