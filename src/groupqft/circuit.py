@@ -26,12 +26,14 @@ last axis, so leading axes pass through it: a batch's rows, and the rows
 of the identity that a fused stage's matrix is built on.  The kernel
 runs the circuit's own gates and builds no circuit.
 
-The state kernel schedules the gates in one pass (`_segments`), from the
-gate data alone.  On a state of at least `_FUSE_MIN_WIDTH` qubits the
-qubits are split into windows of at most `_WINDOW`, counted from the top
-down ([15, 21), [9, 15), [3, 9), [0, 3) at width 21); on a narrower state
-the whole register is one window.  A stage collects the gates that lie
-inside the window of its first gate.  A diagonal gate that reaches
+The state kernel schedules the gates by one rule (`_segments`), from the
+gate data alone.  On a state of w >= `_FUSE_MIN_WIDTH` qubits the qubits
+are split into count = ceil(w / `_WINDOW`) contiguous windows whose sizes
+differ by at most one: qubit q is in window (w - 1 - q) * count // w,
+numbered from the top.  That gives [15, 21), [10, 15), [5, 10), [0, 5)
+at width 21 and [12, 18), [6, 12), [0, 6) at width 18.  On a narrower
+state the whole register is one window.  A stage collects the gates that
+lie inside the window of its first gate.  A diagonal gate that reaches
 outside that window is deferred instead: it commutes with every diagonal
 gate and with every gate whose target is not among its qubits, so it may
 pass those.  A mixing gate outside the window ends the stage and starts
@@ -39,13 +41,14 @@ the next one, or runs on its own when no window holds it.  The stage and
 all pending diagonal gates are applied before a permutation, before a
 mixing gate with a target that a pending gate touches, and at the end.
 On the wide states, a stage with two or more uncontrolled mixing gates
-runs as one dense matrix on the span of its qubits.  Any other stage
-runs gate by gate, with each run of two or more consecutive small
-diagonal gates, on any targets, as one product of broadcast factors
-(`_apply_diagonals`); a diagonal gate is small when its factor holds at
-most `_FACTOR_CAP` entries.  Three or more small pending diagonal gates
-are released as one such product.  The product scales the state whenever
-it would pass `_BLOCK` entries.
+runs as one dense matrix on the span of its qubits, which multiplies the
+state in blocks of max(`_BLOCK`, 2^w / 32) entries (`_apply_window`).
+Any other stage runs gate by gate, with each run of two or more
+consecutive small diagonal gates, on any targets, as one product of
+broadcast factors (`_apply_diagonals`); a diagonal gate is small when
+its factor holds at most `_FACTOR_CAP` entries.  Three or more small
+pending diagonal gates are released as one such product.  The product
+scales the state whenever it would pass `_BLOCK` entries.
 
 On the wide states, one post-pass (`_move_runs`) then regroups the
 steps that only move entries: a permutation, and a gate on its own whose
@@ -60,13 +63,24 @@ one stage runs gate by gate, so its results do not depend on windows.
 Every step is a (kernel, payload) pair whose kernel returns the state,
 and each kernel's docstring says how it runs.
 
+The rule defers diagonal gates forward only, which fits a cascade that
+runs from the top qubit down.  So on the wide states the gates are
+scheduled both ways (`_schedule`).  One way takes the gates as listed.
+The other takes them in reverse order and reads the steps back, each
+step's gates reversed (`_backward`): deferring a gate in the reversed
+list hoists it in the listed order.  Whichever gives fewer steps after
+`_move_runs` runs, the forward one on a tie.  The library's circuits
+keep their forward schedules, and their inverses (`adjoint`) take the
+backward one: at width 21, cyclic n = 21's adjoint runs 8 steps instead
+of 47.  A narrow state has one window, so it skips the second pass.
+
 `cost` sums the fixed per-gate weights of `gate_cost`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -83,6 +97,7 @@ __all__ = [
     "Local",
     "MultiControlled",
     "QubitPerm",
+    "adjoint",
     "apply_to_state",
     "controlled",
     "cost",
@@ -215,10 +230,17 @@ class MultiControlled:
     def __init__(self, u: Matrix, controls: tuple[tuple[int, bool], ...],
                  target: int) -> None:
         # one plain loop: a generator and a second pass over the controls
-        # cost each gate about 0.4 us more
+        # cost each gate about 0.4 us more, and a len() check per entry
+        # about 0.02 us a control more than the inner try
         pairs, qubits = [], []
         try:
-            for q, p in controls:
+            for pair in controls:
+                try:
+                    q, p = pair
+                except ValueError:
+                    # an entry of another length; as_int's ValueError for
+                    # a bad qubit below passes through
+                    raise TypeError from None
                 q = as_int(q, "qubit index")
                 pairs.append((q, bool(p)))
                 qubits.append(q)
@@ -358,18 +380,19 @@ _BIT = (slice(0, 1), slice(1, 2))
 # release.  A larger factor would fill most of the product's `_BLOCK` alone.
 _FACTOR_CAP = 1 << 10
 
-# Entries in each of the paired sub-views a mixing gate updates at a time,
-# in a window stage's matmul buffer, and in a product of diagonal factors:
-# two blocks and their temporaries, at most 1 MiB, stay in cache.
+# Entries in each of the paired sub-views a mixing gate updates at a time
+# and in a product of diagonal factors: two blocks and their temporaries,
+# at most 1 MiB, stay in cache.  A window stage's matmul buffer holds
+# max(_BLOCK, 1/32 of the state) entries (`_apply_window`).
 _BLOCK = 1 << 14
 
-# On a state of at least _FUSE_MIN_WIDTH qubits, the qubits are split into
-# windows of at most _WINDOW qubits, counted from the top down, and a stage
-# of gates inside one window may run as one dense matrix on the span of its
-# qubits.  Both values are measured (CHANGES.md): whole width-21 circuits
-# ran as fast with a window of 6 qubits as with 7, and fusing broke even at
-# width 13 and gained from 14 up.  A stage's matrix is built gate by gate,
-# so it never fuses again, whatever the two values.
+# On a state of at least _FUSE_MIN_WIDTH qubits, the w qubits are split
+# into ceil(w / _WINDOW) windows whose sizes differ by at most one, and a
+# stage of gates inside one window may run as one dense matrix on the span
+# of its qubits.  Both values are measured (CHANGES.md): whole width-21
+# circuits ran as fast with a window of 6 qubits as with 7, and fusing
+# broke even at width 13 and gained from 14 up.  A stage's matrix is built
+# gate by gate, so it never fuses again, whatever the two values.
 _WINDOW = 6
 _FUSE_MIN_WIDTH = 14
 
@@ -610,13 +633,14 @@ def _apply_window(psi: np.ndarray, run: list[Gate]) -> np.ndarray:
     (2,)*k + (1,)*lo, whose axis -1-q holds qubit q, leave U e_r in row r.
     The state is viewed as (2^(w-hi), 2^k, 2^lo), transposed to (1, 2^k,
     2^(w-k)) when lo = 0, and U multiplies its middle axis one block of
-    at most `_BLOCK` entries at a time, each product going through a
-    buffer and back in place.  A block is a slice of the last
-    axis when one outer slice holds more than `_BLOCK` entries.
-    Otherwise it is several outer slices, first gathered into one
-    contiguous 2^k-row matrix, so that no matmul call is small: at width
-    21, one call per outer slice, on 2^lo columns, ran 1.3-1.8x slower
-    at lo = 1 and 3.
+    at most max(`_BLOCK`, 2^w / 32) entries at a time, each product
+    going through a buffer and back in place: 2^16 entries at width 21,
+    where the larger block took about 3% off whole circuits, and `_BLOCK`
+    at width 19 and below.  A block is a slice of the last axis when one
+    outer slice holds more than a block.  Otherwise it is several outer
+    slices, first gathered into one contiguous 2^k-row matrix, so that no
+    matmul call is small: at width 21, one call per outer slice, on 2^lo
+    columns, ran 1.3-1.8x slower at lo = 1 and 3.
     """
     lo = min(g.span[0] for g in run)
     hi = max(g.span[1] for g in run) + 1
@@ -631,8 +655,9 @@ def _apply_window(psi: np.ndarray, run: list[Gate]) -> np.ndarray:
     else:
         view = psi.reshape(-1, dim, 1 << lo)
     outer, _, inner = view.shape
-    cols = min(inner, _BLOCK // dim)
-    slices = min(outer, _BLOCK // (dim * cols))
+    block = max(_BLOCK, psi.size >> 5)
+    cols = min(inner, block // dim)
+    slices = min(outer, block // (dim * cols))
     if slices > 1:
         gathered = np.empty((dim, slices, cols), dtype=np.complex128)
     buf = np.empty((dim, slices * cols), dtype=np.complex128)
@@ -706,7 +731,7 @@ def _segments(gates: tuple[Gate, ...], width: int) -> Iterator[_Step]:
     gate.
     """
     fuse = width >= _FUSE_MIN_WIDTH
-    size = _WINDOW if fuse else width
+    count = -(-width // _WINDOW) if fuse else 1
     stage: list[Gate] = []
     window = None           # the stage's window, numbered from the top
     pending: list[Gate] = []
@@ -722,8 +747,8 @@ def _segments(gates: tuple[Gate, ...], width: int) -> Iterator[_Step]:
                 yield _permute, g
                 continue
         lo, hi = g.span
-        here = (width - 1 - lo) // size
-        inside = here == (width - 1 - hi) // size
+        here = (width - 1 - lo) * count // width
+        inside = here == (width - 1 - hi) * count // width
         if inside and window in (None, here):
             stage.append(g)
             window = here
@@ -803,6 +828,40 @@ def _apply_moves(psi: np.ndarray, steps: list[_Step]) -> np.ndarray:
     return out.reshape(psi.shape)
 
 
+def _schedule(gates: tuple[Gate, ...], width: int,
+              wide: bool) -> Iterable[_Step]:
+    """The steps that `apply_to_state` runs on a `width`-qubit tensor.
+
+    Below `_FUSE_MIN_WIDTH` they are the `_segments` of the gates.  On the
+    fused widths both directions are scheduled and regrouped by
+    `_move_runs` (`wide` as there): the gates as listed, and the gates in
+    reverse order read back (`_backward`).  Whichever gives fewer steps
+    runs, the forward one on a tie.
+    """
+    if width < _FUSE_MIN_WIDTH:
+        return _segments(gates, width)
+    forward = list(_move_runs(_segments(gates, width), wide))
+    backward = list(_move_runs(_backward(gates, width), wide))
+    return backward if len(backward) < len(forward) else forward
+
+
+def _backward(gates: tuple[Gate, ...], width: int) -> Iterator[_Step]:
+    """The `_segments` of the gates in reverse order, read from the last
+    step to the first, with each list payload reversed in place.
+
+    This is a valid schedule of the gates as listed.  Deferring a diagonal
+    gate in the reversed list hoists it in the listed order, and
+    commutation is symmetric, so it passes the same gates either way.
+    Every kernel runs its payload in list order, so the reversed lists
+    run each step's gates in the listed order.
+    """
+    steps = list(_segments(gates[::-1], width))
+    for apply, g in reversed(steps):
+        if isinstance(g, list):
+            g.reverse()
+        yield apply, g
+
+
 def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit on a state vector of length 2**width, or on each
     row of a (k, 2**width) batch of states, k >= 1.
@@ -817,8 +876,12 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     is U e_r, so the result is U^T.
 
     The copy is updated in place, its gates scheduled as the module
-    docstring states.  A state of another shape, or whose dtype is not
-    bool, integer, float or complex, is a ValueError.
+    docstring states (`_schedule`).  On width + m >= `_FUSE_MIN_WIDTH`
+    qubits, that means ceil((width + m) / `_WINDOW`) windows of even
+    size, and the forward or the backward schedule, whichever has fewer
+    steps, so a circuit and its `adjoint` run at about the same speed.
+    A state of another shape, or whose dtype is not bool, integer, float
+    or complex, is a ValueError.
 
     `to_matrix` applies every gate on its own, with no fusion and no
     deferral, and is the oracle for this.
@@ -838,10 +901,8 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     # frees it when it moves the state into a new array
     psi = _padded_copy(states.reshape(k, dim), 1 << m).reshape(
         (2,) * (c.width + m))
-    steps = _segments(c.gates, psi.ndim)
-    if psi.ndim >= _FUSE_MIN_WIDTH:
-        steps = _move_runs(steps, psi.size >= _MOVES_MIN_SIZE)
-    for apply, g in steps:
+    for apply, g in _schedule(c.gates, psi.ndim,
+                              psi.size >= _MOVES_MIN_SIZE):
         psi = apply(psi, g)
     return psi.reshape(1 << m, dim)[:k].reshape(states.shape)
 
@@ -907,6 +968,33 @@ def embed(c: Circuit, width: int) -> Circuit:
         if isinstance(g, QubitPerm) else g
         for g in c.gates)
     return Circuit(width, gates)
+
+
+def adjoint(c: Circuit) -> Circuit:
+    """Circuit for U^H: the gates in reverse order, each 2x2 gate with u^H
+    and each qubit permutation inverted.
+
+    CNOTs stay CNOTs.  Gates whose u are equal share one read-only u^H,
+    as the library's gates share theirs.
+    """
+    shared: dict[bytes, Matrix] = {}
+    gates: list[Gate] = []
+    for g in reversed(c.gates):
+        if isinstance(g, QubitPerm):
+            inverse = [0] * len(g.sigma)
+            for q, s in enumerate(g.sigma):
+                inverse[s] = q
+            gates.append(QubitPerm(tuple(inverse)))
+        elif isinstance(g, CNot):
+            gates.append(g)
+        else:
+            u = shared.get(g.u.tobytes())
+            if u is None:
+                u = shared[g.u.tobytes()] = np.ascontiguousarray(g.u.conj().T)
+                u.flags.writeable = False
+            gates.append(MultiControlled(u, g.controls, g.target)
+                         if g.controls else Local(u, g.target))
+    return Circuit(c.width, tuple(gates))
 
 
 def gate_cost(g: Gate, width: int) -> float:

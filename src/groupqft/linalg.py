@@ -28,10 +28,13 @@ __all__ = [
 
 
 def as_int(value: object, what: str) -> int:
-    """value as a Python int.  Python and numpy integers pass; a float, a
-    string or any other non-integer is a ValueError naming `what`, never
-    truncated."""
+    """value as a Python int.  Python and numpy integers pass; a bool
+    (Python's or numpy's), a float, a string or any other non-integer is a
+    ValueError naming `what`, never truncated."""
     try:
+        # operator.index takes a Python bool as 0 or 1 (it rejects np.bool_)
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(

@@ -31,6 +31,7 @@ from groupqft.circuit import (
     QubitPerm,
     X_MATRIX,
     Z_MATRIX,
+    adjoint,
     apply_to_state,
     controlled,
     cost,
@@ -152,6 +153,13 @@ NON_INTEGER_QUBITS = {
     "mcu-target": lambda: MultiControlled(X_MATRIX, ((0, True),), 1.0),
     "perm": lambda: QubitPerm((1.0, 0.0)),
     "text": lambda: Local(H_MATRIX, "1"),
+    # a bool is not a qubit index, Python's as well as numpy's
+    "local-target-bool": lambda: Local(H_MATRIX, True),
+    "cnot-bool": lambda: CNot(False, True),
+    "cnot-numpy-bool": lambda: CNot(np.False_, 1),
+    "mcu-control-bool": lambda: MultiControlled(X_MATRIX, ((True, True),), 2),
+    "mcu-target-bool": lambda: MultiControlled(X_MATRIX, ((2, True),), True),
+    "perm-bool": lambda: QubitPerm((True, False)),
 }
 
 
@@ -212,6 +220,10 @@ CIRCUIT_ERRORS = {
                           "np.float64(3.0)"),
     "width-text": (lambda: Circuit("3", ()),
                    "circuit width must be an integer, got '3'"),
+    "width-bool": (lambda: Circuit(True),
+                   "circuit width must be an integer, got True"),
+    "width-numpy-bool": (lambda: Circuit(np.True_),
+                         "circuit width must be an integer, got np.True_"),
     "local-at-width": (lambda: Circuit(2, (Local(X_MATRIX, 2),)),
                        "qubit 2 outside width 2"),
     "local-negative": (lambda: Circuit(2, (Local(X_MATRIX, -1),)),
@@ -246,6 +258,22 @@ CIRCUIT_ERRORS = {
                           "controls (1, 2) are not (qubit, polarity) pairs"),
     "mcu-controls-none": (lambda: MultiControlled(X_MATRIX, None, 0),
                           "controls None are not (qubit, polarity) pairs"),
+    # an entry of another length, not Python's unpacking message
+    "mcu-short-pair": (lambda: MultiControlled(X_MATRIX, ((1,),), 0),
+                       "controls ((1,),) are not (qubit, polarity) pairs"),
+    "mcu-long-pair": (lambda: MultiControlled(X_MATRIX, ((1, True, 0),), 0),
+                      "controls ((1, True, 0),) are not (qubit, polarity) "
+                      "pairs"),
+    "mcu-empty-pair": (lambda: MultiControlled(
+        X_MATRIX, ((2, True), ()), 0),
+        "controls ((2, True), ()) are not (qubit, polarity) pairs"),
+    # a pair of the right length keeps as_int's message for its qubit
+    "mcu-pair-float-qubit": (lambda: MultiControlled(
+        X_MATRIX, ((1, True), (2.5, False)), 0),
+        "qubit index must be an integer, got 2.5"),
+    "mcu-pair-bool-qubit": (lambda: MultiControlled(
+        X_MATRIX, ((False, True),), 1),
+        "qubit index must be an integer, got False"),
     "perm-none": (lambda: QubitPerm(None),
                   "sigma must be a sequence of qubit indices, got None"),
     "perm-int": (lambda: QubitPerm(5),
@@ -259,6 +287,8 @@ CIRCUIT_ERRORS = {
                    "cannot concatenate circuits of different widths"),
     "embed-narrower": (lambda: embed(Circuit(3, (CNot(0, 2),)), 2),
                        "target width smaller than circuit width"),
+    "embed-bool": (lambda: embed(Circuit(1), True),
+                   "target width must be an integer, got True"),
 }
 
 
@@ -643,10 +673,11 @@ def test_mixing_gates_match_reference_across_blocks(branch, block,
             assert np.array_equal(got[~fires], state[~fires]), g
 
 
-# Window stages: on states of _FUSE_MIN_WIDTH qubits or more, the qubits
-# are split from the top down into windows of _WINDOW = k qubits, and a
-# stage of gates inside one window with two or more uncontrolled mixing
-# gates is applied as one dense matrix on the span of its qubits.
+# Window stages: on states of w >= _FUSE_MIN_WIDTH qubits, the qubits are
+# split into ceil(w / k) windows of at most _WINDOW = k qubits, whose sizes
+# differ by at most one, and a stage of gates inside one window with two
+# or more uncontrolled mixing gates is applied as one dense matrix on the
+# span of its qubits.
 
 def _window_gates(rng, width, k):
     """Low-window runs broken at the window edge: by a gate targeting
@@ -696,30 +727,63 @@ def _window_gates(rng, width, k):
     ]
 
 
-def _model_steps(gates, width, k):
-    """The steps of the schedule, read from the gates' matrices:
-    ("window", gates) for a stage that fuses, ("gate", g) for each gate
-    of a stage that runs gate by gate and for a gate that runs on its
-    own, ("perm", g), and ("release", gates) for set-aside gates.
+def _model_windows(width, k):
+    """The window of each qubit, numbered from the top: count =
+    ceil(width / k) windows, cut at the depths i * width / count below the
+    top qubit, rounded up, for i = 1 .. count - 1."""
+    count = -(-width // k)
+    cuts = [-(-i * width // count) for i in range(count + 1)]
+    return {width - 1 - depth: i for i in range(count)
+            for depth in range(cuts[i], cuts[i + 1])}
 
-    Windows hold k qubits each, from the top.  A stage takes the gates
+
+def _model_small(g):
+    """Whether a diagonal gate's factor fits `_FACTOR_CAP`."""
+    return _is_diagonal(g) and 2 ** (len(g.controls) + 1) \
+        <= circuit_module._FACTOR_CAP
+
+
+def _model_one_way(gates, width, k):
+    """The steps of the schedule of the gates in the order given, read
+    from the gates' matrices: ("window", gates) for a stage that fuses,
+    ("diagonals", gates) for a run of two or more consecutive small
+    diagonal gates (`_model_small`) in a stage that runs gate by gate and
+    for a release of three or more small set-aside gates, ("perm", g),
+    and ("gate", g) for every other gate.
+
+    The windows are those of `_model_windows`.  A stage takes the gates
     inside the window of its first gate and sets aside every diagonal gate
     that reaches outside it.  It ends at a permutation, at a mixing gate
     outside its window, and at a mixing gate whose target a set-aside
     gate touches, which also releases those.  It fuses when it holds two
     or more uncontrolled mixing gates."""
     steps, stage, window, aside, touched = [], [], None, [], set()
+    window_of = _model_windows(width, k)
 
     def close():
         if sum(isinstance(g, Local) and not _is_diagonal(g)
                for g in stage) >= 2:
             steps.append(("window", stage))
-        else:
-            steps.extend(("gate", g) for g in stage)
+            return
+        run = []
+        for g in [*stage, None]:
+            if g is not None and _model_small(g):
+                run.append(g)
+                continue
+            if len(run) > 1:
+                steps.append(("diagonals", run))
+            else:
+                steps.extend(("gate", h) for h in run)
+            run = []
+            if g is not None:
+                steps.append(("gate", g))
 
     def release():
-        if aside:
-            steps.append(("release", aside))
+        small = [g for g in aside if _model_small(g)]
+        if len(small) > 2:
+            steps.append(("diagonals", small))
+        steps.extend(("gate", g) for g in aside
+                     if len(small) <= 2 or not _model_small(g))
 
     for g in gates:
         perm = isinstance(g, QubitPerm)
@@ -731,7 +795,7 @@ def _model_steps(gates, width, k):
                 steps.append(("perm", g))
                 continue
         qubits = (g.target, *(q for q, _ in g.controls))
-        windows = {(width - 1 - q) // k for q in qubits}
+        windows = {window_of[q] for q in qubits}
         if len(windows) == 1 and window in (None, *windows):
             stage.append(g)
             window = windows.pop()
@@ -749,28 +813,48 @@ def _model_steps(gates, width, k):
     return steps
 
 
+def _model_steps(gates, width, k):
+    """The steps of the schedule on a state below `_MOVES_MIN_SIZE`, in
+    the direction the rule picks: `_model_one_way` of the gates as
+    listed, or of the reversed gates read from the last step to the first
+    with each list reversed, whichever counts fewer steps once each
+    fan-out run (`_fan_out_runs`) is one step; the listed one on a tie."""
+    forward = _model_one_way(gates, width, k)
+    backward = [(kind, p[::-1] if isinstance(p, list) else p)
+                for kind, p in reversed(_model_one_way(gates[::-1], width, k))]
+
+    def count(steps):
+        return len(steps) - sum(len(run) - 1 for run in _fan_out_runs(steps))
+    return backward if count(backward) < count(forward) else forward
+
+
 def _expected_windows(gates, width, k):
     """Lengths of the stages the schedule fuses (`_model_steps`)."""
     return [len(run) for kind, run in _model_steps(gates, width, k)
             if kind == "window"]
 
 
-def _model_fan_outs(gates, width, k):
-    """Targets of each fan-out run that the post-pass makes of the
-    schedule's steps (`_model_steps`): two or more consecutive X gates
-    that run on their own, with one set of (qubit, polarity) controls and
-    distinct targets."""
+def _fan_out_runs(steps):
+    """The fan-out runs that the post-pass makes of model steps: two or
+    more consecutive X gates that run on their own, with one set of
+    (qubit, polarity) controls and distinct targets."""
     runs, run = [], []
-    for kind, g in [*_model_steps(gates, width, k), ("end", None)]:
+    for kind, g in [*steps, ("end", None)]:
         x = kind == "gate" and np.array_equal(g.u, X_MATRIX)
         if (x and run and set(g.controls) == set(run[0].controls)
                 and g.target not in {h.target for h in run}):
             run.append(g)
             continue
         if len(run) > 1:
-            runs.append([h.target for h in run])
+            runs.append(run)
         run = [g] if x else []
     return runs
+
+
+def _model_fan_outs(gates, width, k):
+    """Targets of each fan-out run of the schedule (`_model_steps`)."""
+    return [[g.target for g in run]
+            for run in _fan_out_runs(_model_steps(gates, width, k))]
 
 
 def _window_spy(monkeypatch):
@@ -838,26 +922,80 @@ def _raised(g, lo):
     return Local(g.u, g.target + lo)
 
 
+def _model_spans(width, k):
+    """The (lo, hi) qubit span of each window of `_model_windows`, from
+    the top down."""
+    window_of = _model_windows(width, k)
+    return [(min(qs), max(qs) + 1) for qs in (
+        [q for q in window_of if window_of[q] == i]
+        for i in sorted(set(window_of.values())))]
+
+
+def _kernel_windows(width, monkeypatch):
+    """The qubits of each stage `_segments` makes of Hadamards on every
+    qubit from the top down: each stage is one window of the layout."""
+    stages = []
+    inner = circuit_module._stage
+
+    def spy(gates, fuse):
+        if gates:
+            stages.append([g.target for g in gates])
+        return inner(gates, fuse)
+    monkeypatch.setattr(circuit_module, "_stage", spy)
+    gates = tuple(Local(H_MATRIX, q) for q in reversed(range(width)))
+    list(circuit_module._segments(gates, width))
+    monkeypatch.setattr(circuit_module, "_stage", inner)
+    return stages
+
+
+@pytest.mark.parametrize("k, widths", [(None, range(14, 31)),
+                                       (3, range(7, 31))])
+def test_window_layout_is_even(k, widths, monkeypatch):
+    # ceil(w / k) contiguous windows from the top down, sizes within one
+    # of each other, none above k, and a largest one on top
+    if k is None:
+        k = circuit_module._WINDOW
+    else:
+        monkeypatch.setattr(circuit_module, "_WINDOW", k)
+        monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
+    for width in widths:
+        stages = _kernel_windows(width, monkeypatch)
+        assert [q for stage in stages for q in stage] == \
+            list(reversed(range(width))), width
+        sizes = [len(stage) for stage in stages]
+        assert len(sizes) == -(-width // k), width
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= k, width
+        assert sizes[0] == max(sizes), width
+        assert [(min(st), max(st) + 1) for st in stages] == \
+            _model_spans(width, k), width
+    # width 18 keeps the three 6-qubit windows of verify's n = 8 batches
+    if k == 6:
+        assert _model_spans(18, 6) == [(12, 18), (6, 12), (0, 6)]
+        assert _model_spans(21, 6) == [(15, 21), (10, 15), (5, 10), (0, 5)]
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_fused_window_matches_to_matrix_of_its_run(seed, monkeypatch):
-    # a circuit inside one window [lo, lo + k) acts on the middle axis of
-    # the (2^(w-lo-k), 2^k, 2^lo) view by to_matrix of its width-k run:
-    # the top and the middle window at the threshold, and the bottom one
-    # at width 3k
+    # a circuit that fills one window [lo, hi) acts on the middle axis of
+    # the (2^(w-hi), 2^(hi-lo), 2^lo) view by to_matrix of its run: the
+    # top and the middle window at the threshold, and the bottom one at
+    # width 3k
     k = circuit_module._WINDOW
     top = circuit_module._FUSE_MIN_WIDTH
-    width, lo = [(top, top - k), (top, top - 2 * k), (3 * k, 0)][seed]
+    width, index = [(top, 0), (top, 1), (3 * k, 2)][seed]
+    lo, hi = _model_spans(width, k)[index]
+    size = hi - lo
     calls = _window_spy(monkeypatch)
     rng = np.random.default_rng(1220 + seed)
-    cascade = qft_cyclic_circuit(k).gates[:-1]
-    run = [*cascade, *random_circuit(rng, k, 12).gates]
+    cascade = qft_cyclic_circuit(size).gates[:-1]
+    run = [*cascade, *random_circuit(rng, size, 12).gates]
     run = [g for g in run if not isinstance(g, QubitPerm)]
     raised = tuple(_raised(g, lo) for g in run)
     state = _random_state(rng, width)
     got = apply_to_state(Circuit(width, raised), state)
     assert calls == [len(run)]
-    u = to_matrix(Circuit(k, tuple(run)))
-    want = np.matmul(u, state.reshape(-1, 1 << k, 1 << lo)).reshape(-1)
+    u = to_matrix(Circuit(size, tuple(run)))
+    want = np.matmul(u, state.reshape(-1, 1 << size, 1 << lo)).reshape(-1)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -994,9 +1132,9 @@ def test_window_build_runs_no_public_entry(monkeypatch):
                 qft_cyclic_circuit(circuit_module._WINDOW).gates[:-1])
     circuit_module.apply_to_state(c, np.eye(2, 1 << c.width))
     # two rows add a qubit: at width 15 the cascade on qubits 0..5 meets
-    # windows [3, 9) and [0, 3), two stages of 6 gates, and the 9 phases
-    # between them are deferred
-    assert calls == [6, 6]
+    # windows [5, 10) and [0, 5); the Hadamard on qubit 5 runs alone, its 5
+    # phases are deferred, and the rest is one stage of 15 gates
+    assert calls == [15]
     assert seen == [len(c.gates)]
 
 
@@ -1041,10 +1179,10 @@ def _diagonal_spy(monkeypatch):
 def test_cyclic_cascade_fuses_one_phase_run_per_target(width, monkeypatch):
     # target j carries j phase gates, and the lone one on qubit 1 runs on
     # its own.  At width 12 each target's gates are one phase run.  At
-    # width 16 the windows [10, 16), [4, 10) and [0, 4) are one stage each,
+    # width 16 the windows [10, 16), [5, 10) and [0, 5) are one stage each,
     # whose build fuses the phase runs of the stage's own targets 15..12,
-    # 9..6 and 3..2, each holding the gates whose controls stay in the
-    # window; the phases that reach below a window, 60 and 24, are
+    # 9..7 and 4..2, each holding the gates whose controls stay in the
+    # window; the phases that reach below a window, 60 and 25, are
     # deferred and released as one product each
     windows = _window_spy(monkeypatch)
     calls, diagonals = _diagonal_spy(monkeypatch)
@@ -1054,9 +1192,9 @@ def test_cyclic_cascade_fuses_one_phase_run_per_target(width, monkeypatch):
         assert windows == diagonals == []
     else:
         assert calls == [(15, 5), (14, 4), (13, 3), (12, 2),
-                         (9, 5), (8, 4), (7, 3), (6, 2), (3, 3), (2, 2)]
-        assert windows == [21, 21, 10]
-        assert diagonals == [60, 24]
+                         (9, 4), (8, 3), (7, 2), (4, 4), (3, 3), (2, 2)]
+        assert windows == [21, 15, 15]
+        assert diagonals == [60, 25]
 
 
 def test_phase_runs_break_on_every_other_key(monkeypatch):
@@ -1090,19 +1228,20 @@ def test_phase_runs_break_on_every_other_key(monkeypatch):
 
 def test_lone_window_phase_gate_splits_a_phase_run(monkeypatch):
     # the phase gates on target 2 whose controls stay in its window
-    # [2, 8) (qubits 7 and 6) form a stage, which has no mixing gate and
+    # [0, 4) (qubits 3 and 0) form a stage, which has no mixing gate and
     # so runs gate by gate, as one phase run; the other three (controls
-    # 13, 0 and 8) reach outside it, and the run falls into that phase run
+    # 13, 4 and 6) reach outside it, and the run falls into that phase run
     # and one release of the three deferred gates
     windows = _window_spy(monkeypatch)
     calls, diagonals = _diagonal_spy(monkeypatch)
     rng = np.random.default_rng(1410)
     ph = functools.partial(_phase_gate, rng)
     width = circuit_module._FUSE_MIN_WIDTH
-    k = circuit_module._WINDOW
-    gates = [ph(((k + 1, True),), 2), ph(((width - 1, False),), 2),
-             ph(((0, True),), 2),
-             ph(((k, True),), 2), ph(((k + 2, True),), 2)]
+    lo, hi = _model_spans(width, circuit_module._WINDOW)[-1]
+    assert lo <= 2 < hi
+    gates = [ph(((hi - 1, True),), 2), ph(((width - 1, False),), 2),
+             ph(((hi, True),), 2),
+             ph(((lo, True),), 2), ph(((hi + 2, True),), 2)]
     state = _random_state(rng, width)
     got = apply_to_state(Circuit(width, tuple(gates)), state)
     assert calls == [(2, 2)]
@@ -1180,7 +1319,10 @@ def test_scheduled_kernel_matches_reference_at_full_size(width, monkeypatch):
     windows = _window_spy(monkeypatch)
     _, diagonals = _diagonal_spy(monkeypatch)
     rng = np.random.default_rng(1510 + width)
-    c = random_diagonal_circuit(rng, width, 40)
+    # two Hadamards in the bottom window, so that a stage fuses at every
+    # width: at width 14 the random gates alone fuse none in windows of 5
+    c = Circuit(width, (Local(H_MATRIX, 0), Local(H_MATRIX, 1),
+                        *random_diagonal_circuit(rng, width, 40).gates))
     state = _random_state(rng, width)
     got = apply_to_state(c, state)
     assert np.max(np.abs(got - _reference_chain(c.gates, state))) < 1e-12
@@ -1285,7 +1427,7 @@ def test_fan_out_runs_match_to_matrix_with_a_small_window(seed, monkeypatch):
 def test_fan_out_run_ends_where_the_rule_says(monkeypatch):
     # CNOTs and multi-controlled X with the same control, then a repeated
     # target; mixed polarities in any order, then a gate that targets a
-    # control; a change of control set; a run inside the window [0, 4),
+    # control; a change of control set; a run inside the window [0, 5),
     # whose stage runs gate by gate, is grouped too
     fan_outs = _fan_out_spy(monkeypatch)
     width = 16
@@ -1583,8 +1725,7 @@ def test_move_runs_match_reference_bit_for_bit(width, monkeypatch):
     assert calls
     for steps in calls:
         assert len(steps) >= 2 and "perm" in [kind for kind, _ in steps]
-    stream = list(circuit_module._move_runs(circuit_module._segments(
-        tuple(gates), width), True))
+    stream = list(circuit_module._schedule(tuple(gates), width, True))
     grouped = [g for apply, g in stream if apply is circuit_module._apply_moves]
     assert [[g for _, g in steps] for steps in calls] == \
         [[g for _, g in steps] for steps in grouped]
@@ -1599,7 +1740,7 @@ def test_move_runs_match_reference_bit_for_bit(width, monkeypatch):
 
 
 def test_move_runs_end_where_the_rule_says(monkeypatch):
-    # width 16, windows [10, 16), [4, 10) and [0, 4).  A CNOT, a rotation,
+    # width 16, windows [10, 16), [5, 10) and [0, 5).  A CNOT, a rotation,
     # a fan-out run and a multi-controlled X are one run; a controlled Y
     # (mixing) ends it.  Two X gates without a permutation stay in place.
     # Z, a stage of its own, comes out before the reversal.  The
@@ -1818,8 +1959,9 @@ def test_diagonal_kind_is_read_at_construction():
 
 # Pinned schedules: the (kernel, payload size) steps apply_to_state runs
 # on the benchmark's circuits, qd n = 20 and cyclic n = 21 on one state
-# each and the four n = 8 batches of verify (width 18).  A change to the
-# scheduling rules or to a kernel's route that moves any of them fails here.
+# each and the four n = 8 batches of verify (width 18), and on the
+# adjoints of the two width-21 circuits.  A change to the scheduling rules
+# or to a kernel's route that moves any of them fails here.
 
 _KERNELS = ("_apply_window", "_apply_diagonals", "_apply_gate", "_permute",
             "_apply_fan_out", "_apply_moves")
@@ -1856,17 +1998,29 @@ _PERM = ("_permute", 1)
 # window [0, 6) and the bit reversal
 _N8_TAIL = [("_apply_window", 3), ("_apply_diagonals", 12),
             ("_apply_window", 21), _PERM]
+# At width 21 the windows are [15, 21), [10, 15), [5, 10) and [0, 5).  The
+# adjoints run the backward schedule: the forward steps in reverse order.
 _PINNED_STEPS = {
     "qd20": [_GATE] * 3 + [
         ("_apply_moves", 25), ("_apply_window", 15),
-        ("_apply_diagonals", 75), ("_apply_window", 21),
-        ("_apply_diagonals", 54), ("_apply_window", 21),
-        ("_apply_diagonals", 18), ("_apply_window", 6), _PERM],
+        ("_apply_diagonals", 75), ("_apply_window", 15),
+        ("_apply_diagonals", 50), ("_apply_window", 15),
+        ("_apply_diagonals", 25), ("_apply_window", 15), _PERM],
+    "qd20-adjoint": [
+        _PERM, ("_apply_window", 15), ("_apply_diagonals", 25),
+        ("_apply_window", 15), ("_apply_diagonals", 50),
+        ("_apply_window", 15), ("_apply_diagonals", 75),
+        ("_apply_window", 15), ("_apply_moves", 25)] + [_GATE] * 3,
     "cyclic21": [
         ("_apply_window", 21), ("_apply_diagonals", 90),
-        ("_apply_window", 21), ("_apply_diagonals", 54),
-        ("_apply_window", 21), ("_apply_diagonals", 18),
-        ("_apply_window", 6), _PERM],
+        ("_apply_window", 15), ("_apply_diagonals", 50),
+        ("_apply_window", 15), ("_apply_diagonals", 25),
+        ("_apply_window", 15), _PERM],
+    "cyclic21-adjoint": [
+        _PERM, ("_apply_window", 15), ("_apply_diagonals", 25),
+        ("_apply_window", 15), ("_apply_diagonals", 50),
+        ("_apply_window", 15), ("_apply_diagonals", 90),
+        ("_apply_window", 21)],
     "dihedral8": [_GATE] * 5 + [_PERM, ("_apply_fan_out", 7)]
     + [_GATE] * 7 + _N8_TAIL,
     "quaternion8": [_GATE] * 6 + [_PERM, ("_apply_fan_out", 7)]
@@ -1877,17 +2031,187 @@ _PINNED_STEPS = {
 }
 
 
+def _pinned_steps(c, n, monkeypatch):
+    """The steps apply_to_state runs `c` with, on the identity at n = 8, as
+    verify does, and on one state otherwise, as simulate_w21 does."""
+    dim = 1 << c.width
+    state = np.eye(dim) if n == 8 else np.zeros(dim)
+    calls = _steps_spy(monkeypatch)
+    apply_to_state(c, state)
+    return calls
+
+
 @pytest.mark.parametrize("family, n", [
     (Family.QD, 20), (Family.CYCLIC, 21), (Family.DIHEDRAL, 8),
     (Family.QUATERNION, 8), (Family.QP, 8), (Family.QD, 8)])
 def test_benchmark_schedules_are_pinned(family, n, monkeypatch):
     c = qft_circuit(GroupSpec(family, n))
-    dim = 1 << c.width
-    # verify runs its circuits on the identity; simulate_w21 on one state
-    state = np.eye(dim) if n == 8 else np.zeros(dim)
-    calls = _steps_spy(monkeypatch)
-    apply_to_state(c, state)
-    assert calls == _PINNED_STEPS[f"{family.value}{n}"]
+    assert _pinned_steps(c, n, monkeypatch) == \
+        _PINNED_STEPS[f"{family.value}{n}"]
+
+
+@pytest.mark.parametrize("family, n", [(Family.QD, 20), (Family.CYCLIC, 21)])
+def test_adjoint_schedules_are_pinned(family, n, monkeypatch):
+    c = adjoint(qft_circuit(GroupSpec(family, n)))
+    assert _pinned_steps(c, n, monkeypatch) == \
+        _PINNED_STEPS[f"{family.value}{n}-adjoint"]
+
+
+# Adjoints and the schedule in both directions: adjoint(c) is the circuit
+# of U^H, and on the wide states the kernel runs whichever of the forward
+# and the backward schedule has fewer steps, the forward one on a tie.
+
+def _library_circuits(max_n):
+    """Every library circuit up to n = max_n: each family's transform and
+    its factors, and the increment circuit."""
+    out = []
+    for family in Family:
+        for n in range(1 if family is Family.CYCLIC else 3, max_n + 1):
+            G = GroupSpec(family, n)
+            out.append(qft_circuit(G))
+            out.extend(f for _, f in circuit_library.qft_factors(G))
+    out.extend(increment_circuit(n) for n in range(1, max_n + 1))
+    return out
+
+
+def test_adjoint_matrix_is_the_conjugate_transpose():
+    for c in _library_circuits(6):
+        want = to_matrix(c).conj().T
+        assert np.max(np.abs(to_matrix(adjoint(c)) - want)) < 1e-13, c
+
+
+def test_adjoint_reverses_the_gates_and_shares_their_matrices():
+    c = qft_circuit(GroupSpec(Family.QD, 5))
+    adj = adjoint(c)
+    assert adj.width == c.width and len(adj) == len(c)
+    for g, h in zip(reversed(c.gates), adj.gates):
+        assert type(g) is type(h)
+        if isinstance(g, QubitPerm):
+            assert all(h.sigma[s] == q for q, s in enumerate(g.sigma))
+        elif isinstance(g, CNot):
+            assert h is g
+        else:
+            assert (g.controls, g.target) == (h.controls, h.target)
+            assert np.array_equal(h.u, g.u.conj().T)
+            assert not h.u.flags.writeable
+    # one u^H per distinct u
+    mixing = [g for g in adj.gates if not isinstance(g, (QubitPerm, CNot))]
+    assert len({id(g.u) for g in mixing}) == \
+        len({g.u.tobytes() for g in mixing})
+    # conjugating and transposing twice is exact
+    assert format_circuit(adjoint(adj)) == format_circuit(c)
+
+
+def _adjoint_input(width):
+    """A library transform of the given width, the family cycling with it."""
+    family = list(Family)[width % len(Family)]
+    return qft_circuit(GroupSpec(
+        family, width if family is Family.CYCLIC else width - 1))
+
+
+@pytest.mark.parametrize("width", range(14, 22))
+def test_adjoint_round_trips_at_fused_widths(width):
+    c = _adjoint_input(width)
+    v = _random_state(np.random.default_rng(1950 + width), width)
+    v /= np.linalg.norm(v)
+    back = apply_to_state(adjoint(c), apply_to_state(c, v))
+    assert np.max(np.abs(back - v)) < 1e-12
+
+
+def _run_steps(steps, state, width):
+    """Run a schedule's steps on a copy of `state`, as apply_to_state does."""
+    psi = state.astype(np.complex128).reshape((2,) * width)
+    for apply, g in steps:
+        psi = apply(psi, g)
+    return psi.reshape(-1)
+
+
+def _both_ways(gates, width, wide):
+    """The forward and the backward schedule of the gates on a `width`-qubit
+    state, each regrouped by `_move_runs`."""
+    return [list(circuit_module._move_runs(schedule(gates, width), wide))
+            for schedule in (circuit_module._segments,
+                             circuit_module._backward)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_both_directions_match_to_matrix_with_a_small_window(seed,
+                                                              monkeypatch):
+    # 3-qubit windows from width 7, as for the window tests above, and
+    # move runs on these small states: every library transform at widths
+    # 7 and 8 and its adjoint, and random circuits of every step kind
+    monkeypatch.setattr(circuit_module, "_WINDOW", 3)
+    monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
+    monkeypatch.setattr(circuit_module, "_MOVES_MIN_SIZE", 1 << 7)
+    rng = np.random.default_rng(1960 + seed)
+    width = 7 + seed % 2
+    if seed < 2:
+        circuits = [f(qft_circuit(GroupSpec(family, n)))
+                    for family in Family
+                    for n in [width if family is Family.CYCLIC else width - 1]
+                    for f in (lambda c: c, adjoint)]
+    else:
+        gates = [*random_diagonal_circuit(rng, width, 30).gates,
+                 *_fan_out_gates(rng, width)[:12],
+                 *_move_gates(rng, width)[:8]]
+        gates = [gates[i] for i in rng.permutation(len(gates))]
+        circuits = [Circuit(width, tuple(gates))]
+        circuits.append(adjoint(circuits[0]))
+    for c in circuits:
+        state = _random_state(rng, width)
+        want = to_matrix(c) @ state
+        for steps in _both_ways(c.gates, width, True):
+            got = _run_steps(steps, state, width)
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_library_circuits_keep_their_forward_schedule():
+    # every transform at widths 14-21 and at verify's width-18 batches of
+    # n = 8 schedules forward; its adjoint schedules backward, in fewer
+    # steps
+    cases = [(_adjoint_input(w), w) for w in range(14, 22)]
+    cases += [(qft_circuit(GroupSpec(f, 8)), 18) for f in Family
+              if f is not Family.CYCLIC]
+    cases += [(qft_circuit(GroupSpec(f, 20)), 21) for f in Family
+              if f is not Family.CYCLIC]
+    for c, width in cases:
+        wide = width >= 21
+        for gates, picked in ((c.gates, 0), (adjoint(c).gates, 1)):
+            steps = _both_ways(gates, width, wide)
+            assert len(steps[picked]) < len(steps[1 - picked]), (c, width)
+            assert list(circuit_module._schedule(gates, width, wide)) == \
+                steps[picked]
+
+
+def test_a_tie_keeps_the_forward_schedule():
+    # a deferred CZ across the windows and a fused stage: two steps either
+    # way, in opposite orders
+    width = circuit_module._FUSE_MIN_WIDTH
+    c = Circuit(width, (MultiControlled(Z_MATRIX, ((width - 1, True),), 0),
+                        Local(H_MATRIX, 1), Local(H_MATRIX, 2)))
+    forward, backward = _both_ways(c.gates, width, False)
+    assert [a for a, _ in forward] == [circuit_module._apply_window,
+                                       circuit_module._apply_gate]
+    assert [a for a, _ in backward] == [circuit_module._apply_gate,
+                                        circuit_module._apply_window]
+    assert list(circuit_module._schedule(c.gates, width, False)) == forward
+
+
+@pytest.mark.parametrize("offset", [0, -1])
+def test_narrow_states_skip_the_backward_schedule(offset, monkeypatch):
+    calls = []
+    inner = circuit_module._backward
+
+    def spy(gates, width):
+        calls.append(width)
+        return inner(gates, width)
+    monkeypatch.setattr(circuit_module, "_backward", spy)
+    width = circuit_module._FUSE_MIN_WIDTH + offset
+    c = qft_cyclic_circuit(width)
+    v = _random_state(np.random.default_rng(1970), width)
+    got = apply_to_state(c, v)
+    assert calls == ([width] if offset == 0 else [])
+    assert np.max(np.abs(got - np.sqrt(v.size) * np.fft.ifft(v))) < 1e-12
 
 
 # Reference dense gate matrix: a pure-Python loop over the rows, with the

@@ -184,7 +184,7 @@ def test_bad_sizes_rejected():
         qft_cyclic_circuit(0)
     with pytest.raises(ValueError):
         increment_circuit(0)
-    for n in (3.0, 2.5, "3"):
+    for n in (3.0, 2.5, "3", True, np.True_):
         with pytest.raises(ValueError, match="n must be an integer"):
             qft_cyclic_circuit(n)
         with pytest.raises(ValueError, match="n must be an integer"):

@@ -62,7 +62,7 @@ def test_spec_validation():
         GroupSpec(Family.CYCLIC, 3).element(1, 1)
     # a size or exponent that is not an integer, and a family that is not
     # a Family, fail here rather than later in the arithmetic
-    for n in (3.5, "4", None, 4.0):
+    for n in (3.5, "4", None, 4.0, True):
         with pytest.raises(ValueError, match="n must be an integer"):
             GroupSpec(Family.QD, n)
     with pytest.raises(ValueError, match="family must be a Family"):
@@ -71,6 +71,8 @@ def test_spec_validation():
         GroupSpec(Family.QD, 3).element(1.5, 0)
     with pytest.raises(ValueError, match="y-exponent must be an integer"):
         GroupSpec(Family.QD, 3).element(1, 1.0)
+    with pytest.raises(ValueError, match="y-exponent must be an integer"):
+        GroupSpec(Family.QD, 3).element(1, True)
     G = GroupSpec(Family.QD, np.int64(4))
     assert type(G.n) is int and G == GroupSpec(Family.QD, 4)
     g = G.element(np.int64(17), np.int64(1))

@@ -27,7 +27,7 @@ def test_dft_rejects_zero():
         dft(0)
 
 
-@pytest.mark.parametrize("n", [2.5, 4.0, "4", None])
+@pytest.mark.parametrize("n", [2.5, 4.0, "4", None, True, np.True_])
 def test_dft_rejects_non_integer_size(n):
     # np.arange(2.5) would give a 3 x 3 matrix scaled by 1/sqrt(2.5)
     with pytest.raises(ValueError, match="dft size must be an integer"):
