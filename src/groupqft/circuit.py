@@ -635,8 +635,9 @@ def _apply_window(psi: np.ndarray, run: list[Gate]) -> np.ndarray:
     2^(w-k)) when lo = 0, and U multiplies its middle axis one block of
     at most max(`_BLOCK`, 2^w / 32) entries at a time, each product
     going through a buffer and back in place: 2^16 entries at width 21,
-    where the larger block took about 3% off whole circuits, and `_BLOCK`
-    at width 19 and below.  A block is a slice of the last axis when one
+    where the larger block took cyclic n = 21 from 100 to 93 ms and qd
+    n = 20 from 129 to 128 ms (CHANGES.md), and `_BLOCK` at width 19 and
+    below.  A block is a slice of the last axis when one
     outer slice holds more than a block.  Otherwise it is several outer
     slices, first gathered into one contiguous 2^k-row matrix, so that no
     matmul call is small: at width 21, one call per outer slice, on 2^lo
@@ -988,9 +989,10 @@ def adjoint(c: Circuit) -> Circuit:
         elif isinstance(g, CNot):
             gates.append(g)
         else:
-            u = shared.get(g.u.tobytes())
+            key = g.u.tobytes()
+            u = shared.get(key)
             if u is None:
-                u = shared[g.u.tobytes()] = np.ascontiguousarray(g.u.conj().T)
+                u = shared[key] = np.ascontiguousarray(g.u.conj().T)
                 u.flags.writeable = False
             gates.append(MultiControlled(u, g.controls, g.target)
                          if g.controls else Local(u, g.target))

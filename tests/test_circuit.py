@@ -941,10 +941,10 @@ def _kernel_windows(width, monkeypatch):
         if gates:
             stages.append([g.target for g in gates])
         return inner(gates, fuse)
-    monkeypatch.setattr(circuit_module, "_stage", spy)
     gates = tuple(Local(H_MATRIX, q) for q in reversed(range(width)))
-    list(circuit_module._segments(gates, width))
-    monkeypatch.setattr(circuit_module, "_stage", inner)
+    with monkeypatch.context() as m:
+        m.setattr(circuit_module, "_stage", spy)
+        list(circuit_module._segments(gates, width))
     return stages
 
 
@@ -2138,11 +2138,10 @@ def _both_ways(gates, width, wide):
 def test_both_directions_match_to_matrix_with_a_small_window(seed,
                                                               monkeypatch):
     # 3-qubit windows from width 7, as for the window tests above, and
-    # move runs on these small states: every library transform at widths
-    # 7 and 8 and its adjoint, and random circuits of every step kind
+    # move runs (wide) on these small states: every library transform at
+    # widths 7 and 8 and its adjoint, and random circuits of every step kind
     monkeypatch.setattr(circuit_module, "_WINDOW", 3)
     monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
-    monkeypatch.setattr(circuit_module, "_MOVES_MIN_SIZE", 1 << 7)
     rng = np.random.default_rng(1960 + seed)
     width = 7 + seed % 2
     if seed < 2:
