@@ -637,11 +637,11 @@ def _apply_window(psi: np.ndarray, run: list[Gate]) -> np.ndarray:
     going through a buffer and back in place: 2^16 entries at width 21,
     where the larger block took cyclic n = 21 from 100 to 93 ms and qd
     n = 20 from 129 to 128 ms (CHANGES.md), and `_BLOCK` at width 19 and
-    below.  A block is a slice of the last axis when one
-    outer slice holds more than a block.  Otherwise it is several outer
-    slices, first gathered into one contiguous 2^k-row matrix, so that no
-    matmul call is small: at width 21, one call per outer slice, on 2^lo
-    columns, ran 1.3-1.8x slower at lo = 1 and 3.
+    below.  A block is a slice of the last axis when one outer slice
+    holds more than a block.  Otherwise it is several outer slices, first
+    gathered into one contiguous 2^k-row matrix, so that no matmul call
+    is small: at width 21, one call per outer slice, on 2^lo columns, ran
+    1.3-1.8x slower at lo = 1 and 3.
     """
     lo = min(g.span[0] for g in run)
     hi = max(g.span[1] for g in run) + 1
