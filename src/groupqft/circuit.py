@@ -80,6 +80,7 @@ of 47.  A narrow state has one window, so it skips the second pass.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import groupby
@@ -154,18 +155,28 @@ def _check_2x2_unitary(u: Matrix) -> tuple[bool, bool]:
 # table, where an update of an empty __dict__ cost each gate about 190
 # bytes more.
 _set = object.__setattr__
+_COMPLEX = np.dtype(np.complex128)
 
 
 def _set_unitary(g: Gate, u: Matrix) -> None:
-    """Check `u`, then store it as complex128 on the frozen gate g with
-    its kind: `diagonal` and `flip`.
+    """Check `u`, then store it read-only on the frozen gate g with its
+    kind: `diagonal` and `flip`.
 
-    The kind and `span` are attributes, not fields, so equality, hashing
-    and the text format see only the fields.  Local and MultiControlled
-    write their own __init__: the generated one would set each field once
-    before __post_init__ set it again, about 0.5 us a gate.
+    A read-only complex128 array that owns its data, as the shared ones of
+    the library, the parser and `adjoint` are, is kept; any other `u` is
+    copied, so no later write can change a checked gate.  The kind and
+    `span` are attributes, not fields, so equality, hashing and the text
+    format see only the fields.  Local and MultiControlled write their
+    own __init__: the generated one would set each field once before
+    __post_init__ set it again, about 0.5 us a gate.
     """
-    u = np.asarray(u, dtype=np.complex128)
+    if not (type(u) is np.ndarray and u.dtype is _COMPLEX
+            and u.flags.owndata and not u.flags.writeable):
+        try:
+            u = np.array(u, dtype=np.complex128)
+        except TypeError:
+            raise ValueError(f"gate unitary {u!r} is not numeric") from None
+        u.flags.writeable = False
     diagonal, flip = _check_2x2_unitary(u)
     _set(g, "u", u)
     _set(g, "diagonal", diagonal)
@@ -242,6 +253,10 @@ class MultiControlled:
                     # a bad qubit below passes through
                     raise TypeError from None
                 q = as_int(q, "qubit index")
+                # a Python or numpy bool, or an integer 0 or 1
+                if not (p is True or p is False or isinstance(p, np.bool_)
+                        or operator.index(p) in (0, 1)):
+                    raise TypeError
                 pairs.append((q, bool(p)))
                 qubits.append(q)
         except TypeError:
@@ -829,18 +844,18 @@ def _apply_moves(psi: np.ndarray, steps: list[_Step]) -> np.ndarray:
     return out.reshape(psi.shape)
 
 
-def _schedule(gates: tuple[Gate, ...], width: int,
-              wide: bool) -> Iterable[_Step]:
+def _schedule(gates: tuple[Gate, ...], width: int) -> Iterable[_Step]:
     """The steps that `apply_to_state` runs on a `width`-qubit tensor.
 
     Below `_FUSE_MIN_WIDTH` they are the `_segments` of the gates.  On the
     fused widths both directions are scheduled and regrouped by
-    `_move_runs` (`wide` as there): the gates as listed, and the gates in
-    reverse order read back (`_backward`).  Whichever gives fewer steps
-    runs, the forward one on a tie.
+    `_move_runs`, wide from `_MOVES_MIN_SIZE` entries: the gates as
+    listed, and the gates in reverse order read back (`_backward`).
+    Whichever gives fewer steps runs, the forward one on a tie.
     """
     if width < _FUSE_MIN_WIDTH:
         return _segments(gates, width)
+    wide = 1 << width >= _MOVES_MIN_SIZE
     forward = list(_move_runs(_segments(gates, width), wide))
     backward = list(_move_runs(_backward(gates, width), wide))
     return backward if len(backward) < len(forward) else forward
@@ -902,8 +917,7 @@ def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     # frees it when it moves the state into a new array
     psi = _padded_copy(states.reshape(k, dim), 1 << m).reshape(
         (2,) * (c.width + m))
-    for apply, g in _schedule(c.gates, psi.ndim,
-                              psi.size >= _MOVES_MIN_SIZE):
+    for apply, g in _schedule(c.gates, psi.ndim):
         psi = apply(psi, g)
     return psi.reshape(1 << m, dim)[:k].reshape(states.shape)
 

@@ -9,9 +9,10 @@ y^-1 x y = x^r>:
     qp           r = 2^(n-1) + 1, q = 0
     qd           r = 2^(n-1) - 1, q = 0
 
-plus the abelian base case Z_{2^n} = <x> itself.  Every element has the
-normal form x^a y^b with 0 <= a < 2^n and b in {0, 1}.  All four values of
-r satisfy r^2 = 1 mod 2^n, which the multiplication below relies on.
+plus the abelian base case Z_{2^n} = <x> itself, with no y and r = 1,
+q = 0, so one product rule serves all five.  Every element has the normal
+form x^a y^b with 0 <= a < 2^n and b in {0, 1}.  Every r satisfies
+r^2 = 1 mod 2^n, which the multiplication below relies on.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "regular_permutations",
     "regular_representation",
     "cyclic_irreps",
-    "inner_conjugate",
     "induce",
     "extendable_indices",
 ]
@@ -85,10 +85,10 @@ class GroupSpec:
 
     @property
     def conj_exponent(self) -> int:
-        """r with y^-1 x y = x^r."""
+        """r with y^-1 x y = x^r (r = 1 on the abelian cyclic family)."""
         half = self.cyclic_order // 2
         if self.family is Family.CYCLIC:
-            raise ValueError("cyclic group has no conjugating generator")
+            return 1
         if self.family in (Family.DIHEDRAL, Family.QUATERNION):
             return self.cyclic_order - 1
         return half + 1 if self.family is Family.QP else half - 1
@@ -126,8 +126,7 @@ class GroupSpec:
         Python ints and numpy integer arrays alike: y^b1 x^a2 = x^(a2 r^b1)
         y^b1 with r^b1 = 1 + (r - 1) b1 (r = 1 for the cyclic family), and
         y^b1 y^b2 leaves x^(q b1 b2)."""
-        r, q = ((1, 0) if self.is_abelian
-                else (self.conj_exponent, self.y_square_exponent))
+        r, q = self.conj_exponent, self.y_square_exponent
         a = a2 * (1 + (r - 1) * b1) + q * b1 * b2 + a1
         a &= self.cyclic_order - 1  # mod 2^n, and in place on arrays
         return a, (b1 + b2) & 1
@@ -140,10 +139,6 @@ class GroupSpec:
         """y^-b x^-a, where y^-1 = x^-q y."""
         return GroupElement(*self._product(
             -self.y_square_exponent * g.b, g.b, -g.a, 0))
-
-    def conjugate(self, g: GroupElement, t: GroupElement) -> GroupElement:
-        """t g t^-1."""
-        return self.multiply(self.multiply(t, g), self.inverse(t))
 
     def all_elements(self) -> tuple[GroupElement, ...]:
         """Fixed enumeration order: x^0..x^(2^n - 1), then their y-coset."""
@@ -248,22 +243,6 @@ def cyclic_irreps(n: int) -> list[Representation]:
     ]
 
 
-def inner_conjugate(rho: Representation, ambient: GroupSpec,
-                    t: GroupElement) -> Representation:
-    """rho^t with rho^t(g) = rho(t g t^-1), conjugation taken in ambient.
-
-    rho may live on the cyclic normal subgroup or on ambient itself; for
-    the former, normality keeps t x t^-1 inside the subgroup.
-    """
-    step = ambient.cyclic_order // rho.group.cyclic_order
-    images: dict[str, Matrix] = {}
-    for name in rho.images:
-        g = ambient.element(step, 0) if name == "x" else ambient.y()
-        c = ambient.conjugate(g, t)
-        images[name] = _evaluate_embedded(rho, ambient, c)
-    return Representation(group=rho.group, degree=rho.degree, images=images)
-
-
 def _domain_element(rho: Representation, ambient: GroupSpec,
                     g: GroupElement) -> GroupElement | None:
     """The ambient element g as an element of rho's domain, or None when g
@@ -278,15 +257,6 @@ def _domain_element(rho: Representation, ambient: GroupSpec,
     if g.b != 0 or g.a % step != 0:
         return None
     return GroupElement(g.a // step, 0)
-
-
-def _evaluate_embedded(rho: Representation, ambient: GroupSpec,
-                       g: GroupElement) -> Matrix:
-    """Evaluate rho at an ambient element that must lie in rho's domain."""
-    h = _domain_element(rho, ambient, g)
-    if h is None:
-        raise ValueError(f"element x^{g.a} y^{g.b} outside the domain subgroup")
-    return rho.evaluate(h)
 
 
 def induce(rho: Representation, G: GroupSpec,

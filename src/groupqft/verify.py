@@ -2,9 +2,9 @@
 
 Everything here is built to distrust `synthesis`: the regular
 representation comes from the group product alone, as one index array per
-generator (phi(g) @ v == v[sigma]), the census from the closed-form count
-table, and block positions from that census.  The only synthesis artifact
-a check touches is the matrix under test.
+generator (phi(g) @ v == v[sigma]), the census of all five families from
+the closed-form count table, and block positions from that census alone.
+The only synthesis artifact a check touches is the matrix under test.
 `check_decomposition` holds at most three |G| x |G| arrays at once: b, a
 gather buffer and a product buffer, which each generator's conjugate
 reuses in turn.  It grades the predicted blocks as two stacked arrays,
@@ -14,6 +14,7 @@ reuses in turn.  It grades the predicted blocks as two stacked arrays,
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,15 +77,16 @@ class VerificationReport:
 
 
 def check_tolerance(tol: float) -> None:
-    """Raise ValueError unless tol is finite and positive."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    """Raise ValueError unless tol is a finite positive real, not a bool."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) \
+            or not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
 
 
 def census(G: GroupSpec) -> tuple[tuple[int, int], ...]:
     """Closed-form irreducible count table, (degree, count) pairs."""
     if G.is_abelian:
-        raise ValueError("the census table covers the non-abelian families")
+        return ((1, G.order),)
     if G.family is Family.QP:
         return ((1, 1 << G.n), (2, 1 << (G.n - 2)))
     return ((1, 4), (2, (1 << (G.n - 1)) - 1))
@@ -116,13 +118,12 @@ def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
     product[np.diag_indices(G.order)] -= 1.0
     unitarity = _max_abs(product)
 
-    # layout, per half: the extendable characters, then the induced pairs
-    # (the cyclic group is a single half of characters)
-    if G.is_abelian:
-        halves, chars, pairs = 1, G.order, 0
-    else:
-        counts = dict(census(G))
-        halves, chars, pairs = 2, counts[1] // 2, counts[2]
+    # layout, per half: the extendable characters, then the induced pairs;
+    # a census with no pairs (the cyclic group's) is a single half
+    counts = dict(census(G))
+    pairs = counts.get(2, 0)
+    halves = 1 + (pairs > 0)
+    chars = counts[1] // halves
     start = G.order // halves * np.arange(halves)[:, None]
     one = (start + np.arange(chars)).ravel()
     two = (start + chars + 2 * np.arange(pairs)).ravel()[:, None] + (0, 1)

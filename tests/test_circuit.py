@@ -145,6 +145,42 @@ def test_shared_gate_matrices_are_read_only():
     assert cnot.flip and np.array_equal(CNot(1, 0).u, [[0, 1], [1, 0]])
 
 
+@pytest.mark.parametrize("polarity", [True, np.True_, 1, np.int64(1), False,
+                                      np.False_, 0, np.uint8(0)])
+def test_bool_like_polarities_fire_as_their_bool(polarity):
+    g = MultiControlled(X_MATRIX, ((0, polarity),), 1)
+    assert g.controls == ((0, bool(polarity)),)
+    assert type(g.controls[0][1]) is bool
+    # X on qubit 1 fires where qubit 0 reads the polarity
+    fired = [int(bool(polarity)), int(bool(polarity)) | 2]
+    state = np.zeros(4)
+    state[fired[0]] = 1.0
+    assert apply_to_state(Circuit(2, (g,)), state)[fired[1]] == 1.0
+
+
+def test_gates_keep_no_writable_u_of_the_caller():
+    # a gate kept the caller's array, so a later write left its kind and
+    # its unitarity check stale: X written into an identity Local made
+    # apply_to_state give [0, 0] on |0> and to_matrix [0, 1]
+    u = np.eye(2, dtype=np.complex128)
+    gates = (Local(u, 0), MultiControlled(u, ((1, True),), 0))
+    u[:] = X_MATRIX
+    for g in gates:
+        assert g.u is not u and not g.u.flags.writeable and g.diagonal
+        assert np.array_equal(g.u, np.eye(2))
+    c = Circuit(1, gates[:1])
+    assert np.array_equal(apply_to_state(c, np.array([1.0, 0.0])), [1, 0])
+    assert np.array_equal(to_matrix(c)[:, 0], [1, 0])
+    # a read-only view of a writable base is copied too
+    base = np.eye(2, dtype=np.complex128)
+    view = base[:]
+    view.flags.writeable = False
+    g = Local(view, 0)
+    base[:] = X_MATRIX
+    assert g.u is not view and g.u.flags.owndata
+    assert np.array_equal(g.u, np.eye(2)) and not g.flip
+
+
 NON_INTEGER_QUBITS = {
     "local-target": lambda: Local(H_MATRIX, 1.5),
     "cnot-control": lambda: CNot(0.0, 1),
@@ -267,6 +303,26 @@ CIRCUIT_ERRORS = {
     "mcu-empty-pair": (lambda: MultiControlled(
         X_MATRIX, ((2, True), ()), 0),
         "controls ((2, True), ()) are not (qubit, polarity) pairs"),
+    # a polarity must be a Python or numpy bool or an integer 0 or 1:
+    # "False" fired on |1>, None on |0>, and 2 and 0.5 passed
+    "mcu-text-polarity": (lambda: MultiControlled(
+        X_MATRIX, ((1, "False"),), 0),
+        "controls ((1, 'False'),) are not (qubit, polarity) pairs"),
+    "mcu-none-polarity": (lambda: MultiControlled(X_MATRIX, ((1, None),), 0),
+                          "controls ((1, None),) are not (qubit, polarity) "
+                          "pairs"),
+    "mcu-two-polarity": (lambda: MultiControlled(X_MATRIX, ((1, 2),), 0),
+                         "controls ((1, 2),) are not (qubit, polarity) pairs"),
+    "mcu-float-polarity": (lambda: MultiControlled(X_MATRIX, ((1, 0.5),), 0),
+                           "controls ((1, 0.5),) are not (qubit, polarity) "
+                           "pairs"),
+    # a u that numpy cannot read as numbers raised TypeError
+    "local-dict-u": (lambda: Local({"a": 1}, 0),
+                     "gate unitary {'a': 1} is not numeric"),
+    "mcu-object-u": (lambda: MultiControlled(
+        np.array([[{}, 0], [0, 1]], dtype=object), ((1, True),), 0),
+        "gate unitary array([[{}, 0],\n       [0, 1]], dtype=object) is not "
+        "numeric"),
     # a pair of the right length keeps as_int's message for its qubit
     "mcu-pair-float-qubit": (lambda: MultiControlled(
         X_MATRIX, ((1, True), (2.5, False)), 0),
@@ -1725,7 +1781,7 @@ def test_move_runs_match_reference_bit_for_bit(width, monkeypatch):
     assert calls
     for steps in calls:
         assert len(steps) >= 2 and "perm" in [kind for kind, _ in steps]
-    stream = list(circuit_module._schedule(tuple(gates), width, True))
+    stream = list(circuit_module._schedule(tuple(gates), width))
     grouped = [g for apply, g in stream if apply is circuit_module._apply_moves]
     assert [[g for _, g in steps] for steps in calls] == \
         [[g for _, g in steps] for steps in grouped]
@@ -2178,7 +2234,7 @@ def test_library_circuits_keep_their_forward_schedule():
         for gates, picked in ((c.gates, 0), (adjoint(c).gates, 1)):
             steps = _both_ways(gates, width, wide)
             assert len(steps[picked]) < len(steps[1 - picked]), (c, width)
-            assert list(circuit_module._schedule(gates, width, wide)) == \
+            assert list(circuit_module._schedule(gates, width)) == \
                 steps[picked]
 
 
@@ -2193,7 +2249,7 @@ def test_a_tie_keeps_the_forward_schedule():
                                        circuit_module._apply_gate]
     assert [a for a, _ in backward] == [circuit_module._apply_gate,
                                         circuit_module._apply_window]
-    assert list(circuit_module._schedule(c.gates, width, False)) == forward
+    assert list(circuit_module._schedule(c.gates, width)) == forward
 
 
 @pytest.mark.parametrize("offset", [0, -1])

@@ -11,7 +11,6 @@ from groupqft.groups import (
     cyclic_irreps,
     extendable_indices,
     induce,
-    inner_conjugate,
     regular_permutations,
     regular_representation,
 )
@@ -86,6 +85,8 @@ def test_orders_and_exponents():
     assert GroupSpec(Family.QP, 3).conj_exponent == 5
     assert GroupSpec(Family.QD, 4).conj_exponent == 7
     assert GroupSpec(Family.CYCLIC, 5).order == 32
+    # conjugation fixes every element of the abelian cyclic group
+    assert GroupSpec(Family.CYCLIC, 5).conj_exponent == 1
 
 
 def test_multiplication_examples():
@@ -313,26 +314,6 @@ def test_quaternion_2dim_irrep_oracle():
         "y": np.array([[0.0, 1.0], [-1.0, 0.0]]),
     })
     assert rho.relation_defect() < 1e-12
-
-
-@pytest.mark.parametrize("family", NONABELIAN)
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_inner_conjugate_by_y_maps_i_to_ir(family, n):
-    G = GroupSpec(family, n)
-    m = G.cyclic_order
-    r = G.conj_exponent
-    irreps = cyclic_irreps(n)
-    for i in (0, 1, 2, m // 2, m - 1):
-        conj = inner_conjugate(irreps[i], G, G.y())
-        expect = irreps[(i * r) % m]
-        assert np.allclose(conj.images["x"], expect.images["x"], atol=1e-12)
-
-
-def test_inner_conjugate_by_identity_is_noop():
-    G = GroupSpec(Family.QD, 3)
-    rho = cyclic_irreps(3)[5]
-    conj = inner_conjugate(rho, G, G.identity())
-    assert np.allclose(conj.images["x"], rho.images["x"])
 
 
 def test_induced_representation_blocks():
