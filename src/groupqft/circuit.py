@@ -174,8 +174,8 @@ def _set_unitary(g: Gate, u: Matrix) -> None:
             and u.flags.owndata and not u.flags.writeable):
         try:
             u = np.array(u, dtype=np.complex128)
-        except TypeError:
-            raise ValueError(f"gate unitary {u!r} is not numeric") from None
+        except (TypeError, ValueError):
+            raise ValueError(f"gate matrix {u!r} is not numeric") from None
         u.flags.writeable = False
     diagonal, flip = _check_2x2_unitary(u)
     _set(g, "u", u)

@@ -151,11 +151,11 @@ def test_bool_like_polarities_fire_as_their_bool(polarity):
     g = MultiControlled(X_MATRIX, ((0, polarity),), 1)
     assert g.controls == ((0, bool(polarity)),)
     assert type(g.controls[0][1]) is bool
-    # X on qubit 1 fires where qubit 0 reads the polarity
-    fired = [int(bool(polarity)), int(bool(polarity)) | 2]
+    # with qubit 0 reading the polarity, X on qubit 1 fires
+    bit = int(bool(polarity))
     state = np.zeros(4)
-    state[fired[0]] = 1.0
-    assert apply_to_state(Circuit(2, (g,)), state)[fired[1]] == 1.0
+    state[bit] = 1.0
+    assert apply_to_state(Circuit(2, (g,)), state)[bit | 2] == 1.0
 
 
 def test_gates_keep_no_writable_u_of_the_caller():
@@ -316,12 +316,15 @@ CIRCUIT_ERRORS = {
     "mcu-float-polarity": (lambda: MultiControlled(X_MATRIX, ((1, 0.5),), 0),
                            "controls ((1, 0.5),) are not (qubit, polarity) "
                            "pairs"),
-    # a u that numpy cannot read as numbers raised TypeError
+    # a u that numpy cannot read as numbers raised TypeError, or numpy's
+    # own ValueError
     "local-dict-u": (lambda: Local({"a": 1}, 0),
-                     "gate unitary {'a': 1} is not numeric"),
+                     "gate matrix {'a': 1} is not numeric"),
+    "local-text-u": (lambda: Local("ab", 0),
+                     "gate matrix 'ab' is not numeric"),
     "mcu-object-u": (lambda: MultiControlled(
         np.array([[{}, 0], [0, 1]], dtype=object), ((1, True),), 0),
-        "gate unitary array([[{}, 0],\n       [0, 1]], dtype=object) is not "
+        "gate matrix array([[{}, 0],\n       [0, 1]], dtype=object) is not "
         "numeric"),
     # a pair of the right length keeps as_int's message for its qubit
     "mcu-pair-float-qubit": (lambda: MultiControlled(
