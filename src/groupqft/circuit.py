@@ -103,21 +103,32 @@ __all__ = [
     "controlled",
     "cost",
     "embed",
+    "frozen_matrix",
     "gate_cost",
     "to_matrix",
 ]
 
 GATE_EPS = 1e-12
 
-# Read-only: every CNot's class-level u is X_MATRIX, and circuits share
-# these arrays between gates, so a write through one gate would rewrite
-# the others after their unitarity check and kind flags were set.
-X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-Z_MATRIX = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-for _u in (X_MATRIX, Z_MATRIX, H_MATRIX):
-    _u.flags.writeable = False
-del _u
+def frozen_matrix(u: Matrix) -> np.ndarray:
+    """Complex128 copy of `u`, read-only over an immutable bytes buffer.
+
+    numpy refuses to make such an array writable again, so gates can
+    share it: `Local` and `MultiControlled` keep it as it is.
+    """
+    a = np.asarray(u, dtype=np.complex128)
+    frozen = np.frombuffer(a.tobytes(), dtype=np.complex128)
+    frozen.shape = a.shape
+    return frozen
+
+
+# Frozen: every CNot's class-level u is X_MATRIX, and circuits share these
+# arrays between gates, so a write through one gate would rewrite the
+# others after their unitarity check and kind flags were set.
+X_MATRIX = frozen_matrix([[0.0, 1.0], [1.0, 0.0]])
+Z_MATRIX = frozen_matrix([[1.0, 0.0], [0.0, -1.0]])
+H_MATRIX = frozen_matrix(np.array([[1.0, 1.0], [1.0, -1.0]],
+                                  dtype=np.complex128) / np.sqrt(2.0))
 
 
 def _check_2x2_unitary(u: Matrix) -> tuple[bool, bool]:
@@ -162,21 +173,20 @@ def _set_unitary(g: Gate, u: Matrix) -> None:
     """Check `u`, then store it read-only on the frozen gate g with its
     kind: `diagonal` and `flip`.
 
-    A read-only complex128 array that owns its data, as the shared ones of
-    the library, the parser and `adjoint` are, is kept; any other `u` is
-    copied, so no later write can change a checked gate.  The kind and
-    `span` are attributes, not fields, so equality, hashing and the text
-    format see only the fields.  Local and MultiControlled write their
-    own __init__: the generated one would set each field once before
-    __post_init__ set it again, about 0.5 us a gate.
+    A complex128 array over a bytes buffer, as `frozen_matrix` makes them
+    for the library, the parser and `adjoint`, is kept; any other `u` is
+    copied into one, so no later write can change a checked gate.  The
+    kind and `span` are attributes, not fields, so equality, hashing and
+    the text format see only the fields.  Local and MultiControlled write
+    their own __init__: the generated one would set each field once
+    before __post_init__ set it again, about 0.5 us a gate.
     """
     if not (type(u) is np.ndarray and u.dtype is _COMPLEX
-            and u.flags.owndata and not u.flags.writeable):
+            and type(u.base) is bytes):
         try:
-            u = np.array(u, dtype=np.complex128)
+            u = frozen_matrix(u)
         except (TypeError, ValueError):
             raise ValueError(f"gate matrix {u!r} is not numeric") from None
-        u.flags.writeable = False
     diagonal, flip = _check_2x2_unitary(u)
     _set(g, "u", u)
     _set(g, "diagonal", diagonal)
@@ -989,8 +999,8 @@ def adjoint(c: Circuit) -> Circuit:
     """Circuit for U^H: the gates in reverse order, each 2x2 gate with u^H
     and each qubit permutation inverted.
 
-    CNOTs stay CNOTs.  Gates whose u are equal share one read-only u^H,
-    as the library's gates share theirs.
+    CNOTs stay CNOTs.  Gates whose u are equal share one frozen u^H
+    (`frozen_matrix`), as the library's gates share theirs.
     """
     shared: dict[bytes, Matrix] = {}
     gates: list[Gate] = []
@@ -1006,8 +1016,7 @@ def adjoint(c: Circuit) -> Circuit:
             key = g.u.tobytes()
             u = shared.get(key)
             if u is None:
-                u = shared[key] = np.ascontiguousarray(g.u.conj().T)
-                u.flags.writeable = False
+                u = shared[key] = frozen_matrix(g.u.conj().T)
             gates.append(MultiControlled(u, g.controls, g.target)
                          if g.controls else Local(u, g.target))
     return Circuit(c.width, tuple(gates))

@@ -27,6 +27,7 @@ from .circuit import (
     Z_MATRIX,
     controlled,
     embed,
+    frozen_matrix,
 )
 from .groups import Family, GroupSpec
 from .linalg import as_int
@@ -43,11 +44,8 @@ __all__ = [
 
 
 def _phase(k: int) -> np.ndarray:
-    """diag(1, exp(2 pi i / 2**k)), read-only, since gates share it."""
-    u = np.array([[1.0, 0.0], [0.0, np.exp(2j * np.pi / (1 << k))]],
-                 dtype=np.complex128)
-    u.flags.writeable = False
-    return u
+    """diag(1, exp(2 pi i / 2**k)), frozen, since gates share it."""
+    return frozen_matrix([[1.0, 0.0], [0.0, np.exp(2j * np.pi / (1 << k))]])
 
 
 def qft_cyclic_circuit(n: int) -> Circuit:

@@ -5,10 +5,11 @@ representation comes from the group product alone, as one index array per
 generator (phi(g) @ v == v[sigma]), the census of all five families from
 the closed-form count table, and block positions from that census alone.
 The only synthesis artifact a check touches is the matrix under test.
-`check_decomposition` holds at most three |G| x |G| arrays at once: b, a
-gather buffer and a product buffer, which each generator's conjugate
-reuses in turn.  It grades the predicted blocks as two stacked arrays,
-1-dim and 2-dim summands, with whole-array operations.
+The only |G| x |G| array either check holds is b itself:
+`check_decomposition` works through b's columns in chunks of about
+`_CHUNK` entries, and `circuit_matches` builds the circuit's matrix in
+column blocks of that size.  The predicted blocks are graded as two
+stacked arrays, 1-dim and 2-dim summands, with whole-array operations.
 """
 
 from __future__ import annotations
@@ -19,7 +20,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import Circuit, apply_to_state, cost
+from .circuit import (
+    Circuit,
+    CNot,
+    Gate,
+    Local,
+    MultiControlled,
+    QubitPerm,
+    apply_to_state,
+    cost,
+)
 # unused here, but qftbench's tracer wraps verify.to_matrix
 from .circuit import to_matrix  # noqa: F401
 from .circuit_library import qft_circuit
@@ -43,7 +53,8 @@ ROUND_DIGITS = 9
 # a 2-dim block is irreducible when its generator images fail to commute
 # by more than this
 COMMUTATOR_FLOOR = 1e-6
-# entries per row chunk of a gather or a max over a |G| x |G| array
+# entries per column chunk of a |G| x |G| product, and per column block
+# of the circuit's matrix
 _CHUNK = 1 << 15
 
 
@@ -98,11 +109,14 @@ def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
 
     Blocks are stacked in layout order, both halves: `ones` (k1, generators)
     holds the 1-dim summands, `twos` (k2, generators, 2, 2) the 2-dim ones.
-    b b^H is formed in the product buffer, which then takes each
-    generator's conjugate b^H phi(g) b in turn: its blocks are copied out
-    and zeroed in place, and the max of what is left is that generator's
-    off-block part.  b^H X is formed as conj(b^T conj(X)), which equals it
-    bit for bit and needs no conjugate copy of b.
+    The columns are taken in chunks of max(4, _CHUNK // |G|).  Each
+    chunk forms those columns of b b^H - I, then those of each
+    generator's conjugate b^H phi(g) b in turn: the block entries that
+    fall in the chunk are copied out and zeroed in place, and the max of
+    what is left is that chunk's off-block part.  b^H X is formed as
+    conj(b^T conj(X)), which equals it bit for bit and needs no conjugate
+    copy of b.  The tests hold the report at chunks of 4, 8 and 16
+    columns equal, field for field, to a dense reference.
     """
     b = np.asarray(b, dtype=np.complex128)
     if b.shape != (G.order, G.order):
@@ -111,12 +125,6 @@ def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
     perms = list(regular_permutations(G).values())
     if not all(np.array_equal(np.sort(s), np.arange(G.order)) for s in perms):
         raise AssertionError("phi(g) is not a permutation of range(|G|)")
-    # the gather buffer starts as b^H, in b.conj().T's memory order;
-    # x - 0.0 == x, so only the diagonal needs the identity subtracted
-    work = b.T.conj()
-    product = b @ work
-    product[np.diag_indices(G.order)] -= 1.0
-    unitarity = _max_abs(product)
 
     # layout, per half: the extendable characters, then the induced pairs;
     # a census with no pairs (the cyclic group's) is a single half
@@ -126,22 +134,41 @@ def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
     chars = counts[1] // halves
     start = G.order // halves * np.arange(halves)[:, None]
     one = (start + np.arange(chars)).ravel()
-    two = (start + chars + 2 * np.arange(pairs)).ravel()[:, None] + (0, 1)
-    two_blocks = (two[:, :, None], two[:, None, :])
+    two = (start + chars + 2 * np.arange(pairs)).ravel()
     ones = np.empty((len(one), len(perms)), dtype=np.complex128)
     twos = np.empty((len(two), len(perms), 2, 2), dtype=np.complex128)
-    off_blocks = []
-    for k, sigma in enumerate(perms):
-        # phi(g) b in row chunks: a whole gather would be a fourth array
-        for rows in _row_chunks(G.order):
-            np.conjugate(b[sigma[rows]], out=work[rows])
-        np.matmul(b.T, work, out=product)
-        np.conjugate(product, out=product)
-        ones[:, k] = product[one, one]
-        twos[:, k] = product[two_blocks]
-        product[one, one] = 0.0
-        product[two_blocks] = 0.0
-        off_blocks.append(_max_abs(product))
+    unitarities, off_blocks = [], []
+    # pair starts are even and the width a power of two, so no pair
+    # straddles two chunks; a chunk has at least 4 columns, since OpenBLAS
+    # rounded a product of 2 columns otherwise than the whole product
+    width = min(G.order, max(4, _CHUNK // G.order))
+    diagonal = np.arange(width)
+    for c0 in range(0, G.order, width):
+        cols = slice(c0, c0 + width)
+        # columns c0.. of b b^H - I; x - 0.0 == x, so only the diagonal
+        # needs the identity subtracted
+        chunk = b @ b[cols].conj().T
+        chunk[c0 + diagonal, diagonal] -= 1.0
+        unitarities.append(np.max(np.abs(chunk)))
+        # the summands whose columns fall in the chunk
+        i1 = slice(*np.searchsorted(one, (c0, c0 + width)))
+        i2 = slice(*np.searchsorted(two, (c0, c0 + width)))
+        one_block = (one[i1], one[i1] - c0)
+        pair = two[i2][:, None] + (0, 1)
+        two_blocks = (pair[:, :, None], pair[:, None, :] - c0)
+        for k, sigma in enumerate(perms):
+            # columns c0.. of b^H phi(g) b, from the gathered rows of b
+            gathered = b[sigma, cols]
+            np.conjugate(gathered, out=gathered)
+            np.matmul(b.T, gathered, out=chunk)
+            np.conjugate(chunk, out=chunk)
+            ones[i1, k] = chunk[one_block]
+            twos[i2, k] = chunk[two_blocks]
+            chunk[one_block] = 0.0
+            chunk[two_blocks] = 0.0
+            off_blocks.append(np.max(np.abs(chunk)))
+    # np.max, not Python's max, which drops a NaN after the first item
+    unitarity = float(np.max(unitarities))
     off_block = float(np.max(off_blocks))
 
     ok = bool(np.all(np.abs(np.abs(ones) - 1.0) < 1e-9))
@@ -169,35 +196,51 @@ def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
     )
 
 
-def _row_chunks(rows: int) -> list[slice]:
-    """Slices of about _CHUNK entries of a square array with `rows` rows."""
-    step = max(1, _CHUNK // rows)
-    return [slice(r, r + step) for r in range(0, rows, step)]
-
-
-def _max_abs(a: np.ndarray) -> float:
-    """max |a| over a square array, NaN if a holds a NaN, taken in row
-    chunks so that |a| never exists whole."""
-    return float(np.max([np.max(np.abs(a[rows]))
-                         for rows in _row_chunks(len(a))]))
-
-
 def circuit_matches(c: Circuit, b: Matrix) -> float:
     """Max entrywise deviation of the circuit's matrix U from b.
 
-    The state kernel runs the circuit on the batch of basis states, the
-    rows of a bool identity that it copies to complex exactly, and row r
-    of the result is U e_r: the result is U^T, compared with b^T in place.
-    `to_matrix` is not called; it is the tests' oracle for this.
+    U is built `cols` = min(dim, max(1, _CHUNK // dim)) columns at a time.
+    The circuit, lifted onto the top qubits (`_lifted`), runs through the
+    state kernel on the flattened (dim, cols) slice of the identity whose
+    entry (r, j) is 1 where r = c0 + j, a bool array that the kernel
+    copies to complex exactly; the result, read as (dim, cols), is
+    U[:, c0:c0 + cols].  `to_matrix` is not called; it is the tests'
+    oracle for this.
     """
     b = np.asarray(b, dtype=np.complex128)
     dim = 1 << c.width
     if b.shape != (dim, dim):
         raise ValueError(
             f"matrix shape {b.shape} does not match circuit width {c.width}")
-    ut = apply_to_state(c, np.eye(dim, dtype=bool))
-    ut -= b.T
-    return float(np.max(np.abs(ut)))
+    cols = min(dim, max(1, _CHUNK // dim))
+    lifted = _lifted(c, cols.bit_length() - 1)
+    defects = []
+    for c0 in range(0, dim, cols):
+        identity = np.eye(dim, cols, -c0, dtype=bool).ravel()
+        block = apply_to_state(lifted, identity).reshape(dim, cols)
+        block -= b[:, c0:c0 + cols]
+        defects.append(np.max(np.abs(block)))
+    # np.max, not Python's max, which drops a NaN after the first item
+    return float(np.max(defects))
+
+
+def _lifted(c: Circuit, shift: int) -> Circuit:
+    """c on `shift` more qubits, its qubit q moved to q + shift; the
+    bottom `shift` qubits are left alone."""
+    gates: list[Gate] = []
+    for g in c.gates:
+        if isinstance(g, QubitPerm):
+            gates.append(QubitPerm(tuple(range(shift))
+                                   + tuple(s + shift for s in g.sigma)))
+        elif isinstance(g, CNot):
+            gates.append(CNot(g.control + shift, g.target + shift))
+        elif g.controls:
+            gates.append(MultiControlled(
+                g.u, tuple((q + shift, p) for q, p in g.controls),
+                g.target + shift))
+        else:
+            gates.append(Local(g.u, g.target + shift))
+    return Circuit(c.width + shift, tuple(gates))
 
 
 def scaling_fit(G: GroupSpec, ns: list[int]) -> float:

@@ -20,7 +20,7 @@ from conftest import (
     unitaries,
 )
 from groupqft import circuit as circuit_module
-from groupqft import circuit_library
+from groupqft import circuit_library, verify
 from groupqft.circuit import (
     GATE_EPS,
     Circuit,
@@ -139,10 +139,39 @@ def test_shared_gate_matrices_are_read_only():
     cnot = CNot(0, 1)
     assert cnot.u is X_MATRIX
     for u in (X_MATRIX, Z_MATRIX, H_MATRIX, cnot.u):
-        assert u.flags.owndata
+        assert type(u.base) is bytes
         with pytest.raises(ValueError):
             u[0, 1] = 5
     assert cnot.flip and np.array_equal(CNot(1, 0).u, [[0, 1], [1, 0]])
+
+
+def _shared_matrices():
+    """The gate matrices the package shares between gates: the module's,
+    the library's phases, the parser's, adjoint's, and the copy a gate
+    makes of a writable array."""
+    cyclic = qft_cyclic_circuit(3)
+    text = "circuit width=1 gates=1\nlocal q=0 u=0,0,1,0,1,0,0,-0.0"
+    return [X_MATRIX, Z_MATRIX, H_MATRIX,
+            *[g.u for g in cyclic.gates if not isinstance(g, QubitPerm)],
+            parse_circuit(text).gates[0].u,
+            *[g.u for g in adjoint(cyclic).gates
+              if not isinstance(g, QubitPerm)],
+            Local(np.eye(2, dtype=np.complex128), 0).u]
+
+
+def test_shared_gate_matrices_cannot_be_made_writable():
+    # an array that owned its data could be made writable again: after
+    # X_MATRIX.flags.writeable = True and a write of the identity, CNot(0,
+    # 1).flip stayed True, so apply_to_state swapped |01> to |11> while
+    # to_matrix kept it
+    for u in _shared_matrices():
+        assert type(u.base) is bytes and u.dtype == np.complex128
+        with pytest.raises(ValueError):
+            u.flags.writeable = True
+        assert not u.flags.writeable
+    c = Circuit(2, (CNot(0, 1),))
+    state = np.array([0.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(apply_to_state(c, state), to_matrix(c) @ state)
 
 
 @pytest.mark.parametrize("polarity", [True, np.True_, 1, np.int64(1), False,
@@ -177,7 +206,7 @@ def test_gates_keep_no_writable_u_of_the_caller():
     view.flags.writeable = False
     g = Local(view, 0)
     base[:] = X_MATRIX
-    assert g.u is not view and g.u.flags.owndata
+    assert g.u is not view and type(g.u.base) is bytes
     assert np.array_equal(g.u, np.eye(2)) and not g.flip
 
 
@@ -971,16 +1000,6 @@ def test_fused_runs_at_the_width_threshold(offset, monkeypatch):
     assert np.max(np.abs(got - _reference_chain(c.gates, state))) < 1e-12
 
 
-def _raised(g, lo):
-    """The 2x2 gate g with every qubit moved up by lo."""
-    if isinstance(g, CNot):
-        return CNot(g.control + lo, g.target + lo)
-    controls = tuple((q + lo, p) for q, p in g.controls)
-    if controls:
-        return MultiControlled(g.u, controls, g.target + lo)
-    return Local(g.u, g.target + lo)
-
-
 def _model_spans(width, k):
     """The (lo, hi) qubit span of each window of `_model_windows`, from
     the top down."""
@@ -1027,7 +1046,8 @@ def test_window_layout_is_even(k, widths, monkeypatch):
         assert sizes[0] == max(sizes), width
         assert [(min(st), max(st) + 1) for st in stages] == \
             _model_spans(width, k), width
-    # width 18 keeps the three 6-qubit windows of verify's n = 8 batches
+    # width 18 keeps the three 6-qubit windows of the n = 8 identity
+    # batches
     if k == 6:
         assert _model_spans(18, 6) == [(12, 18), (6, 12), (0, 6)]
         assert _model_spans(21, 6) == [(15, 21), (10, 15), (5, 10), (0, 5)]
@@ -1049,11 +1069,11 @@ def test_fused_window_matches_to_matrix_of_its_run(seed, monkeypatch):
     cascade = qft_cyclic_circuit(size).gates[:-1]
     run = [*cascade, *random_circuit(rng, size, 12).gates]
     run = [g for g in run if not isinstance(g, QubitPerm)]
-    raised = tuple(_raised(g, lo) for g in run)
+    c = Circuit(size, tuple(run))
     state = _random_state(rng, width)
-    got = apply_to_state(Circuit(width, raised), state)
+    got = apply_to_state(embed(verify._lifted(c, lo), width), state)
     assert calls == [len(run)]
-    u = to_matrix(Circuit(size, tuple(run)))
+    u = to_matrix(c)
     want = np.matmul(u, state.reshape(-1, 1 << size, 1 << lo)).reshape(-1)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -1086,7 +1106,7 @@ def test_window_build_never_fuses_again(monkeypatch):
 
 @pytest.mark.parametrize("n, rows", [(8, 512), (15, 1)])
 def test_state_kernel_builds_no_circuit(n, rows, monkeypatch):
-    # the qd circuit on verify's 512-row identity batch (width 18) and on
+    # the qd circuit on its 512-row identity batch (width 18) and on
     # one width-16 state: batch rows are leading axes, and a fused stage's
     # matrix is built from its own gates, so no Circuit is made
     c = qft_circuit(GroupSpec(Family.QD, n))
@@ -1691,9 +1711,9 @@ def test_banded_permutations_match_to_matrix_with_small_blocks(
     assert calls[:len(want)] == want
 
 
-def test_verify_batch_permutations_stay_on_the_transpose(monkeypatch):
-    # verify_n8 runs each width-9 circuit on a batch of 512 basis rows, a
-    # width-18 state whose permutations move at most 9 qubits
+def test_identity_batch_permutations_stay_on_the_transpose(monkeypatch):
+    # a width-9 circuit on the batch of its 512 basis rows is a width-18
+    # state whose permutations move at most 9 qubits
     calls = _band_spy(monkeypatch)
     fan_outs = _fan_out_spy(monkeypatch)
     G = GroupSpec(Family.QD, 8)
@@ -1870,7 +1890,7 @@ def test_move_runs_only_on_wide_states(offset, monkeypatch):
 
 @pytest.mark.parametrize("rows", [1 << 9, 1 << 12])
 def test_move_runs_only_on_states_of_the_minimum_size(rows, monkeypatch):
-    # qd n = 8 on verify's batch of 512 rows is a width-18 state, below
+    # qd n = 8 on a batch of 512 rows is a width-18 state, below
     # _MOVES_MIN_SIZE, and keeps its moves step by step; 4096 rows make a
     # width-21 state of 2^21 entries, whose reorder factor is one gather
     calls = _moves_spy(monkeypatch)
@@ -1964,9 +1984,9 @@ def test_release_runs_a_factor_past_the_phase_cap_alone(monkeypatch):
 
 
 def test_release_of_two_small_gates_runs_them_alone():
-    # like the equalizer's pair of multi-controlled Z gates in verify's
-    # width-18 batches: two gates on their control blocks touch less of
-    # the state than one pass of a product
+    # like the equalizer's pair of multi-controlled Z gates in the
+    # width-18 identity batches: two gates on their control blocks touch
+    # less of the state than one pass of a product
     gates = [MultiControlled(Z_MATRIX, ((13, True), (12, False)), t)
              for t in (0, 5)]
     assert list(circuit_module._release(gates)) == \
@@ -2018,9 +2038,11 @@ def test_diagonal_kind_is_read_at_construction():
 
 # Pinned schedules: the (kernel, payload size) steps apply_to_state runs
 # on the benchmark's circuits, qd n = 20 and cyclic n = 21 on one state
-# each and the four n = 8 batches of verify (width 18), and on the
-# adjoints of the two width-21 circuits.  A change to the scheduling rules
-# or to a kernel's route that moves any of them fails here.
+# each, on the adjoints of the two width-21 circuits, and on the lifted
+# blocks that verify.circuit_matches runs at qd n = 8 (width 15).  The
+# four n = 8 circuits on the batch of their 512 basis rows (width 18) pin
+# the kernel's batch route.  A change to the scheduling rules or to a
+# kernel's route that moves any of them fails here.
 
 _KERNELS = ("_apply_window", "_apply_diagonals", "_apply_gate", "_permute",
             "_apply_fan_out", "_apply_moves")
@@ -2087,12 +2109,17 @@ _PINNED_STEPS = {
     "qp8": [_GATE] * 3 + [_PERM] + _N8_TAIL,
     "qd8": [_GATE] * 5 + [_PERM, ("_apply_fan_out", 7)]
     + [_GATE] * 9 + _N8_TAIL,
+    # one block of circuit_matches: lifted by 6 qubits, the cyclic factor
+    # sits on qubits 6-13, in the windows [10, 15) and [5, 10) of width 15
+    "qd8-lifted": [_GATE] * 5 + [_PERM, ("_apply_fan_out", 7)]
+    + [_GATE] * 9 + [("_apply_window", 10), ("_apply_diagonals", 16),
+                     ("_apply_window", 10), _PERM],
 }
 
 
 def _pinned_steps(c, n, monkeypatch):
-    """The steps apply_to_state runs `c` with, on the identity at n = 8, as
-    verify does, and on one state otherwise, as simulate_w21 does."""
+    """The steps apply_to_state runs `c` with, on the batch of all basis
+    rows at n = 8, and on one state otherwise, as simulate_w21 does."""
     dim = 1 << c.width
     state = np.eye(dim) if n == 8 else np.zeros(dim)
     calls = _steps_spy(monkeypatch)
@@ -2107,6 +2134,16 @@ def test_benchmark_schedules_are_pinned(family, n, monkeypatch):
     c = qft_circuit(GroupSpec(family, n))
     assert _pinned_steps(c, n, monkeypatch) == \
         _PINNED_STEPS[f"{family.value}{n}"]
+
+
+def test_circuit_matches_block_schedule_is_pinned(monkeypatch):
+    # verify_n8's circuit check: 8 blocks of 64 identity columns, each a
+    # width-15 state run with the same steps
+    G = GroupSpec(Family.QD, 8)
+    b = assemble(G).b
+    calls = _steps_spy(monkeypatch)
+    verify.circuit_matches(qft_circuit(G), b)
+    assert calls == _PINNED_STEPS["qd8-lifted"] * 8
 
 
 @pytest.mark.parametrize("family, n", [(Family.QD, 20), (Family.CYCLIC, 21)])
@@ -2224,8 +2261,8 @@ def test_both_directions_match_to_matrix_with_a_small_window(seed,
 
 
 def test_library_circuits_keep_their_forward_schedule():
-    # every transform at widths 14-21 and at verify's width-18 batches of
-    # n = 8 schedules forward; its adjoint schedules backward, in fewer
+    # every transform at widths 14-21 and on the width-18 identity batches
+    # of n = 8 schedules forward; its adjoint schedules backward, in fewer
     # steps
     cases = [(_adjoint_input(w), w) for w in range(14, 22)]
     cases += [(qft_circuit(GroupSpec(f, 8)), 18) for f in Family

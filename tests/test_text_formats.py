@@ -197,12 +197,13 @@ def test_non_unitary_gate_text_names_its_line(gate, u):
 
 
 def test_parsed_gate_matrix_owns_its_data():
-    # a reshaped view would keep a second, 1-D array alive in every gate
+    # a reshaped view would keep a second, 1-D array alive in every gate;
+    # the matrix's only base is the immutable bytes of its own entries
     text = ("circuit width=2 gates=2\n"
             "local q=0 u=0,1,0,-0.0,0,-0.0,0,-1\n"
             "mcu controls=1:- t=0 u=1,0,-0.0,0,0,-0.0,-1,0")
     for g in parse_circuit(text).gates:
-        assert g.u.base is None and g.u.flags.owndata, g
+        assert type(g.u.base) is bytes and len(g.u.base) == g.u.nbytes, g
         assert g.u.shape == (2, 2) and g.u.flags.c_contiguous
     local, mcu = parse_circuit(text).gates
     assert np.signbit(local.u[0, 1].imag) and np.signbit(mcu.u[0, 1].real)
