@@ -54,12 +54,13 @@ On the wide states, one post-pass (`_move_runs`) then regroups the
 steps that only move entries: a permutation, and a gate on its own whose
 u is exactly X.  In each group of consecutive such steps, a fan-out run,
 two or more consecutive X gates with one set of controls and distinct
-targets, becomes one step; and on states of at least `_MOVES_MIN_SIZE`
-entries, a group that then holds two or more steps, among them a
-permutation, is a move run, which runs on an index array and moves the
-state by one gather.  These steps only move entries, so their results
-are exact.  On a narrow state nothing is deferred or regrouped, and its
-one stage runs gate by gate, so its results do not depend on windows.
+targets, becomes one step; and a group that then holds three or more
+steps, among them a permutation, is a move run, which runs on an index
+array and moves the state by one gather.  The rule reads the steps
+alone, not the state's size.  These steps only move entries, so their
+results are exact.  On a narrow state nothing is deferred or regrouped,
+and its one stage runs gate by gate, so its results do not depend on
+windows.
 Every step is a (kernel, payload) pair whose kernel returns the state,
 and each kernel's docstring says how it runs.
 
@@ -420,16 +421,6 @@ _BLOCK = 1 << 14
 # gate by gate, so it never fuses again, whatever the two values.
 _WINDOW = 6
 _FUSE_MIN_WIDTH = 14
-
-# Entries a state needs before its move runs go through an index array
-# (`_apply_moves`).  At 2^21 complex entries, 32 MiB, glibc maps every
-# state array fresh and unmaps it when it is freed.  On smaller states the
-# index arrays, a new size class, changed how the heap was reused between
-# calls: on verify's width-18 batches, page faults per `full_report` rose
-# from about 2,950 to 4,670 and the call slowed by about 8%, in 10 of 10
-# rounds (CHANGES.md), although the runs themselves got faster.  Widths
-# 19 and 20 are unmeasured.
-_MOVES_MIN_SIZE = 1 << 21
 
 # Rows of the (2^h, 2^l) view of a permutation's moved span that the banded
 # route gathers at a time.  Measured (CHANGES.md): on width-21 bit
@@ -797,17 +788,21 @@ def _moves(step: _Step) -> bool:
     return apply is _permute or (apply is _apply_gate and g.flip)
 
 
-def _move_runs(steps: Iterator[_Step], wide: bool) -> Iterator[_Step]:
+def _move_runs(steps: Iterator[_Step]) -> Iterator[_Step]:
     """The steps of `_segments` in order, each group of consecutive steps
     that only move entries (`_moves`) regrouped.
 
     Inside a group, a fan-out run, two or more consecutive X gates with
     one set of controls and distinct targets, becomes one step
     (`_apply_fan_out`, its gates); no target can be a control, since every
-    gate keeps its target out of its own controls.  On a `wide` state, a
-    group that then holds two or more steps, among them a permutation, is
-    one move run (`_apply_moves`, its steps).  Any other group is given
-    back step by step, so it stays in place.
+    gate keeps its target out of its own controls.  A group that then
+    holds three or more steps, among them a permutation, is one move run
+    (`_apply_moves`, its steps): the steps run on an index array a quarter
+    of the state's bytes, and one gather replaces their passes over the
+    state.  Any other group is given back step by step, so it stays in
+    place: without a permutation it has no new array to fill, and two
+    steps, as qp's twiddle X and reorder swap, ran slower as a gather at
+    widths 14-20 (CHANGES.md).
     """
     for moves, group in groupby(steps, _moves):
         if not moves:
@@ -824,7 +819,7 @@ def _move_runs(steps: Iterator[_Step], wide: bool) -> Iterator[_Step]:
                     run[-1] = (_apply_fan_out, [*xs, g])
                     continue
             run.append((apply, g))
-        if wide and len(run) > 1 and any(a is _permute for a, _ in run):
+        if len(run) > 2 and any(a is _permute for a, _ in run):
             yield _apply_moves, run
         else:
             yield from run
@@ -859,15 +854,14 @@ def _schedule(gates: tuple[Gate, ...], width: int) -> Iterable[_Step]:
 
     Below `_FUSE_MIN_WIDTH` they are the `_segments` of the gates.  On the
     fused widths both directions are scheduled and regrouped by
-    `_move_runs`, wide from `_MOVES_MIN_SIZE` entries: the gates as
-    listed, and the gates in reverse order read back (`_backward`).
-    Whichever gives fewer steps runs, the forward one on a tie.
+    `_move_runs`: the gates as listed, and the gates in reverse order read
+    back (`_backward`).  Whichever gives fewer steps runs, the forward one
+    on a tie.
     """
     if width < _FUSE_MIN_WIDTH:
         return _segments(gates, width)
-    wide = 1 << width >= _MOVES_MIN_SIZE
-    forward = list(_move_runs(_segments(gates, width), wide))
-    backward = list(_move_runs(_backward(gates, width), wide))
+    forward = list(_move_runs(_segments(gates, width)))
+    backward = list(_move_runs(_backward(gates, width)))
     return backward if len(backward) < len(forward) else forward
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -103,6 +104,14 @@ def census(G: GroupSpec) -> tuple[tuple[int, int], ...]:
     return ((1, 4), (2, (1 << (G.n - 1)) - 1))
 
 
+def _complex_matrix(b: Matrix) -> np.ndarray:
+    """`b` as a complex128 array; a ValueError if it is not numeric."""
+    try:
+        return np.asarray(b, dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise ValueError(f"matrix {reprlib.repr(b)} is not numeric") from None
+
+
 def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
     """Conjugate the regular representation by b and grade the result
     against the predicted block structure.
@@ -118,7 +127,7 @@ def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
     copy of b.  The tests hold the report at chunks of 4, 8 and 16
     columns equal, field for field, to a dense reference.
     """
-    b = np.asarray(b, dtype=np.complex128)
+    b = _complex_matrix(b)
     if b.shape != (G.order, G.order):
         raise ValueError(f"matrix shape {b.shape} does not match |G| = {G.order}")
     # phi(g) b gathers b's rows, for x and then y if non-abelian
@@ -207,7 +216,7 @@ def circuit_matches(c: Circuit, b: Matrix) -> float:
     U[:, c0:c0 + cols].  `to_matrix` is not called; it is the tests'
     oracle for this.
     """
-    b = np.asarray(b, dtype=np.complex128)
+    b = _complex_matrix(b)
     dim = 1 << c.width
     if b.shape != (dim, dim):
         raise ValueError(

@@ -6,6 +6,7 @@ import importlib.util
 import re
 import sys
 import tracemalloc
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -902,8 +903,8 @@ def _model_one_way(gates, width, k):
 
 
 def _model_steps(gates, width, k):
-    """The steps of the schedule on a state below `_MOVES_MIN_SIZE`, in
-    the direction the rule picks: `_model_one_way` of the gates as
+    """The steps of the schedule, with no move run regrouped, in the
+    direction the rule picks: `_model_one_way` of the gates as
     listed, or of the reversed gates read from the last step to the first
     with each list reversed, whichever counts fewer steps once each
     fan-out run (`_fan_out_runs`) is one step; the listed one on a tie."""
@@ -1605,11 +1606,16 @@ def test_fan_out_run_releases_pending_gates_on_its_targets(monkeypatch):
 
 
 def test_qd_reorder_cnots_run_as_one_fan_out():
-    # qd n = 20 at width 21: CNot(19, j) for j = 0..18 is one step
+    # qd n = 20 at width 21: CNot(19, j) for j = 0..18 is one step of the
+    # move run that holds the reorder factor
     c = qft_circuit(GroupSpec(Family.QD, 20))
-    steps = circuit_module._move_runs(
-        circuit_module._segments(c.gates, c.width), False)
-    runs = [g for apply, g in steps if apply is circuit_module._apply_fan_out]
+    steps = list(circuit_module._move_runs(
+        circuit_module._segments(c.gates, c.width)))
+    assert not any(apply is circuit_module._apply_fan_out
+                   for apply, _ in steps)
+    runs = [g for apply, payload in steps
+            if apply is circuit_module._apply_moves
+            for inner, g in payload if inner is circuit_module._apply_fan_out]
     assert runs == [[CNot(19, j) for j in range(19)]]
 
 
@@ -1725,11 +1731,10 @@ def test_identity_batch_permutations_stay_on_the_transpose(monkeypatch):
     assert fan_outs == [list(range(7))]
 
 
-# Move runs: on the wide states of at least _MOVES_MIN_SIZE entries, two
-# or more consecutive steps that only move entries (lone X gates, fan-out
-# runs, qubit permutations), among them a permutation, run on an index
-# array and move the state by one gather.  Tests at widths below 21 lower
-# the size threshold.
+# Move runs: on the wide states, three or more consecutive steps that only
+# move entries (lone X gates, fan-out runs, qubit permutations), among them
+# a permutation, run on an index array and move the state by one gather.
+# The rule reads the steps alone, so it holds at every fused width.
 
 def _moves_spy(monkeypatch):
     """Record the steps of each move run apply_to_state applies, each as
@@ -1792,30 +1797,29 @@ def _is_move(apply, g):
 
 @pytest.mark.parametrize("width", [14, 15, 16])
 def test_move_runs_match_reference_bit_for_bit(width, monkeypatch):
-    monkeypatch.setattr(circuit_module, "_MOVES_MIN_SIZE", 1 << 14)
     calls = _moves_spy(monkeypatch)
     rng = np.random.default_rng(1800 + width)
     gates = _move_gates(rng, width)
     state = _random_state(rng, width)
     got = apply_to_state(Circuit(width, tuple(gates)), state)
     assert np.array_equal(got, _reference_chain(gates, state))
-    # each run holds a permutation and only moves; every other step of
-    # the schedule stays in the stream
+    # each run holds three or more steps, a permutation among them, and
+    # only moves; every other step of the schedule stays in the stream
     assert calls
     for steps in calls:
-        assert len(steps) >= 2 and "perm" in [kind for kind, _ in steps]
+        assert len(steps) >= 3 and "perm" in [kind for kind, _ in steps]
     stream = list(circuit_module._schedule(tuple(gates), width))
     grouped = [g for apply, g in stream if apply is circuit_module._apply_moves]
     assert [[g for _, g in steps] for steps in calls] == \
         [[g for _, g in steps] for steps in grouped]
     assert all(_is_move(*step) for steps in grouped for step in steps)
-    for (a, g), (b, h) in zip(stream, stream[1:]):
-        # no two moves side by side outside a run with a permutation
-        if a is not circuit_module._apply_moves \
-                and b is not circuit_module._apply_moves:
-            assert not (_is_move(a, g) and _is_move(b, h)
-                        and (isinstance(g, QubitPerm)
-                             or isinstance(h, QubitPerm)))
+    # outside a run, moves side by side with a permutation are at most two
+    for moves, group in groupby(
+            stream, lambda step: step[0] is not circuit_module._apply_moves
+            and _is_move(*step)):
+        group = list(group)
+        if moves and any(isinstance(g, QubitPerm) for _, g in group):
+            assert len(group) <= 2
 
 
 def test_move_runs_end_where_the_rule_says(monkeypatch):
@@ -1826,7 +1830,6 @@ def test_move_runs_end_where_the_rule_says(monkeypatch):
     # controlled Z across windows is deferred past CNot(13, 1), which
     # targets none of its qubits, so the reversal and the two CNOTs are a
     # run; the Z is released before the last rotation, which stays alone.
-    monkeypatch.setattr(circuit_module, "_MOVES_MIN_SIZE", 1 << 16)
     calls = _moves_spy(monkeypatch)
     width = 16
     rot = QubitPerm((width - 1, *range(width - 1)))
@@ -1852,7 +1855,6 @@ def test_qd_reorder_factor_runs_as_one_move_run(monkeypatch):
     # qd n = 15 at width 16: the twiddle's two X gates and the whole
     # reorder factor (rotation, fan-out, controlled increment, CNOT and
     # Toffoli) are one gather, bit for bit what the steps give one by one
-    monkeypatch.setattr(circuit_module, "_MOVES_MIN_SIZE", 1 << 16)
     calls = _moves_spy(monkeypatch)
     G = GroupSpec(Family.QD, 15)
     c = qft_circuit(G)
@@ -1865,17 +1867,14 @@ def test_qd_reorder_factor_runs_as_one_move_run(monkeypatch):
     flat = [h for _, g in calls[0] for h in (g if isinstance(g, list) else [g])]
     assert format_circuit(Circuit(c.width, tuple(flat))) == format_circuit(
         factors["twiddle"] + factors["reorder"])
-    monkeypatch.setattr(circuit_module, "_move_runs",
-                        lambda steps, wide: steps)
+    monkeypatch.setattr(circuit_module, "_move_runs", lambda steps: steps)
     assert np.array_equal(got, apply_to_state(c, state))
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("offset", [0, -1])
 def test_move_runs_only_on_wide_states(offset, monkeypatch):
-    # below the width threshold every gate runs on its own, in order,
-    # whatever the state's size
-    monkeypatch.setattr(circuit_module, "_MOVES_MIN_SIZE", 1)
+    # below the width threshold every gate runs on its own, in order
     calls = _moves_spy(monkeypatch)
     width = circuit_module._FUSE_MIN_WIDTH + offset
     c = qft_circuit(GroupSpec(Family.QD, width - 1))
@@ -1888,27 +1887,33 @@ def test_move_runs_only_on_wide_states(offset, monkeypatch):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-@pytest.mark.parametrize("rows", [1 << 9, 1 << 12])
-def test_move_runs_only_on_states_of_the_minimum_size(rows, monkeypatch):
-    # qd n = 8 on a batch of 512 rows is a width-18 state, below
-    # _MOVES_MIN_SIZE, and keeps its moves step by step; 4096 rows make a
-    # width-21 state of 2^21 entries, whose reorder factor is one gather
-    calls = _moves_spy(monkeypatch)
-    G = GroupSpec(Family.QD, 8)
-    c = qft_circuit(G)
-    rng = np.random.default_rng(1835)
-    states = rng.standard_normal((rows, 1 << c.width)) + 0j
-    got = apply_to_state(c, states)
-    assert (states.size >= circuit_module._MOVES_MIN_SIZE) == (rows == 1 << 12)
-    assert len(calls) == (1 if rows == 1 << 12 else 0)
-    assert np.max(np.abs(got - states @ assemble(G).b.T)) < 1e-12
+@pytest.mark.parametrize("width", [14, 21])
+def test_move_runs_follow_the_step_count(width):
+    # qp's twiddle X and reorder swap are a group of two moves, which
+    # stays step by step at any fused width; an X, a rotation and an X,
+    # three moves, are one move run, bit for bit the gates one by one
+    steps = list(circuit_module._schedule(
+        qft_circuit(GroupSpec(Family.QP, width - 1)).gates, width))
+    assert all(apply is not circuit_module._apply_moves for apply, _ in steps)
+    kinds = [[apply for apply, _ in group] for moves, group in groupby(
+        steps, lambda step: _is_move(*step)) if moves]
+    assert [circuit_module._apply_gate, circuit_module._permute] in kinds
+    rot = QubitPerm((width - 1, *range(width - 1)))
+    gates = (Local(X_MATRIX, 3), rot, Local(X_MATRIX, 3))
+    assert list(circuit_module._schedule(gates, width)) == [
+        (circuit_module._apply_moves, [(circuit_module._apply_gate, gates[0]),
+                                       (circuit_module._permute, rot),
+                                       (circuit_module._apply_gate, gates[2])])]
+    if width == 14:
+        state = _random_state(np.random.default_rng(1835), width)
+        assert np.array_equal(apply_to_state(Circuit(width, gates), state),
+                              _reference_chain(gates, state))
 
 
 def test_full_qft_circuits_memory_peak(monkeypatch):
     # permutations included: the state copy, the new array a permutation
     # or a move run's gather fills, and a move run's index array of a
     # quarter state, within the bound of the cyclic test above
-    monkeypatch.setattr(circuit_module, "_MOVES_MIN_SIZE", 1 << 18)
     calls = _moves_spy(monkeypatch)
     width = 18
     v = np.random.default_rng(1840).standard_normal(1 << width) + 0j
@@ -2002,7 +2007,6 @@ def test_small_blocks_and_move_runs_match_to_matrix(seed, monkeypatch):
     monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
     monkeypatch.setattr(circuit_module, "_BLOCK", 16)
     monkeypatch.setattr(circuit_module, "_FACTOR_CAP", 8)
-    monkeypatch.setattr(circuit_module, "_MOVES_MIN_SIZE", 1 << 7)
     sizes = _product_spy(monkeypatch)
     calls = _moves_spy(monkeypatch)
     rng = np.random.default_rng(1860 + seed)
@@ -2102,18 +2106,18 @@ _PINNED_STEPS = {
         ("_apply_window", 15), ("_apply_diagonals", 50),
         ("_apply_window", 15), ("_apply_diagonals", 90),
         ("_apply_window", 21)],
-    "dihedral8": [_GATE] * 5 + [_PERM, ("_apply_fan_out", 7)]
-    + [_GATE] * 7 + _N8_TAIL,
-    "quaternion8": [_GATE] * 6 + [_PERM, ("_apply_fan_out", 7)]
-    + [_GATE] * 7 + _N8_TAIL,
+    # the twiddle's two X gates, the reorder's rotation, its fan-out
+    # and its controlled increment are one move run; qp's X and swap, two
+    # moves, stay step by step
+    "dihedral8": [_GATE] * 3 + [("_apply_moves", 11)] + _N8_TAIL,
+    "quaternion8": [_GATE] * 4 + [("_apply_moves", 11)] + _N8_TAIL,
     "qp8": [_GATE] * 3 + [_PERM] + _N8_TAIL,
-    "qd8": [_GATE] * 5 + [_PERM, ("_apply_fan_out", 7)]
-    + [_GATE] * 9 + _N8_TAIL,
+    "qd8": [_GATE] * 3 + [("_apply_moves", 13)] + _N8_TAIL,
     # one block of circuit_matches: lifted by 6 qubits, the cyclic factor
     # sits on qubits 6-13, in the windows [10, 15) and [5, 10) of width 15
-    "qd8-lifted": [_GATE] * 5 + [_PERM, ("_apply_fan_out", 7)]
-    + [_GATE] * 9 + [("_apply_window", 10), ("_apply_diagonals", 16),
-                     ("_apply_window", 10), _PERM],
+    "qd8-lifted": [_GATE] * 3 + [("_apply_moves", 13), ("_apply_window", 10),
+                                 ("_apply_diagonals", 16),
+                                 ("_apply_window", 10), _PERM],
 }
 
 
@@ -2222,10 +2226,10 @@ def _run_steps(steps, state, width):
     return psi.reshape(-1)
 
 
-def _both_ways(gates, width, wide):
+def _both_ways(gates, width):
     """The forward and the backward schedule of the gates on a `width`-qubit
     state, each regrouped by `_move_runs`."""
-    return [list(circuit_module._move_runs(schedule(gates, width), wide))
+    return [list(circuit_module._move_runs(schedule(gates, width)))
             for schedule in (circuit_module._segments,
                              circuit_module._backward)]
 
@@ -2234,7 +2238,7 @@ def _both_ways(gates, width, wide):
 def test_both_directions_match_to_matrix_with_a_small_window(seed,
                                                               monkeypatch):
     # 3-qubit windows from width 7, as for the window tests above, and
-    # move runs (wide) on these small states: every library transform at
+    # move runs on these small states: every library transform at
     # widths 7 and 8 and its adjoint, and random circuits of every step kind
     monkeypatch.setattr(circuit_module, "_WINDOW", 3)
     monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
@@ -2255,24 +2259,25 @@ def test_both_directions_match_to_matrix_with_a_small_window(seed,
     for c in circuits:
         state = _random_state(rng, width)
         want = to_matrix(c) @ state
-        for steps in _both_ways(c.gates, width, True):
+        for steps in _both_ways(c.gates, width):
             got = _run_steps(steps, state, width)
             assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_library_circuits_keep_their_forward_schedule():
-    # every transform at widths 14-21 and on the width-18 identity batches
-    # of n = 8 schedules forward; its adjoint schedules backward, in fewer
-    # steps
-    cases = [(_adjoint_input(w), w) for w in range(14, 22)]
-    cases += [(qft_circuit(GroupSpec(f, 8)), 18) for f in Family
-              if f is not Family.CYCLIC]
-    cases += [(qft_circuit(GroupSpec(f, 20)), 21) for f in Family
-              if f is not Family.CYCLIC]
+    # every family's transform at widths 14-22, on the width-18 identity
+    # batches of n = 8 and on the width-15 lifted blocks that
+    # verify.circuit_matches runs at n = 8 schedules forward; its adjoint
+    # schedules backward, in fewer steps
+    cases = [(qft_circuit(GroupSpec(f, w if f is Family.CYCLIC else w - 1)),
+              w) for w in range(14, 23) for f in Family]
+    n8 = [qft_circuit(GroupSpec(f, 8)) for f in Family
+          if f is not Family.CYCLIC]
+    cases += [(c, 18) for c in n8]
+    cases += [(verify._lifted(c, 6), 15) for c in n8]
     for c, width in cases:
-        wide = width >= 21
         for gates, picked in ((c.gates, 0), (adjoint(c).gates, 1)):
-            steps = _both_ways(gates, width, wide)
+            steps = _both_ways(gates, width)
             assert len(steps[picked]) < len(steps[1 - picked]), (c, width)
             assert list(circuit_module._schedule(gates, width)) == \
                 steps[picked]
@@ -2284,7 +2289,7 @@ def test_a_tie_keeps_the_forward_schedule():
     width = circuit_module._FUSE_MIN_WIDTH
     c = Circuit(width, (MultiControlled(Z_MATRIX, ((width - 1, True),), 0),
                         Local(H_MATRIX, 1), Local(H_MATRIX, 2)))
-    forward, backward = _both_ways(c.gates, width, False)
+    forward, backward = _both_ways(c.gates, width)
     assert [a for a, _ in forward] == [circuit_module._apply_window,
                                        circuit_module._apply_gate]
     assert [a for a, _ in backward] == [circuit_module._apply_gate,

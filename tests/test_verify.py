@@ -140,6 +140,17 @@ def test_check_decomposition_shape_guard():
         check_decomposition(np.eye(8), GroupSpec(Family.DIHEDRAL, 3))
 
 
+@pytest.mark.parametrize("matrix", [
+    {"a": 1}, np.array([[{"a": 1}] * 16] * 16, dtype=object),
+    "1, 0; 0, 1"], ids=["dict", "object-array", "text"])
+def test_a_non_numeric_matrix_is_a_value_error(matrix):
+    g = GroupSpec(Family.DIHEDRAL, 3)
+    with pytest.raises(ValueError, match="is not numeric"):
+        check_decomposition(matrix, g)
+    with pytest.raises(ValueError, match="is not numeric"):
+        circuit_matches(Circuit(3), matrix)
+
+
 def test_circuit_matches_identity():
     assert circuit_matches(Circuit(3), np.eye(8)) == 0.0
     with pytest.raises(ValueError):
