@@ -57,10 +57,9 @@ two or more consecutive X gates with one set of controls and distinct
 targets, becomes one step; and a group that then holds three or more
 steps, among them a permutation, is a move run, which runs on an index
 array and moves the state by one gather.  The rule reads the steps
-alone, not the state's size.  These steps only move entries, so their
-results are exact.  On a narrow state nothing is deferred or regrouped,
-and its one stage runs gate by gate, so its results do not depend on
-windows.
+alone.  These steps only move entries, so their results are exact.  On a
+narrow state nothing is deferred or regrouped, and its one stage runs
+gate by gate, so its results do not depend on windows.
 Every step is a (kernel, payload) pair whose kernel returns the state,
 and each kernel's docstring says how it runs.
 
@@ -801,8 +800,8 @@ def _move_runs(steps: Iterator[_Step]) -> Iterator[_Step]:
     of the state's bytes, and one gather replaces their passes over the
     state.  Any other group is given back step by step, so it stays in
     place: without a permutation it has no new array to fill, and two
-    steps, as qp's twiddle X and reorder swap, ran slower as a gather at
-    widths 14-20 (CHANGES.md).
+    steps, as qp's twiddle X and reorder swap, gained nothing as a gather
+    at widths 14-20 (CHANGES.md).
     """
     for moves, group in groupby(steps, _moves):
         if not moves:
