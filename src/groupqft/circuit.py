@@ -24,7 +24,11 @@ evaluation code; tests play one against the other.  `to_matrix` stays
 unfused, so it remains the oracle.  Every state kernel indexes from the
 last axis, so leading axes pass through it: a batch's rows, and the rows
 of the identity that a fused stage's matrix is built on.  The kernel
-runs the circuit's own gates and builds no circuit.
+runs the circuit's own gates and builds no circuit.  `plan(c, rows)`
+schedules a circuit once for batches of at most `rows` states and
+builds each window's matrix and each move run's gather order once, so
+`Plan.run` repeats none of that work; `apply_to_state(c, s)` is
+`plan(c, k).run(s)` for the k rows of s.
 
 The state kernel schedules the gates by one rule (`_segments`), from the
 gate data alone.  On a state of w >= `_FUSE_MIN_WIDTH` qubits the qubits
@@ -46,8 +50,8 @@ state in blocks of max(`_BLOCK`, 2^w / 32) entries (`_apply_window`).
 Any other stage runs gate by gate, with each run of two or more
 consecutive small diagonal gates, on any targets, as one product of
 broadcast factors (`_apply_diagonals`); a diagonal gate is small when
-its factor holds at most `_FACTOR_CAP` entries.  Three or more small
-pending diagonal gates are released as one such product.  The product
+its factor holds at most `_FACTOR_CAP` entries.  Pending diagonal gates
+are released by the same rule, sorted by lowest qubit.  The product
 scales the state whenever it would pass `_BLOCK` entries.
 
 On the wide states, one post-pass (`_move_runs`) then regroups the
@@ -97,6 +101,7 @@ __all__ = [
     "Gate",
     "Local",
     "MultiControlled",
+    "Plan",
     "QubitPerm",
     "adjoint",
     "apply_to_state",
@@ -105,6 +110,7 @@ __all__ = [
     "embed",
     "frozen_matrix",
     "gate_cost",
+    "plan",
     "to_matrix",
 ]
 
@@ -639,13 +645,29 @@ def _band_transpose(psi: np.ndarray, sigma: tuple[int, ...],
     return out.reshape(psi.shape)
 
 
-def _apply_window(psi: np.ndarray, run: list[Gate]) -> np.ndarray:
-    """Apply a stage of gates as one 2^k x 2^k matrix U on the span
-    lo..hi-1 of their qubits, k = hi - lo, in place, and return `psi`.
+def _window_matrix(run: list[Gate]) -> tuple[int, np.ndarray]:
+    """(lo, U^T) for a stage of gates whose qubits span lo..hi-1: U is the
+    stage's 2^k x 2^k matrix on that span, k = hi - lo.
 
-    U^T comes from this kernel, not from `to_matrix`: the stage's own
+    U^T comes from the kernels, not from `to_matrix`: the stage's own
     gates, run gate by gate (`_stage`) on the identity viewed as (2^k,) +
     (2,)*k + (1,)*lo, whose axis -1-q holds qubit q, leave U e_r in row r.
+    """
+    lo = min(g.span[0] for g in run)
+    hi = max(g.span[1] for g in run) + 1
+    dim = 1 << (hi - lo)
+    tensor = np.eye(dim, dtype=np.complex128).reshape(
+        (dim,) + (2,) * (hi - lo) + (1,) * lo)
+    for apply, g in _stage(run, False):
+        tensor = apply(tensor, g)
+    return lo, tensor.reshape(dim, dim).T
+
+
+def _apply_window(psi: np.ndarray,
+                  window: tuple[int, np.ndarray]) -> np.ndarray:
+    """Apply a stage's matrix U on the span lo..hi-1 of its qubits, given
+    as (lo, U^T) (`_window_matrix`), in place, and return `psi`.
+
     The state is viewed as (2^(w-hi), 2^k, 2^lo), transposed to (1, 2^k,
     2^(w-k)) when lo = 0, and U multiplies its middle axis one block of
     at most max(`_BLOCK`, 2^w / 32) entries at a time, each product
@@ -658,14 +680,8 @@ def _apply_window(psi: np.ndarray, run: list[Gate]) -> np.ndarray:
     is small: at width 21, one call per outer slice, on 2^lo columns, ran
     1.3-1.8x slower at lo = 1 and 3.
     """
-    lo = min(g.span[0] for g in run)
-    hi = max(g.span[1] for g in run) + 1
-    dim = 1 << (hi - lo)
-    tensor = np.eye(dim, dtype=np.complex128).reshape(
-        (dim,) + (2,) * (hi - lo) + (1,) * lo)
-    for apply, g in _stage(run, False):
-        tensor = apply(tensor, g)
-    u = tensor.reshape(dim, dim).T
+    lo, u = window
+    dim = len(u)
     if lo == 0:
         view = psi.reshape(1, -1, dim).transpose(0, 2, 1)
     else:
@@ -692,16 +708,19 @@ def _apply_window(psi: np.ndarray, run: list[Gate]) -> np.ndarray:
 
 # A step of the schedule: a kernel and what it applies.  Every kernel
 # takes the state tensor first and returns the state: the same tensor,
-# updated in place, or a new array after a permutation or a move run.
+# updated in place, or a new array after a permutation or a move run.  A
+# window's or a move run's payload is its gates or steps in the schedule,
+# and its matrix or gather order in a `Plan`.
 _Step = tuple[Callable[..., np.ndarray], object]
 
 
 def _stage(gates: list[Gate], fuse: bool) -> Iterator[_Step]:
-    """One window stage: a single matrix (`_apply_window`) when fusing and
-    it holds two or more uncontrolled mixing gates, otherwise its gates in
-    order, each run of two or more consecutive small diagonal gates
-    (`_small`), on any targets, as one product (`_apply_diagonals`) and
-    every other gate on its own (`_apply_gate`)."""
+    """One window stage, or a release of deferred diagonal gates: a single
+    matrix (`_apply_window`) when fusing and it holds two or more
+    uncontrolled mixing gates, otherwise its gates in order, each run of
+    two or more consecutive small diagonal gates (`_small`), on any
+    targets, as one product (`_apply_diagonals`) and every other gate on
+    its own (`_apply_gate`)."""
     if fuse and sum(not g.controls and not g.diagonal for g in gates) >= 2:
         yield _apply_window, gates
         return
@@ -719,32 +738,19 @@ def _small(g: Gate) -> bool:
     return g.diagonal and 2 << len(g.controls) <= _FACTOR_CAP
 
 
-def _release(gates: list[Gate]) -> Iterator[_Step]:
-    """Deferred diagonal gates: three or more small ones (`_small`) as one
-    product (`_apply_diagonals`), by lowest qubit so that factors sharing
-    low axes meet in it; one or two, and any larger one, on their own
-    (`_apply_gate`), each touching only its control-selected block, less
-    of the state than the pass that a product costs."""
-    small = [g for g in gates if _small(g)]
-    if len(small) > 2:
-        yield _apply_diagonals, sorted(small, key=lambda g: g.span[0])
-        gates = [g for g in gates if not _small(g)]
-    for g in gates:
-        yield _apply_gate, g
-
-
 def _segments(gates: tuple[Gate, ...], width: int) -> Iterator[_Step]:
     """The gates in order, scheduled in one pass by the rule of the module
     docstring.
 
     Yields (kernel, gates) for a fused stage (`_apply_window`) and for a
-    stage run or a release of diagonal gates (`_apply_diagonals`),
-    (`_permute`, gate) for a qubit permutation and (`_apply_gate`, gate)
-    for any other gate that runs on its own.  The kernels are read from
-    the module when a step is made, so a test may replace them.
-    Below `_FUSE_MIN_WIDTH` there is one window, the whole register, so no
-    gate is deferred, and every gate joins one stage that runs gate by
-    gate.
+    run of small diagonal gates (`_apply_diagonals`), (`_permute`, gate)
+    for a qubit permutation and (`_apply_gate`, gate) for any other gate
+    that runs on its own.  Pending diagonal gates are released by the
+    stage rule (`_stage`), sorted by lowest qubit so that factors sharing
+    low axes meet in a product; they hold no mixing gate, so they never
+    fuse.  Below `_FUSE_MIN_WIDTH` there is one window, the whole
+    register, so no gate is deferred, and every gate joins one stage that
+    runs gate by gate.
     """
     fuse = width >= _FUSE_MIN_WIDTH
     count = -(-width // _WINDOW) if fuse else 1
@@ -757,7 +763,7 @@ def _segments(gates: tuple[Gate, ...], width: int) -> Iterator[_Step]:
         if perm or (not g.diagonal and g.target in touched):
             # g must not pass a pending gate
             yield from _stage(stage, fuse)
-            yield from _release(pending)
+            yield from _stage(sorted(pending, key=lambda g: g.span[0]), fuse)
             stage, window, pending, touched = [], None, [], set()
             if perm:
                 yield _permute, g
@@ -777,7 +783,7 @@ def _segments(gates: tuple[Gate, ...], width: int) -> Iterator[_Step]:
             if not inside:
                 yield _apply_gate, g
     yield from _stage(stage, fuse)
-    yield from _release(pending)
+    yield from _stage(sorted(pending, key=lambda g: g.span[0]), fuse)
 
 
 def _moves(step: _Step) -> bool:
@@ -824,21 +830,26 @@ def _move_runs(steps: Iterator[_Step]) -> Iterator[_Step]:
             yield from run
 
 
-def _apply_moves(psi: np.ndarray, steps: list[_Step]) -> np.ndarray:
-    """A new contiguous tensor holding the state moved by a move run.
-
-    The steps run on an index tensor, `np.arange(2^w)` in int32 (int64
-    past 2^31 entries), a quarter of the state's bytes, through the same
-    kernels as on the state; entry i then holds the index the run brings
-    to position i, so one gather moves the state.  The gather takes
-    `_BLOCK` indices at a time, so `np.take`'s cast of them to intp stays
-    block-sized.
-    """
-    dtype = np.int32 if psi.size <= 1 << 31 else np.int64
-    idx = np.arange(psi.size, dtype=dtype).reshape(psi.shape)
+def _move_order(steps: list[_Step], width: int) -> np.ndarray:
+    """The gather order of a move run on a `width`-qubit tensor: its steps
+    run on an index tensor, `np.arange(2^w)` in int32 (int64 past 2^31
+    entries), a quarter of the state's bytes, through the same kernels as
+    on the state; entry i then holds the index the run brings to position
+    i, read flat."""
+    dtype = np.int32 if width <= 31 else np.int64
+    idx = np.arange(1 << width, dtype=dtype).reshape((2,) * width)
     for apply, g in steps:
         idx = apply(idx, g)
-    src, order = psi.reshape(-1), idx.reshape(-1)
+    return idx.reshape(-1)
+
+
+def _apply_moves(psi: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """A new contiguous tensor holding the state moved by a move run, one
+    gather by its order (`_move_order`).  The gather takes `_BLOCK`
+    indices at a time, so `np.take`'s cast of them to intp stays
+    block-sized.
+    """
+    src = psi.reshape(-1)
     out = np.empty_like(src)
     for i in range(0, src.size, _BLOCK):
         # mode="clip" never clips, as every index is in range, but unlike
@@ -849,7 +860,7 @@ def _apply_moves(psi: np.ndarray, steps: list[_Step]) -> np.ndarray:
 
 
 def _schedule(gates: tuple[Gate, ...], width: int) -> Iterable[_Step]:
-    """The steps that `apply_to_state` runs on a `width`-qubit tensor.
+    """The steps that a `plan` runs on a `width`-qubit tensor.
 
     Below `_FUSE_MIN_WIDTH` they are the `_segments` of the gates.  On the
     fused widths both directions are scheduled and regrouped by
@@ -881,59 +892,104 @@ def _backward(gates: tuple[Gate, ...], width: int) -> Iterator[_Step]:
         yield apply, g
 
 
+# eq=False: the steps hold arrays, so a plan compares by identity
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """The steps that run a circuit of `width` qubits on a batch of at
+    most `rows` states (`plan`), each window matrix and move-run gather
+    order built once.  `run` may be called any number of times."""
+
+    width: int
+    rows: int
+    steps: tuple[_Step, ...]
+
+    def run(self, state: np.ndarray) -> np.ndarray:
+        """Run the plan on a state vector of length 2**width, or on each
+        row of a (k, 2**width) batch, 1 <= k <= rows; return a new array
+        of the same shape, and never write to `state`.
+
+        The batch, zero-padded to 2^m rows, m = ceil(log2 rows), is copied
+        and viewed as a (2,)*(width + m) tensor whose axis -1-q holds
+        qubit q: the m leading axes index the rows, and every kernel
+        passes them through.  A state of another shape or more rows, or
+        whose dtype is not bool, integer, float or complex, is a
+        ValueError.
+        """
+        states = np.asarray(state)
+        k = _batch_rows(states, self.width)
+        if k > self.rows:
+            raise ValueError(f"state has {k} rows, expected at most "
+                             f"{self.rows}")
+        m = (self.rows - 1).bit_length()
+        dim = 1 << self.width
+        # each entry of the copy is written once: only the padding rows are
+        # zeroed.  psi is the copy's only reference, so a permutation or a
+        # move run frees it when it moves the state into a new array
+        psi = np.empty((1 << m, dim), dtype=np.complex128)
+        psi[:k] = states.reshape(k, dim)
+        psi[k:] = 0
+        psi = psi.reshape((2,) * (self.width + m))
+        for apply, payload in self.steps:
+            psi = apply(psi, payload)
+        return psi.reshape(1 << m, dim)[:k].reshape(states.shape)
+
+
+def plan(c: Circuit, rows: int = 1) -> Plan:
+    """Schedule the circuit once for batches of at most `rows` states, a
+    positive integer.
+
+    The batch is one state on width + m qubits, m = ceil(log2 rows), and
+    its gates are scheduled as the module docstring states (`_schedule`).
+    On width + m >= `_FUSE_MIN_WIDTH` qubits, that means
+    ceil((width + m) / `_WINDOW`) windows of even size, and the forward or
+    the backward schedule, whichever has fewer steps, so a circuit and its
+    `adjoint` run at about the same speed.  Each window's matrix
+    (`_window_matrix`) and each move run's gather order (`_move_order`)
+    is then built once, for every `Plan.run`.
+    """
+    rows = as_int(rows, "plan rows")
+    if rows < 1:
+        raise ValueError(f"plan rows must be positive, got {rows}")
+    width = c.width + (rows - 1).bit_length()
+    steps = []
+    for apply, payload in _schedule(c.gates, width):
+        if apply is _apply_window:
+            payload = _window_matrix(payload)
+        elif apply is _apply_moves:
+            payload = _move_order(payload, width)
+        steps.append((apply, payload))
+    return Plan(c.width, rows, tuple(steps))
+
+
 def apply_to_state(c: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit on a state vector of length 2**width, or on each
-    row of a (k, 2**width) batch of states, k >= 1.
+    row of a (k, 2**width) batch of states, k >= 1: `plan(c, k).run`.
 
     Returns a new array of the same shape and never writes to `state`.
-    A single state runs as a batch of one row.  A batch of k rows,
-    zero-padded to 2^m rows, m = ceil(log2 k), only when k is not a power
-    of two, is copied and viewed as a (2,)*(width + m) tensor whose axis
-    -1-q holds qubit q: the m leading axes index the rows, and every
-    kernel passes them through.  The whole tensor is scheduled as one
-    state on width + m qubits.  Run on the identity, row r of the result
-    is U e_r, so the result is U^T.
-
-    The copy is updated in place, its gates scheduled as the module
-    docstring states (`_schedule`).  On width + m >= `_FUSE_MIN_WIDTH`
-    qubits, that means ceil((width + m) / `_WINDOW`) windows of even
-    size, and the forward or the backward schedule, whichever has fewer
-    steps, so a circuit and its `adjoint` run at about the same speed.
-    A state of another shape, or whose dtype is not bool, integer, float
-    or complex, is a ValueError.
+    A single state runs as a batch of one row.  Run on the identity, row r
+    of the result is U e_r, so the result is U^T.  A state of another
+    shape, or whose dtype is not bool, integer, float or complex, is a
+    ValueError.
 
     `to_matrix` applies every gate on its own, with no fusion and no
     deferral, and is the oracle for this.
     """
     states = np.asarray(state)
+    return plan(c, _batch_rows(states, c.width)).run(states)
+
+
+def _batch_rows(states: np.ndarray, width: int) -> int:
+    """The rows k of a numeric state of length 2**width (k = 1) or of a
+    (k, 2**width) batch, k >= 1; a ValueError for anything else."""
     if states.dtype.kind not in "biufc":
         raise ValueError(f"state has dtype {states.dtype}, expected a "
                          "numeric dtype")
-    dim = 1 << c.width
+    dim = 1 << width
     if states.ndim not in (1, 2) or states.shape[-1] != dim \
             or states.size == 0:
         raise ValueError(f"state has shape {states.shape}, expected "
                          f"({dim},) or (k, {dim}) with k >= 1")
-    k = states.size // dim
-    m = (k - 1).bit_length()
-    # psi is the copy's only reference, so a permutation or a move run
-    # frees it when it moves the state into a new array
-    psi = _padded_copy(states.reshape(k, dim), 1 << m).reshape(
-        (2,) * (c.width + m))
-    for apply, g in _schedule(c.gates, psi.ndim):
-        psi = apply(psi, g)
-    return psi.reshape(1 << m, dim)[:k].reshape(states.shape)
-
-
-def _padded_copy(states: np.ndarray, rows: int) -> np.ndarray:
-    """Complex copy of `states`, zero-padded to `rows` rows.
-
-    Each entry is written once: only the padding rows are zeroed.
-    """
-    out = np.empty((rows, states.shape[1]), dtype=np.complex128)
-    out[:len(states)] = states
-    out[len(states):] = 0
-    return out
+    return states.size // dim
 
 
 def _transpositions(sigma: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -10,6 +10,7 @@ row ``sigma(j)``), so ``perm_matrix`` is a left-action homomorphism:
 from __future__ import annotations
 
 import operator
+import reprlib
 from typing import Sequence
 
 import numpy as np
@@ -41,10 +42,18 @@ def as_int(value: object, what: str) -> int:
             f"{what} must be an integer, got {value!r}") from None
 
 
+def as_complex(a: object) -> np.ndarray:
+    """`a` as a complex128 array; a ValueError if numpy cannot read it as
+    numbers, never the TypeError that numpy raises for, say, a dict."""
+    try:
+        return np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise ValueError(f"matrix {reprlib.repr(a)} is not numeric") from None
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product, first factor on the most significant index."""
-    return np.kron(np.asarray(a, dtype=np.complex128),
-                   np.asarray(b, dtype=np.complex128))
+    return np.kron(as_complex(a), as_complex(b))
 
 
 def direct_sum(blocks: Sequence[Matrix]) -> Matrix:
@@ -54,7 +63,7 @@ def direct_sum(blocks: Sequence[Matrix]) -> Matrix:
         blocks: square matrices; the result has dimension equal to the sum
             of the block dimensions.
     """
-    mats = [np.asarray(m, dtype=np.complex128) for m in blocks]
+    mats = [as_complex(m) for m in blocks]
     if not mats:
         raise ValueError("direct_sum of no blocks")
     for m in mats:
@@ -100,7 +109,7 @@ def perm_matrix(sigma: Sequence[int]) -> Matrix:
 
 def is_unitary(a: Matrix, eps: float = 1e-10) -> bool:
     """True when max-entry defect of a a^dagger from the identity is < eps."""
-    a = np.asarray(a, dtype=np.complex128)
+    a = as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
     defect = a @ a.conj().T - np.eye(a.shape[0])

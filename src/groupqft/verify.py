@@ -8,36 +8,28 @@ The only synthesis artifact a check touches is the matrix under test.
 The only |G| x |G| array either check holds is b itself:
 `check_decomposition` works through b's columns in chunks of about
 `_CHUNK` entries, and `circuit_matches` builds the circuit's matrix in
-column blocks of that size.  The predicted blocks are graded as two
-stacked arrays, 1-dim and 2-dim summands, with whole-array operations.
+column blocks of that size, each a batch of basis states run by one
+`circuit.plan`, so it knows no gate class and no kernel layout.  The
+predicted blocks are graded as two stacked arrays, 1-dim and 2-dim
+summands, with whole-array operations.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import (
-    Circuit,
-    CNot,
-    Gate,
-    Local,
-    MultiControlled,
-    QubitPerm,
-    apply_to_state,
-    cost,
-)
+from .circuit import Circuit, cost, plan
 # unused here, but qftbench's tracer wraps verify.to_matrix
 from .circuit import to_matrix  # noqa: F401
 from .circuit_library import qft_circuit
 from .groups import Family, GroupSpec, regular_permutations
 # unused here, but qftbench's tracer wraps verify.regular_representation
 from .groups import regular_representation  # noqa: F401
-from .linalg import Matrix
+from .linalg import Matrix, as_complex
 from .synthesis import assemble
 
 __all__ = [
@@ -104,14 +96,6 @@ def census(G: GroupSpec) -> tuple[tuple[int, int], ...]:
     return ((1, 4), (2, (1 << (G.n - 1)) - 1))
 
 
-def _complex_matrix(b: Matrix) -> np.ndarray:
-    """`b` as a complex128 array; a ValueError if it is not numeric."""
-    try:
-        return np.asarray(b, dtype=np.complex128)
-    except (TypeError, ValueError):
-        raise ValueError(f"matrix {reprlib.repr(b)} is not numeric") from None
-
-
 def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
     """Conjugate the regular representation by b and grade the result
     against the predicted block structure.
@@ -127,7 +111,7 @@ def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
     copy of b.  The tests hold the report at chunks of 4, 8 and 16
     columns equal, field for field, to a dense reference.
     """
-    b = _complex_matrix(b)
+    b = as_complex(b)
     if b.shape != (G.order, G.order):
         raise ValueError(f"matrix shape {b.shape} does not match |G| = {G.order}")
     # phi(g) b gathers b's rows, for x and then y if non-abelian
@@ -208,48 +192,27 @@ def check_decomposition(b: Matrix, G: GroupSpec) -> VerificationReport:
 def circuit_matches(c: Circuit, b: Matrix) -> float:
     """Max entrywise deviation of the circuit's matrix U from b.
 
-    U is built `cols` = min(dim, max(1, _CHUNK // dim)) columns at a time.
-    The circuit, lifted onto the top qubits (`_lifted`), runs through the
-    state kernel on the flattened (dim, cols) slice of the identity whose
-    entry (r, j) is 1 where r = c0 + j, a bool array that the kernel
-    copies to complex exactly; the result, read as (dim, cols), is
-    U[:, c0:c0 + cols].  `to_matrix` is not called; it is the tests'
-    oracle for this.
+    U is built `cols` = min(dim, max(1, _CHUNK // dim)) columns at a time,
+    by one `plan` for batches of `cols` states: row j of the block
+    starting at column c0 is the basis state e_(c0 + j), a bool array that
+    the kernel copies to complex exactly, so row j of the result is
+    U e_(c0 + j), column c0 + j of U.  `to_matrix` is not called; it is
+    the tests' oracle for this.
     """
-    b = _complex_matrix(b)
+    b = as_complex(b)
     dim = 1 << c.width
     if b.shape != (dim, dim):
         raise ValueError(
             f"matrix shape {b.shape} does not match circuit width {c.width}")
     cols = min(dim, max(1, _CHUNK // dim))
-    lifted = _lifted(c, cols.bit_length() - 1)
+    batch = plan(c, cols)
     defects = []
     for c0 in range(0, dim, cols):
-        identity = np.eye(dim, cols, -c0, dtype=bool).ravel()
-        block = apply_to_state(lifted, identity).reshape(dim, cols)
-        block -= b[:, c0:c0 + cols]
+        block = batch.run(np.eye(cols, dim, c0, dtype=bool))
+        block -= b[:, c0:c0 + cols].T
         defects.append(np.max(np.abs(block)))
     # np.max, not Python's max, which drops a NaN after the first item
     return float(np.max(defects))
-
-
-def _lifted(c: Circuit, shift: int) -> Circuit:
-    """c on `shift` more qubits, its qubit q moved to q + shift; the
-    bottom `shift` qubits are left alone."""
-    gates: list[Gate] = []
-    for g in c.gates:
-        if isinstance(g, QubitPerm):
-            gates.append(QubitPerm(tuple(range(shift))
-                                   + tuple(s + shift for s in g.sigma)))
-        elif isinstance(g, CNot):
-            gates.append(CNot(g.control + shift, g.target + shift))
-        elif g.controls:
-            gates.append(MultiControlled(
-                g.u, tuple((q + shift, p) for q, p in g.controls),
-                g.target + shift))
-        else:
-            gates.append(Local(g.u, g.target + shift))
-    return Circuit(c.width + shift, tuple(gates))
 
 
 def scaling_fit(G: GroupSpec, ns: list[int]) -> float:

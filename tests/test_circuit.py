@@ -836,26 +836,23 @@ def _model_one_way(gates, width, k):
     """The steps of the schedule of the gates in the order given, read
     from the gates' matrices: ("window", gates) for a stage that fuses,
     ("diagonals", gates) for a run of two or more consecutive small
-    diagonal gates (`_model_small`) in a stage that runs gate by gate and
-    for a release of three or more small set-aside gates, ("perm", g),
-    and ("gate", g) for every other gate.
+    diagonal gates (`_model_small`) in a stage that runs gate by gate or
+    in a release of set-aside gates, ("perm", g), and ("gate", g) for
+    every other gate.
 
     The windows are those of `_model_windows`.  A stage takes the gates
     inside the window of its first gate and sets aside every diagonal gate
     that reaches outside it.  It ends at a permutation, at a mixing gate
     outside its window, and at a mixing gate whose target a set-aside
     gate touches, which also releases those.  It fuses when it holds two
-    or more uncontrolled mixing gates."""
+    or more uncontrolled mixing gates.  A release runs the set-aside
+    gates, sorted by lowest qubit, as a stage that runs gate by gate."""
     steps, stage, window, aside, touched = [], [], None, [], set()
     window_of = _model_windows(width, k)
 
-    def close():
-        if sum(isinstance(g, Local) and not _is_diagonal(g)
-               for g in stage) >= 2:
-            steps.append(("window", stage))
-            return
+    def gate_by_gate(gates):
         run = []
-        for g in [*stage, None]:
+        for g in [*gates, None]:
             if g is not None and _model_small(g):
                 run.append(g)
                 continue
@@ -867,12 +864,16 @@ def _model_one_way(gates, width, k):
             if g is not None:
                 steps.append(("gate", g))
 
+    def close():
+        if sum(isinstance(g, Local) and not _is_diagonal(g)
+               for g in stage) >= 2:
+            steps.append(("window", stage))
+        else:
+            gate_by_gate(stage)
+
     def release():
-        small = [g for g in aside if _model_small(g)]
-        if len(small) > 2:
-            steps.append(("diagonals", small))
-        steps.extend(("gate", g) for g in aside
-                     if len(small) <= 2 or not _model_small(g))
+        gate_by_gate(sorted(aside, key=lambda g: min(
+            [g.target, *(q for q, _ in g.controls)])))
 
     for g in gates:
         perm = isinstance(g, QubitPerm)
@@ -946,16 +947,30 @@ def _model_fan_outs(gates, width, k):
             for run in _fan_out_runs(_model_steps(gates, width, k))]
 
 
-def _window_spy(monkeypatch):
-    """Count the fused runs apply_to_state applies."""
-    calls = []
-    inner = circuit_module._apply_window
+def _steps(c, rows=1):
+    """The steps the state kernel runs `c` with on a batch of `rows`
+    states, read as data: `_schedule` of its gates on width +
+    ceil(log2 rows) qubits, the steps a `plan` of `c` holds."""
+    return list(circuit_module._schedule(
+        c.gates, c.width + (rows - 1).bit_length()))
 
-    def spy(psi, run):
-        calls.append(len(run))
-        return inner(psi, run)
-    monkeypatch.setattr(circuit_module, "_apply_window", spy)
-    return calls
+
+def _calls(steps):
+    """Every kernel call that running `steps` makes, in order: each step,
+    then the steps of a window's matrix build (`_stage`, gate by gate)
+    and of a move run's gather order."""
+    for apply, payload in steps:
+        yield apply, payload
+        if apply is circuit_module._apply_window:
+            yield from _calls(circuit_module._stage(payload, False))
+        elif apply is circuit_module._apply_moves:
+            yield from _calls(payload)
+
+
+def _windows(c, rows=1):
+    """The gate count of each stage that the kernel fuses."""
+    return [len(run) for apply, run in _steps(c, rows)
+            if apply is circuit_module._apply_window]
 
 
 def _reference_chain(gates, state):
@@ -975,26 +990,26 @@ def test_fused_runs_match_references_with_a_small_window(seed, monkeypatch):
     # width 6 nothing fuses
     monkeypatch.setattr(circuit_module, "_WINDOW", 3)
     monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
-    calls = _window_spy(monkeypatch)
     rng = np.random.default_rng(1200 + seed)
     width = 6 + seed % 3
     c = Circuit(width, tuple(_window_gates(rng, width, 3)))
     state = _random_state(rng, width)
     got = apply_to_state(c, state)
-    assert calls == (_expected_windows(c.gates, width, 3) if width >= 7 else [])
+    assert _windows(c) == (_expected_windows(c.gates, width, 3)
+                           if width >= 7 else [])
     assert np.max(np.abs(got - to_matrix(c) @ state)) < 1e-12
     assert np.max(np.abs(got - _reference_chain(c.gates, state))) < 1e-12
 
 
 @pytest.mark.parametrize("offset", [0, -1])
-def test_fused_runs_at_the_width_threshold(offset, monkeypatch):
+def test_fused_runs_at_the_width_threshold(offset):
     k = circuit_module._WINDOW
     width = circuit_module._FUSE_MIN_WIDTH + offset
-    calls = _window_spy(monkeypatch)
     rng = np.random.default_rng(1210)
     c = Circuit(width, tuple(_window_gates(rng, width, k)))
     state = _random_state(rng, width)
     got = apply_to_state(c, state)
+    calls = _windows(c)
     assert calls == (_expected_windows(c.gates, width, k) if offset == 0
                      else [])
     assert len(calls) == 0 or min(calls) >= 2
@@ -1010,21 +1025,14 @@ def _model_spans(width, k):
         for i in sorted(set(window_of.values())))]
 
 
-def _kernel_windows(width, monkeypatch):
+def _layout_windows(width):
     """The qubits of each stage `_segments` makes of Hadamards on every
-    qubit from the top down: each stage is one window of the layout."""
-    stages = []
-    inner = circuit_module._stage
-
-    def spy(gates, fuse):
-        if gates:
-            stages.append([g.target for g in gates])
-        return inner(gates, fuse)
+    qubit from the top down: each stage is one window of the layout, and
+    fuses, as it holds two or more Hadamards."""
     gates = tuple(Local(H_MATRIX, q) for q in reversed(range(width)))
-    with monkeypatch.context() as m:
-        m.setattr(circuit_module, "_stage", spy)
-        list(circuit_module._segments(gates, width))
-    return stages
+    steps = list(circuit_module._segments(gates, width))
+    assert all(apply is circuit_module._apply_window for apply, _ in steps)
+    return [[g.target for g in run] for _, run in steps]
 
 
 @pytest.mark.parametrize("k, widths", [(None, range(14, 31)),
@@ -1038,7 +1046,7 @@ def test_window_layout_is_even(k, widths, monkeypatch):
         monkeypatch.setattr(circuit_module, "_WINDOW", k)
         monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
     for width in widths:
-        stages = _kernel_windows(width, monkeypatch)
+        stages = _layout_windows(width)
         assert [q for stage in stages for q in stage] == \
             list(reversed(range(width))), width
         sizes = [len(stage) for stage in stages]
@@ -1055,7 +1063,7 @@ def test_window_layout_is_even(k, widths, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_fused_window_matches_to_matrix_of_its_run(seed, monkeypatch):
+def test_fused_window_matches_to_matrix_of_its_run(seed):
     # a circuit that fills one window [lo, hi) acts on the middle axis of
     # the (2^(w-hi), 2^(hi-lo), 2^lo) view by to_matrix of its run: the
     # top and the middle window at the threshold, and the bottom one at
@@ -1065,15 +1073,19 @@ def test_fused_window_matches_to_matrix_of_its_run(seed, monkeypatch):
     width, index = [(top, 0), (top, 1), (3 * k, 2)][seed]
     lo, hi = _model_spans(width, k)[index]
     size = hi - lo
-    calls = _window_spy(monkeypatch)
     rng = np.random.default_rng(1220 + seed)
     cascade = qft_cyclic_circuit(size).gates[:-1]
     run = [*cascade, *random_circuit(rng, size, 12).gates]
     run = [g for g in run if not isinstance(g, QubitPerm)]
     c = Circuit(size, tuple(run))
+    # the run on qubits lo..hi-1 of the wide state
+    lifted = Circuit(width, tuple(
+        MultiControlled(g.u, tuple((q + lo, p) for q, p in g.controls),
+                        g.target + lo)
+        if g.controls else Local(g.u, g.target + lo) for g in run))
     state = _random_state(rng, width)
-    got = apply_to_state(embed(verify._lifted(c, lo), width), state)
-    assert calls == [len(run)]
+    got = apply_to_state(lifted, state)
+    assert _windows(lifted) == [len(run)]
     u = to_matrix(c)
     want = np.matmul(u, state.reshape(-1, 1 << size, 1 << lo)).reshape(-1)
     assert np.max(np.abs(got - want)) < 1e-12
@@ -1097,11 +1109,10 @@ def test_window_build_never_fuses_again(monkeypatch):
     # further even when the threshold is below 2 * _WINDOW
     monkeypatch.setattr(circuit_module, "_WINDOW", 4)
     monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
-    calls = _window_spy(monkeypatch)
     c = qft_cyclic_circuit(9)
     state = _random_state(np.random.default_rng(1240), c.width)
     got = apply_to_state(c, state)
-    assert calls
+    assert _windows(c)
     assert np.max(np.abs(got - to_matrix(c) @ state)) < 1e-12
 
 
@@ -1118,23 +1129,21 @@ def test_state_kernel_builds_no_circuit(n, rows, monkeypatch):
     def spy(self):
         built.append(self.width)
         inner(self)
+    assert _windows(c, rows)
     monkeypatch.setattr(Circuit, "__post_init__", spy)
-    windows = _window_spy(monkeypatch)
     apply_to_state(c, states)
-    assert windows
     assert built == []
 
 
-def test_fused_window_memory_peak(monkeypatch):
+def test_fused_window_memory_peak():
     # the state copy plus a row-block buffer and a 2^(2k)-entry build:
     # neither grows with the state
     width = 18
     k = circuit_module._WINDOW
-    calls = _window_spy(monkeypatch)
     c = Circuit(width, qft_cyclic_circuit(k).gates[:-1])
     v = np.random.default_rng(1230).standard_normal(1 << width) + 0j
     assert _traced_peak(c, v) <= 1.25 * v.nbytes
-    assert calls == [len(c.gates)]
+    assert _windows(c) == [len(c.gates)]
 
 
 # Batches: a (k, 2^w) array of rows runs as one state on w + ceil(log2 k)
@@ -1152,9 +1161,8 @@ def _batch_circuit(rng, width):
 
 @pytest.mark.parametrize("rows", ["1", "3", "4", "2^w"])
 @pytest.mark.parametrize("width", [3, 6, 7, 8])
-def test_batch_matches_rows_and_to_matrix(width, rows, monkeypatch):
+def test_batch_matches_rows_and_to_matrix(width, rows):
     # w + m reaches _FUSE_MIN_WIDTH only for 2^w rows at widths 7 and 8
-    calls = _window_spy(monkeypatch)
     rng = np.random.default_rng(1300 + width)
     c = _batch_circuit(rng, width)
     k = 1 << width if rows == "2^w" else int(rows)
@@ -1163,7 +1171,8 @@ def test_batch_matches_rows_and_to_matrix(width, rows, monkeypatch):
     before = states.copy()
     got = apply_to_state(c, states)
     wide = width + (k - 1).bit_length()
-    assert (len(calls) > 0) == (wide >= circuit_module._FUSE_MIN_WIDTH)
+    assert (len(_windows(c, k)) > 0) == \
+        (wide >= circuit_module._FUSE_MIN_WIDTH)
     assert got.shape == (k, dim)
     assert np.array_equal(states, before)
     assert not np.shares_memory(got, states)
@@ -1197,6 +1206,83 @@ def test_apply_to_state_takes_every_numeric_kind():
         assert np.array_equal(apply_to_state(c, state), want), dtype
 
 
+# Plans: `plan(c, rows)` schedules the circuit once and builds each window
+# matrix and move-run gather order once; `run` takes any batch of at most
+# `rows` states, as often as asked.
+
+@pytest.mark.parametrize("rows", [0, -1, 2.5, True])
+def test_plan_rejects_a_row_count_that_is_not_a_positive_integer(rows):
+    with pytest.raises(ValueError, match="plan rows"):
+        circuit_module.plan(qft_cyclic_circuit(3), rows)
+
+
+@pytest.mark.parametrize("shape", [(4, 8), (9, 8), (3, 16), (16,), (2, 4)])
+def test_plan_run_rejects_more_rows_or_another_width(shape):
+    # three rows are padded to four, yet a fourth row is still refused
+    p = circuit_module.plan(qft_cyclic_circuit(3), 3)
+    with pytest.raises(ValueError, match="expected"):
+        p.run(np.zeros(shape))
+
+
+def test_plan_run_takes_fewer_rows_than_planned():
+    c = qft_cyclic_circuit(3)
+    p = circuit_module.plan(c, 3)
+    for rows in (1, 2, 3):
+        states = np.eye(rows, 8)
+        assert np.array_equal(p.run(states), apply_to_state(c, states))
+    assert np.array_equal(p.run(np.eye(8)[5]), apply_to_state(c, np.eye(8)[5]))
+
+
+@pytest.mark.parametrize("width", [10, 15, 21])
+def test_a_plan_run_twice_equals_apply_to_state(width):
+    # the same plan on two batches, each run twice: bit for bit what
+    # apply_to_state gives, and the input is never written
+    c = _adjoint_input(width)
+    rows = 3 if width == 10 else 1
+    rng = np.random.default_rng(1180 + width)
+    p = circuit_module.plan(c, rows)
+    for _ in range(2):
+        states = np.stack([_random_state(rng, width) for _ in range(rows)])
+        if rows == 1:
+            states = states[0]
+        before = states.copy()
+        got = p.run(states)
+        assert np.array_equal(got, apply_to_state(c, states))
+        assert np.array_equal(p.run(states), got)
+        assert np.array_equal(states, before)
+
+
+def test_plan_runs_the_scheduled_kernels_one_to_one():
+    # each step of a plan is the step of `_schedule` in its place, with the
+    # same kernel: a window holds the lowest qubit of its span and the
+    # stage's matrix, a move run a gather order that permutes the batch's
+    # indices, and every other step its own payload
+    qd8 = qft_circuit(GroupSpec(Family.QD, 8))
+    cases = [(qd8, 64), (qd8, 512), (qft_circuit(GroupSpec(Family.QD, 15)), 1),
+             (adjoint(qft_cyclic_circuit(16)), 1), (qft_cyclic_circuit(9), 3)]
+    kernels = set()
+    for c, rows in cases:
+        p = circuit_module.plan(c, rows)
+        steps = _steps(c, rows)
+        assert (p.width, p.rows) == (c.width, rows)
+        assert [apply for apply, _ in p.steps] == \
+            [apply for apply, _ in steps]
+        wide = c.width + (rows - 1).bit_length()
+        for (apply, built), (_, payload) in zip(p.steps, steps):
+            kernels.add(apply)
+            if apply is circuit_module._apply_window:
+                lo, u = built
+                hi = max(g.span[1] for g in payload) + 1
+                assert lo == min(g.span[0] for g in payload)
+                assert u.shape == (1 << (hi - lo),) * 2
+            elif apply is circuit_module._apply_moves:
+                assert np.array_equal(np.sort(built), np.arange(1 << wide))
+            else:
+                assert built == payload
+    assert {circuit_module._apply_window,
+            circuit_module._apply_moves} <= kernels
+
+
 def test_window_build_runs_no_public_entry(monkeypatch):
     # qftbench counts the gates of apply_to_state calls; a fused run's
     # matrix must be built below it
@@ -1207,82 +1293,89 @@ def test_window_build_runs_no_public_entry(monkeypatch):
         seen.append(len(c.gates))
         return inner(c, state)
     monkeypatch.setattr(circuit_module, "apply_to_state", spy)
-    calls = _window_spy(monkeypatch)
     c = Circuit(circuit_module._FUSE_MIN_WIDTH,
                 qft_cyclic_circuit(circuit_module._WINDOW).gates[:-1])
     circuit_module.apply_to_state(c, np.eye(2, 1 << c.width))
     # two rows add a qubit: at width 15 the cascade on qubits 0..5 meets
     # windows [5, 10) and [0, 5); the Hadamard on qubit 5 runs alone, its 5
     # phases are deferred, and the rest is one stage of 15 gates
-    assert calls == [15]
+    assert _windows(c, 2) == [15]
     assert seen == [len(c.gates)]
 
 
-# Grouping: window stages go to _apply_window; releases of deferred
-# diagonal gates, and in a stage that runs gate by gate each run of two or
-# more consecutive small diagonal gates, go to _apply_diagonals.
+# Grouping: window stages go to _apply_window.  In a stage that runs gate
+# by gate, and in a release of deferred diagonal gates sorted by lowest
+# qubit, each run of two or more consecutive small diagonal gates goes to
+# _apply_diagonals.
 
-def _released(monkeypatch):
-    """Record every list of gates that _release sends to _apply_diagonals,
-    so that a spy on _apply_diagonals tells releases from stage runs."""
-    released = []
-    inner = circuit_module._release
-
-    def spy(gates):
-        for apply, g in inner(gates):
-            if apply is not circuit_module._apply_gate:
-                released.append(g)
-            yield apply, g
-    monkeypatch.setattr(circuit_module, "_release", spy)
-    return released
+def _diagonal_runs(steps):
+    """(first target, length) of each diagonal product among `steps`."""
+    return [(run[0].target, len(run)) for apply, run in steps
+            if apply is circuit_module._apply_diagonals]
 
 
-def _diagonal_spy(monkeypatch):
-    """Record the (first target, length) of each stage run of diagonal
-    gates and the number of gates of each release of deferred diagonals,
-    in two lists."""
-    runs, releases = [], []
-    released = _released(monkeypatch)
-    inner = circuit_module._apply_diagonals
+def _build_steps(steps):
+    """The steps of each window's matrix build among `steps`, in order."""
+    return [step for apply, run in steps
+            if apply is circuit_module._apply_window
+            for step in circuit_module._stage(run, False)]
 
-    def spy(psi, gates):
-        if any(gates is r for r in released):
-            releases.append(len(gates))
-        else:
-            runs.append((gates[0].target, len(gates)))
-        return inner(psi, gates)
-    monkeypatch.setattr(circuit_module, "_apply_diagonals", spy)
-    return runs, releases
+
+def _gate_by_gate(gates):
+    """The steps of a narrow state: between permutations the gates are one
+    stage that runs gate by gate (`_stage`), so nothing fuses and nothing
+    is deferred."""
+    steps = []
+    for perm, run in groupby(gates, lambda g: isinstance(g, QubitPerm)):
+        steps.extend([(circuit_module._permute, g) for g in run] if perm
+                     else circuit_module._stage(list(run), False))
+    return steps
+
+
+def _releases(steps, width, k):
+    """The gate count of each diagonal product among `steps` that releases
+    deferred gates: it holds a gate whose qubits lie in two windows of
+    `_model_windows`, which no stage takes."""
+    window_of = _model_windows(width, k)
+    return [len(run) for apply, run in steps
+            if apply is circuit_module._apply_diagonals
+            and any(len({window_of[q] for q in (g.target, *(
+                q for q, _ in g.controls))}) > 1 for g in run)]
 
 
 @pytest.mark.parametrize("width", [12, 16])
-def test_cyclic_cascade_fuses_one_phase_run_per_target(width, monkeypatch):
+def test_cyclic_cascade_fuses_one_phase_run_per_target(width):
     # target j carries j phase gates, and the lone one on qubit 1 runs on
-    # its own.  At width 12 each target's gates are one phase run.  At
-    # width 16 the windows [10, 16), [5, 10) and [0, 5) are one stage each,
-    # whose build fuses the phase runs of the stage's own targets 15..12,
-    # 9..7 and 4..2, each holding the gates whose controls stay in the
-    # window; the phases that reach below a window, 60 and 25, are
-    # deferred and released as one product each
-    windows = _window_spy(monkeypatch)
-    calls, diagonals = _diagonal_spy(monkeypatch)
-    apply_to_state(qft_cyclic_circuit(width), np.ones(1 << width))
+    # its own.  At width 12 each target's gates are one phase run of the
+    # one stage.  At width 16 the windows [10, 16), [5, 10) and [0, 5) are
+    # one stage each, whose build fuses the phase runs of the stage's own
+    # targets 15..12, 9..7 and 4..2, each holding the gates whose controls
+    # stay in the window; the phases that reach below a window, 60 and 25,
+    # are deferred and released as one product each
+    c = qft_cyclic_circuit(width)
+    steps = _steps(c)
+    got = apply_to_state(c, np.ones(1 << width))
+    assert np.max(np.abs(got - np.sqrt(got.size) * np.fft.ifft(
+        np.ones(1 << width)))) < 1e-12
     if width < circuit_module._FUSE_MIN_WIDTH:
-        assert calls == [(t, t) for t in range(width - 1, 1, -1)]
-        assert windows == diagonals == []
+        assert steps == _gate_by_gate(c.gates)
+        assert _diagonal_runs(steps) == [(t, t)
+                                         for t in range(width - 1, 1, -1)]
+        assert _windows(c) == []
     else:
-        assert calls == [(15, 5), (14, 4), (13, 3), (12, 2),
-                         (9, 4), (8, 3), (7, 2), (4, 4), (3, 3), (2, 2)]
-        assert windows == [21, 15, 15]
-        assert diagonals == [60, 25]
+        assert _diagonal_runs(_build_steps(steps)) == [
+            (15, 5), (14, 4), (13, 3), (12, 2),
+            (9, 4), (8, 3), (7, 2), (4, 4), (3, 3), (2, 2)]
+        assert _windows(c) == [21, 15, 15]
+        assert [n for _, n in _diagonal_runs(steps)] == [60, 25]
+        assert _releases(steps, width, circuit_module._WINDOW) == [60, 25]
 
 
-def test_phase_runs_break_on_every_other_key(monkeypatch):
+def test_phase_runs_break_on_every_other_key():
     # a mixing gate, a permutation and a ten-control phase gate (a factor
     # of 2**11 entries, past _FACTOR_CAP) each end a run, while a change
     # of target and a nine-control gate (2**10 entries) do not; a lone
     # phase gate is not a run
-    calls, _ = _diagonal_spy(monkeypatch)
     rng = np.random.default_rng(1400)
     ph = functools.partial(_phase_gate, rng)
     width = 13
@@ -1301,19 +1394,18 @@ def test_phase_runs_break_on_every_other_key(monkeypatch):
         ph(((0, True),), 5),
     ]
     state = _random_state(rng, width)
-    got = apply_to_state(Circuit(width, tuple(gates)), state)
-    assert calls == [(12, 6), (12, 3), (12, 3), (12, 3)]
+    c = Circuit(width, tuple(gates))
+    got = apply_to_state(c, state)
+    assert _diagonal_runs(_steps(c)) == [(12, 6), (12, 3), (12, 3), (12, 3)]
     assert np.max(np.abs(got - _reference_chain(gates, state))) < 1e-12
 
 
-def test_lone_window_phase_gate_splits_a_phase_run(monkeypatch):
+def test_lone_window_phase_gate_splits_a_phase_run():
     # the phase gates on target 2 whose controls stay in its window
     # [0, 4) (qubits 3 and 0) form a stage, which has no mixing gate and
     # so runs gate by gate, as one phase run; the other three (controls
     # 13, 4 and 6) reach outside it, and the run falls into that phase run
     # and one release of the three deferred gates
-    windows = _window_spy(monkeypatch)
-    calls, diagonals = _diagonal_spy(monkeypatch)
     rng = np.random.default_rng(1410)
     ph = functools.partial(_phase_gate, rng)
     width = circuit_module._FUSE_MIN_WIDTH
@@ -1323,10 +1415,12 @@ def test_lone_window_phase_gate_splits_a_phase_run(monkeypatch):
              ph(((hi, True),), 2),
              ph(((lo, True),), 2), ph(((hi + 2, True),), 2)]
     state = _random_state(rng, width)
-    got = apply_to_state(Circuit(width, tuple(gates)), state)
-    assert calls == [(2, 2)]
-    assert windows == []
-    assert diagonals == [3]
+    c = Circuit(width, tuple(gates))
+    got = apply_to_state(c, state)
+    diagonals = circuit_module._apply_diagonals
+    assert _steps(c) == [(diagonals, [gates[0], gates[3]]),
+                         (diagonals, [gates[1], gates[2], gates[4]])]
+    assert _releases(_steps(c), width, circuit_module._WINDOW) == [3]
     assert np.max(np.abs(got - _reference_chain(gates, state))) < 1e-12
 
 
@@ -1350,10 +1444,9 @@ def test_diagonal_factor_is_the_gate_diagonal(seed):
         assert np.array_equal(got, np.diag(to_matrix(Circuit(width, (g,))))), g
 
 
-def test_narrow_stage_run_mixes_targets_and_diagonals(monkeypatch):
+def test_narrow_stage_run_mixes_targets_and_diagonals():
     # on a narrow state, small diagonal gates on several targets, among
     # them a diag(a, b) with a != 1 and negative controls, are one run
-    calls, releases = _diagonal_spy(monkeypatch)
     rng = np.random.default_rng(1430)
     ph = functools.partial(_phase_gate, rng)
     width = 6
@@ -1364,8 +1457,7 @@ def test_narrow_stage_run_mixes_targets_and_diagonals(monkeypatch):
     c = Circuit(width, tuple(gates))
     state = _random_state(rng, width)
     got = apply_to_state(c, state)
-    assert calls == [(3, 5)]
-    assert releases == []
+    assert _steps(c) == [(circuit_module._apply_diagonals, gates)]
     assert np.max(np.abs(got - to_matrix(c) @ state)) < 1e-12
 
 
@@ -1379,25 +1471,23 @@ def test_scheduled_kernel_matches_to_matrix_with_a_small_window(
     # the one pass runs without windows
     monkeypatch.setattr(circuit_module, "_WINDOW", 3)
     monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
-    windows = _window_spy(monkeypatch)
-    _, diagonals = _diagonal_spy(monkeypatch)
     rng = np.random.default_rng(1500 + seed)
     width = 6 + seed % 3
     c = random_diagonal_circuit(rng, width, 60)
     state = _random_state(rng, width)
     got = apply_to_state(c, state)
     assert np.max(np.abs(got - to_matrix(c) @ state)) < 1e-12
+    windows = _windows(c)
     if width < 7:
-        assert windows == diagonals == []
+        assert _steps(c) == _gate_by_gate(c.gates)
+        assert windows == []
     else:
         assert windows == _expected_windows(c.gates, width, 3)
-        assert windows and diagonals
+        assert windows and _releases(_steps(c), width, 3)
 
 
 @pytest.mark.parametrize("width", [14, 15, 16])
-def test_scheduled_kernel_matches_reference_at_full_size(width, monkeypatch):
-    windows = _window_spy(monkeypatch)
-    _, diagonals = _diagonal_spy(monkeypatch)
+def test_scheduled_kernel_matches_reference_at_full_size(width):
     rng = np.random.default_rng(1510 + width)
     # two Hadamards in the bottom window, so that a stage fuses at every
     # width: at width 14 the random gates alone fuse none in windows of 5
@@ -1406,17 +1496,16 @@ def test_scheduled_kernel_matches_reference_at_full_size(width, monkeypatch):
     state = _random_state(rng, width)
     got = apply_to_state(c, state)
     assert np.max(np.abs(got - _reference_chain(c.gates, state))) < 1e-12
+    windows = _windows(c)
     assert windows == _expected_windows(c.gates, width,
                                         circuit_module._WINDOW)
-    assert windows and diagonals
+    assert windows and _releases(_steps(c), width, circuit_module._WINDOW)
 
 
-def test_scheduled_qft_circuits_memory_peak(monkeypatch):
+def test_scheduled_qft_circuits_memory_peak():
     # the state copy plus window buffers, builds and diagonal products of
     # at most 2^14 entries; the permutations, which move the state into a
     # new array, are left out
-    windows = _window_spy(monkeypatch)
-    _, diagonals = _diagonal_spy(monkeypatch)
     width = 18
     v = np.random.default_rng(1520).standard_normal(1 << width) + 0j
     for full in (qft_cyclic_circuit(width),
@@ -1424,25 +1513,18 @@ def test_scheduled_qft_circuits_memory_peak(monkeypatch):
         c = Circuit(width, tuple(g for g in full.gates
                                  if not isinstance(g, QubitPerm)))
         assert _traced_peak(c, v) <= 1.25 * v.nbytes
-    assert windows and diagonals
+        assert _windows(c)
+        assert _releases(_steps(c), width, circuit_module._WINDOW)
 
 
 # Fan-out runs: two or more consecutive X gates with one set of controls
 # and distinct targets whose qubits span windows run as one flipped swap.
 
-def _fan_out_spy(monkeypatch, events=None):
-    """Record the targets of each fan-out run apply_to_state applies, and
-    append ("fan-out", targets) to `events` when given."""
-    calls = []
-    inner = circuit_module._apply_fan_out
-
-    def spy(psi, run):
-        calls.append([g.target for g in run])
-        if events is not None:
-            events.append(("fan-out", calls[-1]))
-        return inner(psi, run)
-    monkeypatch.setattr(circuit_module, "_apply_fan_out", spy)
-    return calls
+def _fan_outs(c, rows=1):
+    """The targets of each fan-out run the kernel runs `c` with, on the
+    state or, inside a move run, on its index array."""
+    return [[g.target for g in run] for apply, run in _calls(_steps(c, rows))
+            if apply is circuit_module._apply_fan_out]
 
 
 def _x(controls, target):
@@ -1488,8 +1570,6 @@ def test_fan_out_runs_match_to_matrix_with_a_small_window(seed, monkeypatch):
     # width 6 nothing is grouped
     monkeypatch.setattr(circuit_module, "_WINDOW", 3)
     monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
-    fan_outs = _fan_out_spy(monkeypatch)
-    windows = _window_spy(monkeypatch)
     rng = np.random.default_rng(1600 + seed)
     width = 6 + seed % 3
     c = Circuit(width, tuple(_fan_out_gates(rng, width)))
@@ -1497,19 +1577,19 @@ def test_fan_out_runs_match_to_matrix_with_a_small_window(seed, monkeypatch):
     got = apply_to_state(c, state)
     assert np.max(np.abs(got - to_matrix(c) @ state)) < 1e-12
     want = _model_fan_outs(c.gates, width, 3) if width >= 7 else []
+    fan_outs = _fan_outs(c)
     assert fan_outs == want
-    assert windows == (_expected_windows(c.gates, width, 3)
+    assert _windows(c) == (_expected_windows(c.gates, width, 3)
                        if width >= 7 else [])
     if width >= 7:
         assert fan_outs
 
 
-def test_fan_out_run_ends_where_the_rule_says(monkeypatch):
+def test_fan_out_run_ends_where_the_rule_says():
     # CNOTs and multi-controlled X with the same control, then a repeated
     # target; mixed polarities in any order, then a gate that targets a
     # control; a change of control set; a run inside the window [0, 5),
     # whose stage runs gate by gate, is grouped too
-    fan_outs = _fan_out_spy(monkeypatch)
     width = 16
     gates = [CNot(15, 0), MultiControlled(X_MATRIX, ((15, True),), 9),
              CNot(15, 14), CNot(15, 0),
@@ -1523,8 +1603,9 @@ def test_fan_out_run_ends_where_the_rule_says(monkeypatch):
              CNot(1, 2), CNot(1, 3), CNot(1, 0)]
     rng = np.random.default_rng(1610)
     state = _random_state(rng, width)
-    got = apply_to_state(Circuit(width, tuple(gates)), state)
-    assert fan_outs == [[0, 9, 14], [5, 13, 1], [14, 15], [2, 3, 0]]
+    c = Circuit(width, tuple(gates))
+    got = apply_to_state(c, state)
+    assert _fan_outs(c) == [[0, 9, 14], [5, 13, 1], [14, 15], [2, 3, 0]]
     want = state
     for g in gates:
         want = apply_to_state(Circuit(width, (g,)), want)
@@ -1532,8 +1613,7 @@ def test_fan_out_run_ends_where_the_rule_says(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_fan_out_runs_match_gates_one_by_one_at_full_size(seed, monkeypatch):
-    fan_outs = _fan_out_spy(monkeypatch)
+def test_fan_out_runs_match_gates_one_by_one_at_full_size(seed):
     rng = np.random.default_rng(1620 + seed)
     width = 16
     gates = _fan_out_gates(rng, width)
@@ -1542,7 +1622,7 @@ def test_fan_out_runs_match_gates_one_by_one_at_full_size(seed, monkeypatch):
     want = state
     for g in gates:
         want = apply_to_state(Circuit(width, (g,)), want)
-    assert fan_outs
+    assert _fan_outs(Circuit(width, tuple(gates)))
     assert np.max(np.abs(got - want)) < 1e-12
     # X gates alone are exact swaps either way
     xs = tuple(g for g in gates if not isinstance(g, QubitPerm) and g.flip)
@@ -1561,8 +1641,6 @@ def test_in_window_fan_out_run_of_a_gate_by_gate_stage(monkeypatch):
     # and a change of control set between the stages starts a new run
     monkeypatch.setattr(circuit_module, "_WINDOW", 3)
     monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
-    fan_outs = _fan_out_spy(monkeypatch)
-    windows = _window_spy(monkeypatch)
     width = 8
     gates = [Local(H_MATRIX, 0),
              MultiControlled(H_MATRIX, ((2, True),), 4), CNot(4, 2),
@@ -1572,8 +1650,8 @@ def test_in_window_fan_out_run_of_a_gate_by_gate_stage(monkeypatch):
     c = Circuit(width, tuple(gates))
     state = _random_state(np.random.default_rng(1625), width)
     got = apply_to_state(c, state)
-    assert fan_outs == [[2, 3], [5, 6]]
-    assert windows == []
+    assert _fan_outs(c) == [[2, 3], [5, 6]]
+    assert _windows(c) == []
     assert np.max(np.abs(got - to_matrix(c) @ state)) < 1e-12
 
 
@@ -1583,14 +1661,6 @@ def test_fan_out_run_releases_pending_gates_on_its_targets(monkeypatch):
     # that targets none of them runs while they stay pending
     monkeypatch.setattr(circuit_module, "_WINDOW", 3)
     monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
-    events = []
-    _fan_out_spy(monkeypatch, events)
-    inner = circuit_module._apply_diagonals
-
-    def spy(psi, gates):
-        events.append(("release", len(gates)))
-        return inner(psi, gates)
-    monkeypatch.setattr(circuit_module, "_apply_diagonals", spy)
     rng = np.random.default_rng(1630)
     ph = functools.partial(_phase_gate, rng)
     width = 8
@@ -1598,9 +1668,16 @@ def test_fan_out_run_releases_pending_gates_on_its_targets(monkeypatch):
              CNot(4, 3), CNot(4, 1),
              CNot(2, 0), CNot(2, 4)]
     state = _random_state(rng, width)
-    got = apply_to_state(Circuit(width, tuple(gates)), state)
+    c = Circuit(width, tuple(gates))
+    got = apply_to_state(c, state)
+    events = [("fan-out", [g.target for g in run])
+              if apply is circuit_module._apply_fan_out
+              else ("release", len(run)) for apply, run in _calls(_steps(c))
+              if apply in (circuit_module._apply_fan_out,
+                           circuit_module._apply_diagonals)]
     assert events == [("fan-out", [3, 1]), ("release", 3),
                       ("fan-out", [0, 4])]
+    assert _releases(_steps(c), width, 3) == [3]
     assert np.max(np.abs(got - to_matrix(Circuit(width, tuple(gates)))
                          @ state)) < 1e-12
 
@@ -1721,14 +1798,13 @@ def test_identity_batch_permutations_stay_on_the_transpose(monkeypatch):
     # a width-9 circuit on the batch of its 512 basis rows is a width-18
     # state whose permutations move at most 9 qubits
     calls = _band_spy(monkeypatch)
-    fan_outs = _fan_out_spy(monkeypatch)
     G = GroupSpec(Family.QD, 8)
     c = qft_circuit(G)
     assert any(isinstance(g, QubitPerm) for g in c.gates)
     got = apply_to_state(c, np.eye(1 << c.width))
     assert np.max(np.abs(got - assemble(G).b.T)) < 1e-12
     assert calls == []
-    assert fan_outs == [list(range(7))]
+    assert _fan_outs(c, 1 << c.width) == [list(range(7))]
 
 
 # Move runs: on the wide states, three or more consecutive steps that only
@@ -1736,20 +1812,14 @@ def test_identity_batch_permutations_stay_on_the_transpose(monkeypatch):
 # a permutation, run on an index array and move the state by one gather.
 # The rule reads the steps alone, so it holds at every fused width.
 
-def _moves_spy(monkeypatch):
-    """Record the steps of each move run apply_to_state applies, each as
-    the kernel's name ("x", "fan-out" or "perm") and its gates."""
-    calls = []
-    inner = circuit_module._apply_moves
-
-    def spy(psi, steps):
-        calls.append([("perm" if apply is circuit_module._permute else
-                       "x" if apply is circuit_module._apply_gate
-                       else "fan-out", g)
-                      for apply, g in steps])
-        return inner(psi, steps)
-    monkeypatch.setattr(circuit_module, "_apply_moves", spy)
-    return calls
+def _move_run_steps(c):
+    """The steps of each move run the kernel runs `c` with, each as the
+    kernel's name ("x", "fan-out" or "perm") and its gates."""
+    return [[("perm" if apply is circuit_module._permute else
+              "x" if apply is circuit_module._apply_gate
+              else "fan-out", g) for apply, g in run]
+            for kernel, run in _steps(c)
+            if kernel is circuit_module._apply_moves]
 
 
 _Y = np.array([[0, -1j], [1j, 0]])
@@ -1796,22 +1866,21 @@ def _is_move(apply, g):
 
 
 @pytest.mark.parametrize("width", [14, 15, 16])
-def test_move_runs_match_reference_bit_for_bit(width, monkeypatch):
-    calls = _moves_spy(monkeypatch)
+def test_move_runs_match_reference_bit_for_bit(width):
     rng = np.random.default_rng(1800 + width)
     gates = _move_gates(rng, width)
     state = _random_state(rng, width)
-    got = apply_to_state(Circuit(width, tuple(gates)), state)
+    c = Circuit(width, tuple(gates))
+    got = apply_to_state(c, state)
     assert np.array_equal(got, _reference_chain(gates, state))
     # each run holds three or more steps, a permutation among them, and
     # only moves; every other step of the schedule stays in the stream
+    calls = _move_run_steps(c)
     assert calls
     for steps in calls:
         assert len(steps) >= 3 and "perm" in [kind for kind, _ in steps]
-    stream = list(circuit_module._schedule(tuple(gates), width))
+    stream = _steps(c)
     grouped = [g for apply, g in stream if apply is circuit_module._apply_moves]
-    assert [[g for _, g in steps] for steps in calls] == \
-        [[g for _, g in steps] for steps in grouped]
     assert all(_is_move(*step) for steps in grouped for step in steps)
     # outside a run, moves side by side with a permutation are at most two
     for moves, group in groupby(
@@ -1822,7 +1891,7 @@ def test_move_runs_match_reference_bit_for_bit(width, monkeypatch):
             assert len(group) <= 2
 
 
-def test_move_runs_end_where_the_rule_says(monkeypatch):
+def test_move_runs_end_where_the_rule_says():
     # width 16, windows [10, 16), [5, 10) and [0, 5).  A CNOT, a rotation,
     # a fan-out run and a multi-controlled X are one run; a controlled Y
     # (mixing) ends it.  Two X gates without a permutation stay in place.
@@ -1830,7 +1899,6 @@ def test_move_runs_end_where_the_rule_says(monkeypatch):
     # controlled Z across windows is deferred past CNot(13, 1), which
     # targets none of its qubits, so the reversal and the two CNOTs are a
     # run; the Z is released before the last rotation, which stays alone.
-    calls = _moves_spy(monkeypatch)
     width = 16
     rot = QubitPerm((width - 1, *range(width - 1)))
     rev = QubitPerm(tuple(reversed(range(width))))
@@ -1842,6 +1910,7 @@ def test_move_runs_end_where_the_rule_says(monkeypatch):
              MultiControlled(Z_MATRIX, ((0, True),), 12), CNot(13, 1), rot]
     state = _random_state(np.random.default_rng(1810), width)
     got = apply_to_state(Circuit(width, tuple(gates)), state)
+    calls = _move_run_steps(Circuit(width, tuple(gates)))
     assert [[kind for kind, _ in steps] for steps in calls] == [
         ["x", "perm", "fan-out", "x"], ["perm", "x", "x"]]
     assert calls[0][2][1] == gates[2:5]
@@ -1855,12 +1924,12 @@ def test_qd_reorder_factor_runs_as_one_move_run(monkeypatch):
     # qd n = 15 at width 16: the twiddle's two X gates and the whole
     # reorder factor (rotation, fan-out, controlled increment, CNOT and
     # Toffoli) are one gather, bit for bit what the steps give one by one
-    calls = _moves_spy(monkeypatch)
     G = GroupSpec(Family.QD, 15)
     c = qft_circuit(G)
     factors = dict(circuit_library.qft_factors(G))
     state = _random_state(np.random.default_rng(1820), c.width)
     got = apply_to_state(c, state)
+    calls = _move_run_steps(c)
     assert len(calls) == 1
     assert [kind for kind, _ in calls[0]] == \
         ["x", "x", "perm", "fan-out", *["x"] * 16]
@@ -1869,18 +1938,17 @@ def test_qd_reorder_factor_runs_as_one_move_run(monkeypatch):
         factors["twiddle"] + factors["reorder"])
     monkeypatch.setattr(circuit_module, "_move_runs", lambda steps: steps)
     assert np.array_equal(got, apply_to_state(c, state))
-    assert len(calls) == 1
+    assert _move_run_steps(c) == []
 
 
 @pytest.mark.parametrize("offset", [0, -1])
-def test_move_runs_only_on_wide_states(offset, monkeypatch):
+def test_move_runs_only_on_wide_states(offset):
     # below the width threshold every gate runs on its own, in order
-    calls = _moves_spy(monkeypatch)
     width = circuit_module._FUSE_MIN_WIDTH + offset
     c = qft_circuit(GroupSpec(Family.QD, width - 1))
     state = _random_state(np.random.default_rng(1830), width)
     got = apply_to_state(c, state)
-    assert len(calls) == (1 if offset == 0 else 0)
+    assert len(_move_run_steps(c)) == (1 if offset == 0 else 0)
     want = state
     for g in c.gates:
         want = apply_to_state(Circuit(width, (g,)), want)
@@ -1910,17 +1978,17 @@ def test_move_runs_follow_the_step_count(width):
                               _reference_chain(gates, state))
 
 
-def test_full_qft_circuits_memory_peak(monkeypatch):
+def test_full_qft_circuits_memory_peak():
     # permutations included: the state copy, the new array a permutation
     # or a move run's gather fills, and a move run's index array of a
     # quarter state, within the bound of the cyclic test above
-    calls = _moves_spy(monkeypatch)
     width = 18
     v = np.random.default_rng(1840).standard_normal(1 << width) + 0j
-    for c in (qft_cyclic_circuit(width),
-              qft_circuit(GroupSpec(Family.QD, width - 1))):
+    circuits = (qft_cyclic_circuit(width),
+                qft_circuit(GroupSpec(Family.QD, width - 1)))
+    for c in circuits:
         assert _traced_peak(c, v) <= 2.5 * v.nbytes
-    assert len(calls) == 1
+    assert [len(_move_run_steps(c)) for c in circuits] == [0, 1]
 
 
 # Releases: a product of deferred diagonal factors grows to _BLOCK entries
@@ -1936,15 +2004,15 @@ class _ProductProbe(np.ndarray):
         return super().__imul__(other)
 
 
-def _product_spy(monkeypatch):
-    """Record, per release of deferred diagonal gates, the sizes of the
-    products that scale the state; stage runs are not recorded."""
+def _product_spy(monkeypatch, width):
+    """Record, per diagonal product step on a `width`-qubit state, the
+    sizes of the products that scale the state; the runs of a window's
+    matrix build, on 2^(2k) entries, are not recorded."""
     sizes = []
-    released = _released(monkeypatch)
     inner = circuit_module._apply_diagonals
 
     def spy(psi, gates):
-        if not any(gates is r for r in released):
+        if psi.size != 1 << width:
             return inner(psi, gates)
         sizes.append([])
         probe = psi.view(_ProductProbe)
@@ -1958,8 +2026,8 @@ def _product_spy(monkeypatch):
 def test_cyclic_21_releases_in_block_sized_products(monkeypatch):
     # the cascade's three releases scale the state twice, twice and once;
     # each product holds at most _BLOCK entries
-    sizes = _product_spy(monkeypatch)
     n = 21
+    sizes = _product_spy(monkeypatch, n)
     rng = np.random.default_rng(1850)
     v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     got = apply_to_state(qft_cyclic_circuit(n), v)
@@ -1968,34 +2036,51 @@ def test_cyclic_21_releases_in_block_sized_products(monkeypatch):
     assert np.max(np.abs(got - np.sqrt(v.size) * np.fft.ifft(v))) < 1e-13
 
 
-def test_release_runs_a_factor_past_the_phase_cap_alone(monkeypatch):
+def test_release_runs_a_factor_past_the_phase_cap_alone():
     # a deferred gate with ten controls has a factor of 2^11 entries, past
-    # _FACTOR_CAP, and runs alone on its control block; the three
-    # one-control gates released with it are one product
-    _, diagonals = _diagonal_spy(monkeypatch)
+    # _FACTOR_CAP, and runs alone on its control block.  Sorted by lowest
+    # qubit, it splits the three one-control gates listed around it in
+    # the forward schedule (Z on 0, it, then Z on 1 and 2: three steps);
+    # the backward one sorts it first and releases the three as one
+    # product, in two steps, and runs
     width = circuit_module._FUSE_MIN_WIDTH
     many = MultiControlled(Z_MATRIX, tuple((q, q % 2 == 1)
                                            for q in range(3, 13)), 0)
     gates = [MultiControlled(Z_MATRIX, ((13, True),), t) for t in (0, 1, 2)]
     gates.insert(1, many)
-    steps = list(circuit_module._release(gates))
-    assert [apply for apply, _ in steps] == \
-        [circuit_module._apply_diagonals, circuit_module._apply_gate]
-    assert steps[1][1] is many
+    c = Circuit(width, tuple(gates))
+    forward, backward = _both_ways(c.gates, width)
+    assert len(forward) == 3
+    assert _steps(c) == backward == [
+        (circuit_module._apply_diagonals, [gates[3], gates[2], gates[0]]),
+        (circuit_module._apply_gate, many)]
     state = _random_state(np.random.default_rng(1855), width)
-    got = apply_to_state(Circuit(width, tuple(gates)), state)
-    assert diagonals == [3]
+    got = apply_to_state(c, state)
+    assert _releases(_steps(c), width, circuit_module._WINDOW) == [3]
     assert np.max(np.abs(got - _reference_chain(gates, state))) < 1e-12
 
 
-def test_release_of_two_small_gates_runs_them_alone():
-    # like the equalizer's pair of multi-controlled Z gates in the
-    # width-18 identity batches: two gates on their control blocks touch
-    # less of the state than one pass of a product
-    gates = [MultiControlled(Z_MATRIX, ((13, True), (12, False)), t)
-             for t in (0, 5)]
-    assert list(circuit_module._release(gates)) == \
-        [(circuit_module._apply_gate, g) for g in gates]
+def test_a_release_follows_the_stage_rule():
+    # deferred gates run as a stage that runs gate by gate, sorted by
+    # lowest qubit: two small ones, like the equalizer's pair of
+    # multi-controlled Z gates in the n = 8 identity batches, are one
+    # product; a lone small gate and a factor past _FACTOR_CAP run alone
+    width = circuit_module._FUSE_MIN_WIDTH
+    pair = [MultiControlled(Z_MATRIX, ((13, True), (12, False)), t)
+            for t in (5, 0)]
+    assert _steps(Circuit(width, tuple(pair))) == \
+        [(circuit_module._apply_diagonals, pair[::-1])]
+    many = MultiControlled(Z_MATRIX, tuple((q, True) for q in range(4, 14)),
+                           1)
+    small = [MultiControlled(Z_MATRIX, ((13, True),), t) for t in (3, 0, 2)]
+    c = Circuit(width, (*small[:2], many, small[2]))
+    assert _steps(c) == [(circuit_module._apply_gate, small[1]),
+                         (circuit_module._apply_gate, many),
+                         (circuit_module._apply_diagonals,
+                          [small[2], small[0]])]
+    state = _random_state(np.random.default_rng(1856), width)
+    assert np.max(np.abs(apply_to_state(c, state)
+                         - _reference_chain(c.gates, state))) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -2007,10 +2092,9 @@ def test_small_blocks_and_move_runs_match_to_matrix(seed, monkeypatch):
     monkeypatch.setattr(circuit_module, "_FUSE_MIN_WIDTH", 7)
     monkeypatch.setattr(circuit_module, "_BLOCK", 16)
     monkeypatch.setattr(circuit_module, "_FACTOR_CAP", 8)
-    sizes = _product_spy(monkeypatch)
-    calls = _moves_spy(monkeypatch)
     rng = np.random.default_rng(1860 + seed)
     width = 7 + seed % 2
+    sizes = _product_spy(monkeypatch, width)
     gates = [g for _ in range(3)
              for g in (*random_diagonal_circuit(rng, width, 20).gates,
                        *_move_gates(rng, width)[:6])]
@@ -2020,7 +2104,7 @@ def test_small_blocks_and_move_runs_match_to_matrix(seed, monkeypatch):
     assert np.max(np.abs(got - to_matrix(c) @ state)) < 1e-12
     assert sizes and max(max(s) for s in sizes) <= 16
     assert any(len(s) > 1 for s in sizes)
-    assert calls
+    assert _move_run_steps(c)
 
 
 def test_diagonal_kind_is_read_at_construction():
@@ -2040,41 +2124,13 @@ def test_diagonal_kind_is_read_at_construction():
                                                   True, True]
 
 
-# Pinned schedules: the (kernel, payload size) steps apply_to_state runs
-# on the benchmark's circuits, qd n = 20 and cyclic n = 21 on one state
-# each, on the adjoints of the two width-21 circuits, and on the lifted
-# blocks that verify.circuit_matches runs at qd n = 8 (width 15).  The
-# four n = 8 circuits on the batch of their 512 basis rows (width 18) pin
-# the kernel's batch route.  A change to the scheduling rules or to a
-# kernel's route that moves any of them fails here.
-
-_KERNELS = ("_apply_window", "_apply_diagonals", "_apply_gate", "_permute",
-            "_apply_fan_out", "_apply_moves")
-
-
-def _steps_spy(monkeypatch):
-    """Record each step apply_to_state runs as (kernel name, payload
-    size): the number of gates or steps a list holds, else 1.  The calls
-    a kernel makes itself, a window build's gates and a move run's steps,
-    are not steps."""
-    calls, depth = [], [0]
-
-    def wrap(name, inner):
-        def spy(psi, payload):
-            if not depth[0]:
-                calls.append((name, len(payload)
-                              if isinstance(payload, list) else 1))
-            depth[0] += 1
-            try:
-                return inner(psi, payload)
-            finally:
-                depth[0] -= 1
-        return spy
-    for name in _KERNELS:
-        monkeypatch.setattr(circuit_module, name,
-                            wrap(name, getattr(circuit_module, name)))
-    return calls
-
+# Pinned schedules: the (kernel, payload size) steps the kernel runs the
+# benchmark's circuits with, qd n = 20 and cyclic n = 21 on one state
+# each, the adjoints of the two width-21 circuits, and the blocks of 64
+# identity rows that verify.circuit_matches runs at qd n = 8 (width 15).
+# The four n = 8 circuits on the batch of their 512 basis rows (width 18)
+# pin the kernel's batch route.  A change to the scheduling rules that
+# moves any of them fails here.
 
 _GATE = ("_apply_gate", 1)
 _PERM = ("_permute", 1)
@@ -2106,55 +2162,66 @@ _PINNED_STEPS = {
         ("_apply_window", 15), ("_apply_diagonals", 50),
         ("_apply_window", 15), ("_apply_diagonals", 90),
         ("_apply_window", 21)],
-    # the twiddle's two X gates, the reorder's rotation, its fan-out
-    # and its controlled increment are one move run; qp's X and swap, two
-    # moves, stay step by step
-    "dihedral8": [_GATE] * 3 + [("_apply_moves", 11)] + _N8_TAIL,
-    "quaternion8": [_GATE] * 4 + [("_apply_moves", 11)] + _N8_TAIL,
+    # the equalizer's two multi-controlled Z gates, deferred across
+    # windows, are one product; the twiddle's two X gates, the reorder's
+    # rotation, its fan-out and its controlled increment are one move
+    # run; qp's X and swap, two moves, stay step by step
+    "dihedral8": [("_apply_diagonals", 2), _GATE, ("_apply_moves", 11)]
+    + _N8_TAIL,
+    "quaternion8": [("_apply_diagonals", 2), _GATE, _GATE,
+                    ("_apply_moves", 11)] + _N8_TAIL,
     "qp8": [_GATE] * 3 + [_PERM] + _N8_TAIL,
-    "qd8": [_GATE] * 3 + [("_apply_moves", 13)] + _N8_TAIL,
-    # one block of circuit_matches: lifted by 6 qubits, the cyclic factor
-    # sits on qubits 6-13, in the windows [10, 15) and [5, 10) of width 15
-    "qd8-lifted": [_GATE] * 3 + [("_apply_moves", 13), ("_apply_window", 10),
-                                 ("_apply_diagonals", 16),
-                                 ("_apply_window", 10), _PERM],
+    "qd8": [("_apply_diagonals", 2), _GATE, ("_apply_moves", 13)] + _N8_TAIL,
+    # one block of circuit_matches: 64 rows add 6 qubits above the
+    # circuit's 9, so the cyclic factor sits on qubits 0-7, in the windows
+    # [5, 10) and [0, 5) of width 15
+    "qd8-block": [("_apply_diagonals", 2), _GATE, ("_apply_moves", 13),
+                  ("_apply_window", 6), ("_apply_diagonals", 15),
+                  ("_apply_window", 15), _PERM],
 }
 
 
-def _pinned_steps(c, n, monkeypatch):
-    """The steps apply_to_state runs `c` with, on the batch of all basis
-    rows at n = 8, and on one state otherwise, as simulate_w21 does."""
-    dim = 1 << c.width
-    state = np.eye(dim) if n == 8 else np.zeros(dim)
-    calls = _steps_spy(monkeypatch)
-    apply_to_state(c, state)
-    return calls
+def _pinned_steps(c, rows):
+    """The steps the kernel runs `c` with on a batch of `rows` states, as
+    (kernel name, payload size): the number of gates or steps a list
+    holds, else 1."""
+    return [(apply.__name__, len(payload) if isinstance(payload, list)
+             else 1) for apply, payload in _steps(c, rows)]
 
 
 @pytest.mark.parametrize("family, n", [
     (Family.QD, 20), (Family.CYCLIC, 21), (Family.DIHEDRAL, 8),
     (Family.QUATERNION, 8), (Family.QP, 8), (Family.QD, 8)])
-def test_benchmark_schedules_are_pinned(family, n, monkeypatch):
+def test_benchmark_schedules_are_pinned(family, n):
+    # n = 8 on the batch of all 512 basis rows, the others on one state,
+    # as simulate_w21 runs them
     c = qft_circuit(GroupSpec(family, n))
-    assert _pinned_steps(c, n, monkeypatch) == \
+    assert _pinned_steps(c, 1 << c.width if n == 8 else 1) == \
         _PINNED_STEPS[f"{family.value}{n}"]
 
 
 def test_circuit_matches_block_schedule_is_pinned(monkeypatch):
-    # verify_n8's circuit check: 8 blocks of 64 identity columns, each a
-    # width-15 state run with the same steps
+    # verify_n8's circuit check: one plan for blocks of 64 identity rows,
+    # run on each of the 8 blocks
     G = GroupSpec(Family.QD, 8)
-    b = assemble(G).b
-    calls = _steps_spy(monkeypatch)
-    verify.circuit_matches(qft_circuit(G), b)
-    assert calls == _PINNED_STEPS["qd8-lifted"] * 8
+    c = qft_circuit(G)
+    plans = []
+
+    def spy(circuit, rows=1):
+        plans.append(circuit_module.plan(circuit, rows))
+        return plans[-1]
+    monkeypatch.setattr(verify, "plan", spy)
+    assert verify.circuit_matches(c, assemble(G).b) < 1e-12
+    assert [(p.width, p.rows) for p in plans] == [(9, 64)]
+    assert _pinned_steps(c, 64) == _PINNED_STEPS["qd8-block"]
+    assert [apply.__name__ for apply, _ in plans[0].steps] == \
+        [name for name, _ in _PINNED_STEPS["qd8-block"]]
 
 
 @pytest.mark.parametrize("family, n", [(Family.QD, 20), (Family.CYCLIC, 21)])
-def test_adjoint_schedules_are_pinned(family, n, monkeypatch):
+def test_adjoint_schedules_are_pinned(family, n):
     c = adjoint(qft_circuit(GroupSpec(family, n)))
-    assert _pinned_steps(c, n, monkeypatch) == \
-        _PINNED_STEPS[f"{family.value}{n}-adjoint"]
+    assert _pinned_steps(c, 1) == _PINNED_STEPS[f"{family.value}{n}-adjoint"]
 
 
 # Adjoints and the schedule in both directions: adjoint(c) is the circuit
@@ -2219,9 +2286,14 @@ def test_adjoint_round_trips_at_fused_widths(width):
 
 
 def _run_steps(steps, state, width):
-    """Run a schedule's steps on a copy of `state`, as apply_to_state does."""
+    """Run a schedule's steps on a copy of `state`, each window's matrix
+    and each move run's gather order built as `plan` builds them."""
     psi = state.astype(np.complex128).reshape((2,) * width)
     for apply, g in steps:
+        if apply is circuit_module._apply_window:
+            g = circuit_module._window_matrix(g)
+        elif apply is circuit_module._apply_moves:
+            g = circuit_module._move_order(g, width)
         psi = apply(psi, g)
     return psi.reshape(-1)
 
@@ -2266,7 +2338,7 @@ def test_both_directions_match_to_matrix_with_a_small_window(seed,
 
 def test_library_circuits_keep_their_forward_schedule():
     # every family's transform at widths 14-22, on the width-18 identity
-    # batches of n = 8 and on the width-15 lifted blocks that
+    # batches of n = 8 and on the width-15 blocks of 64 identity rows that
     # verify.circuit_matches runs at n = 8 schedules forward; its adjoint
     # schedules backward, in fewer steps
     cases = [(qft_circuit(GroupSpec(f, w if f is Family.CYCLIC else w - 1)),
@@ -2274,7 +2346,7 @@ def test_library_circuits_keep_their_forward_schedule():
     n8 = [qft_circuit(GroupSpec(f, 8)) for f in Family
           if f is not Family.CYCLIC]
     cases += [(c, 18) for c in n8]
-    cases += [(verify._lifted(c, 6), 15) for c in n8]
+    cases += [(c, 15) for c in n8]
     for c, width in cases:
         for gates, picked in ((c.gates, 0), (adjoint(c).gates, 1)):
             steps = _both_ways(gates, width)

@@ -119,3 +119,19 @@ def test_random_unitarity_closure():
         b = random_unitary(rng, int(rng.integers(1, 5)))
         assert is_unitary(kron(a, b))
         assert is_unitary(direct_sum([a, b]))
+
+
+# Matrices from outside are read by one helper, so input that numpy cannot
+# read as numbers is a ValueError, not numpy's TypeError.
+
+@pytest.mark.parametrize("call", [
+    lambda: is_unitary({"a": 1}),
+    lambda: kron({"a": 1}, 1),
+    lambda: kron(1, {"a": 1}),
+    lambda: direct_sum([{"a": 1}]),
+    lambda: direct_sum([np.eye(2), "1, 0; 0, 1"]),
+], ids=["is_unitary", "kron-first", "kron-second", "direct_sum",
+        "direct_sum-text"])
+def test_a_non_numeric_matrix_is_a_value_error(call):
+    with pytest.raises(ValueError, match="is not numeric"):
+        call()

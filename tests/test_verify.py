@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import random_unitary
 
+from groupqft import circuit as circuit_module
 from groupqft.circuit import H_MATRIX, Circuit, Local, cost, to_matrix
 from groupqft.circuit_library import qft_circuit, qft_cyclic_circuit, qft_factors
 from groupqft import groups, verify
@@ -174,6 +175,24 @@ def test_circuit_matches_agrees_with_to_matrix(g):
     b = assemble(g).b
     c = qft_circuit(g)
     assert abs(circuit_matches(c, b) - _to_matrix_defect(c, b)) < 1e-13
+
+
+@pytest.mark.parametrize("g, rows", [
+    *((GroupSpec(f, 8), 64) for f in NON_ABELIAN),
+    (GroupSpec(Family.CYCLIC, 3), 8)], ids=lambda v: getattr(v, "family",
+                                                                v))
+def test_circuit_matches_builds_one_plan(monkeypatch, g, rows):
+    # one plan for batches of `cols` identity rows serves every block: 8
+    # blocks of 64 rows at n = 8, and one block of all 8 rows at width 3
+    plans = []
+
+    def spy(c, rows=1):
+        plans.append((c.width, rows))
+        return circuit_module.plan(c, rows)
+    monkeypatch.setattr(verify, "plan", spy)
+    c = qft_circuit(g)
+    assert circuit_matches(c, assemble(g).b) < 1e-12
+    assert plans == [(c.width, rows)]
 
 
 def _drop_one_cyclic_hadamard(g):
@@ -538,32 +557,32 @@ PINNED_OUTPUTS = {
     (Family.CYCLIC, 4): ("97c64c8835d3bc18", "6dc0f9396cb72a9c"),
     (Family.CYCLIC, 5): ("52e325f6817138be", "5e439a4971df5d81"),
     (Family.CYCLIC, 6): ("1681ee44f82f9ddb", "802ecb288dce9815"),
-    (Family.CYCLIC, 7): ("793691679c3327e1", "8cd6b89d5510bda0"),
-    (Family.CYCLIC, 8): ("d96c228b10cac780", "547b8fb44c6e7540"),
+    (Family.CYCLIC, 7): ("148874d6f0bb821a", "8cd6b89d5510bda0"),
+    (Family.CYCLIC, 8): ("ef9cd607e105e0d9", "547b8fb44c6e7540"),
     (Family.DIHEDRAL, 3): ("0c9040a69ae621c3", "a3968ac9a4b9f26f"),
     (Family.DIHEDRAL, 4): ("c24ed8dd350aa910", "95d3b4db8d305a15"),
     (Family.DIHEDRAL, 5): ("8227a25d5ab64de7", "bfdc824a10b2970b"),
-    (Family.DIHEDRAL, 6): ("2ce9f29476a59e35", "c1acb4fa76ad5ce5"),
-    (Family.DIHEDRAL, 7): ("e409cbbacd51a7b7", "f02035516e930194"),
-    (Family.DIHEDRAL, 8): ("4d7a7217c1f08678", "b7c57f91a298827f"),
+    (Family.DIHEDRAL, 6): ("706fb9313c382b94", "c1acb4fa76ad5ce5"),
+    (Family.DIHEDRAL, 7): ("93287e320a54b8a9", "f02035516e930194"),
+    (Family.DIHEDRAL, 8): ("f1cfa9af0b5ea615", "b7c57f91a298827f"),
     (Family.QUATERNION, 3): ("72f0ac0c619ac8ff", "d4fa754d47982f2a"),
     (Family.QUATERNION, 4): ("2da3efafd8f2fda8", "a1ef526e3b2dae9d"),
     (Family.QUATERNION, 5): ("572073b0837bab55", "5f5516ea07897447"),
-    (Family.QUATERNION, 6): ("315960950ee357f9", "75ea7331d8680e9f"),
-    (Family.QUATERNION, 7): ("e7fb0ff87ce663f8", "e4b29855aab35ddd"),
-    (Family.QUATERNION, 8): ("b0bcf59c21cc1401", "be2d3b608dd9fc9e"),
+    (Family.QUATERNION, 6): ("7e2ba875b7f88c88", "75ea7331d8680e9f"),
+    (Family.QUATERNION, 7): ("c5bad335890e15f6", "e4b29855aab35ddd"),
+    (Family.QUATERNION, 8): ("5acfbf6cfe319fc4", "be2d3b608dd9fc9e"),
     (Family.QP, 3): ("e5d7975863ace2cb", "b7ae73503b1d562b"),
     (Family.QP, 4): ("06551eff9200cff1", "3f6ad817f3cf9f7d"),
     (Family.QP, 5): ("e2c3a58399e3e09b", "a3d2982e18c0de4e"),
-    (Family.QP, 6): ("39a0a85e89eaa3a6", "ebb1339d2cc9d29f"),
-    (Family.QP, 7): ("abbfcf131704c89f", "eac2cda4f3fdded7"),
-    (Family.QP, 8): ("d10c4fac8030b6ba", "a189eac3314b5168"),
+    (Family.QP, 6): ("429a65850da113a7", "ebb1339d2cc9d29f"),
+    (Family.QP, 7): ("6069a8a0e3017621", "eac2cda4f3fdded7"),
+    (Family.QP, 8): ("923c11849b445574", "a189eac3314b5168"),
     (Family.QD, 3): ("5e5973a4e95dea36", "84a4df17d7493180"),
     (Family.QD, 4): ("d4b87869ccaf065c", "1257a355c4642dc4"),
     (Family.QD, 5): ("06359ccf47b3ab4a", "a55cc836245c792d"),
-    (Family.QD, 6): ("7ef2f70a2083024a", "22f9536af5ff4c33"),
-    (Family.QD, 7): ("40b0ba136ed35f44", "dc4269484619a3b3"),
-    (Family.QD, 8): ("634a56cad7b53868", "4a9dde6744f875e2"),
+    (Family.QD, 6): ("5c6c0191ea7be061", "22f9536af5ff4c33"),
+    (Family.QD, 7): ("fba8507cc5fad545", "dc4269484619a3b3"),
+    (Family.QD, 8): ("186854222ab10729", "4a9dde6744f875e2"),
 }
 
 
